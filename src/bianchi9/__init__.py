@@ -6,7 +6,4 @@ w1, w2, w3, F -> heat-trace coefficients a0, a2, a4 -> PSL2(Z) orbit sums ->
 identification against classical modular forms.
 """
 
-from fractions import Fraction
-
-__all__ = ["Fraction"]
 __version__ = "0.1.0"

@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -75,8 +73,8 @@ def _reduction_rows(n: int, count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list of any length modulo Phi_N; pad to phi(N)."""
+def _reduce(n: int, coeffs: list, zero=Fraction(0)) -> list:
+    """Reduce a coefficient list of any length modulo Phi_N; pad to phi(N) with zero."""
     phi = euler_phi(n)
     if len(coeffs) > phi:
         rows = _reduction_rows(n, len(coeffs) - phi)
@@ -92,28 +90,7 @@ def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     else:
         coeffs = list(coeffs)
     while len(coeffs) < phi:
-        coeffs.append(Fraction(0))
-    return tuple(coeffs)
-
-
-def _reduce_int(n: int, coeffs: list[int]) -> list[int]:
-    """Integer-only reduction modulo Phi_N; pads to phi(N)."""
-    phi = euler_phi(n)
-    if len(coeffs) > phi:
-        rows = _reduction_rows(n, len(coeffs) - phi)
-        out = list(coeffs[:phi])
-        for t in range(len(coeffs) - 1, phi - 1, -1):
-            c = coeffs[t]
-            if c:
-                row = rows[t - phi]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        coeffs = out
-    else:
-        coeffs = list(coeffs)
-    while len(coeffs) < phi:
-        coeffs.append(0)
+        coeffs.append(zero)
     return coeffs
 
 
@@ -125,12 +102,12 @@ class Cyclotomic:
     def __init__(self, order: int, coeffs) -> None:
         self.order = order
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        self.coeffs = _reduce(order, cs)
+        self.coeffs = tuple(_reduce(order, cs))
 
     @classmethod
     def from_int_coeffs(cls, order: int, coeffs: list[int], den: int) -> "Cyclotomic":
         """Fast path: integer power-basis coefficients over a common denominator."""
-        reduced = _reduce_int(order, coeffs)
+        reduced = _reduce(order, coeffs, 0)
         obj = object.__new__(cls)
         obj.order = order
         obj.coeffs = tuple(Fraction(c, den) for c in reduced)
@@ -197,15 +174,6 @@ class Cyclotomic:
             if c:
                 out[j * step] += c
         return Cyclotomic(order, out)
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: zeta -> zeta^{-1}."""
-        n = self.order
-        acc = Cyclotomic.zero(n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + Cyclotomic.root(n, (-j) % n) * c
-        return acc
 
     # -- arithmetic ---------------------------------------------------
 
@@ -317,16 +285,3 @@ class Cyclotomic:
     def __repr__(self):
         parts = [f"{c}*z{self.order}^{j}" for j, c in enumerate(self.coeffs) if c]
         return " + ".join(parts) if parts else "0"
-
-
-def cyc_arith(a: Cyclotomic, b: Cyclotomic, op: str) -> Cyclotomic:
-    """Dispatch wrapper: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .jets import Jet
+from .jets import Jet, jet_log_derivative
 from .series import Grade, PuiseuxSeries
 from .theta import (
     THETA2,
@@ -29,8 +29,8 @@ from .theta import (
     THETA4,
     Characteristics,
     ThetaSpec,
-    _theta_eval_raw,
     cyclotomic_order,
+    theta_jet,
     theta_series,
 )
 
@@ -77,12 +77,6 @@ class InstantonFrame:
     mode: str
     w: tuple
     F_: object
-
-    def w_deriv(self, j: int, k: int):
-        """Derivative order k of w_j (j in 1..3) as a series, or jet component."""
-        if self.mode == "series":
-            return self.w[j - 1][k]
-        return self.w[j - 1][k]
 
     @property
     def order(self) -> int:
@@ -149,10 +143,6 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int, order: int = 4) -> Ins
     return InstantonFrame("series", ws, _derivative_tower(F, order))
 
 
-def _theta_jet_raw(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> Jet:
-    return Jet([_theta_eval_raw(p, q, k, q_deriv, mu, tol) for k in range(order + 1)])
-
-
 def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, order: int = 4) -> InstantonFrame:
     """Numeric frame of w_j, F jets at mu (Lambda set to 1)."""
     if pt.is_degenerate():
@@ -168,14 +158,14 @@ def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, orde
 
         pi = +mpmath.pi
         e_pip = mpmath.exp(1j * pi * mpmath.mpmathify(p))
-    th2 = _theta_jet_raw(half, 0, False, mu, order, tol)
-    th3 = _theta_jet_raw(0, 0, False, mu, order, tol)
-    th4 = _theta_jet_raw(0, half, False, mu, order, tol)
-    tpq = _theta_jet_raw(p, q, False, mu, order, tol)
-    dtpq = _theta_jet_raw(p, q, True, mu, order, tol)
-    w1 = th3 * th4 * _theta_jet_raw(p, q + half, True, mu, order, tol) / tpq * (-0.5j / e_pip)
-    w2 = th2 * th4 * _theta_jet_raw(p + half, q + half, True, mu, order, tol) / tpq * (0.5j / e_pip)
-    w3 = th2 * th3 * _theta_jet_raw(p + half, q, True, mu, order, tol) / tpq * (-0.5)
+    th2 = theta_jet(half, 0, False, mu, order, tol)
+    th3 = theta_jet(0, 0, False, mu, order, tol)
+    th4 = theta_jet(0, half, False, mu, order, tol)
+    tpq = theta_jet(p, q, False, mu, order, tol)
+    dtpq = theta_jet(p, q, True, mu, order, tol)
+    w1 = th3 * th4 * theta_jet(p, q + half, True, mu, order, tol) / tpq * (-0.5j / e_pip)
+    w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, order, tol) / tpq * (0.5j / e_pip)
+    w3 = th2 * th3 * theta_jet(p + half, q, True, mu, order, tol) / tpq * (-0.5)
     F = (tpq / dtpq) ** 2 * (2 / pi)
     return InstantonFrame("jet", (w1, w2, w3), F)
 
@@ -195,9 +185,8 @@ def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, orde
     ws = []
     for char in chars:
         # log-derivative loses one order, so start one higher
-        th = _theta_jet_raw(char.p, char.q, False, mu, order + 1, tol)
-        logd = Jet(th.comps[1:]) / th.lower(order)
-        ws.append(pole + 2 * logd)
+        th = theta_jet(char.p, char.q, False, mu, order + 1, tol)
+        ws.append(pole + 2 * jet_log_derivative(th))
     C = float(pt.C)
     f_comps = [C * (mu + q0) ** 2, 2 * C * (mu + q0), 2 * C + 0j] + [0j] * (order - 2)
     F = Jet(f_comps[: order + 1])

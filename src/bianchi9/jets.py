@@ -132,19 +132,6 @@ class Jet:
         return f"Jet({list(self.comps)})"
 
 
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Dispatch wrapper: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def jet_log_derivative(a: Jet) -> Jet:
     """The jet of a'/a, one order lower (the top derivative is unknown)."""
     k = a.order

@@ -1,9 +1,9 @@
 """Heat-trace coefficients a0, a2, a4 of the conformally rescaled Dirac square.
 
-a0 = 4 F^2 w1 w2 w3; a2 and a4 are evaluated from the machine-readable term
-tables in :mod:`bianchi9.seeley_terms`.  Both representations of an
-InstantonFrame are supported: exact nome series (with grade bookkeeping
-pi^{2n-3} Lambda^{n-2}) and numeric jets (Lambda set to 1).
+All three are evaluated from the machine-readable term tables in
+:mod:`bianchi9.seeley_terms` (a0 = 4 F^2 w1 w2 w3 is a one-row table).  Both
+representations of an InstantonFrame are supported: exact nome series (with
+grade bookkeeping pi^{2n-3} Lambda^{n-2}) and numeric jets (Lambda set to 1).
 
 Orbit sums collapse the cyclotomic phases: summed over a full PSL2(Z) orbit
 of parameter points the series has rational coefficients at integer powers of
@@ -19,7 +19,7 @@ from fractions import Fraction
 from .instanton import InstantonFrame, TwoParamPoint, frame_two_param_series
 from .jets import Jet
 from .series import Grade, PuiseuxSeries
-from .seeley_terms import A2_TERMS, A4_TERMS
+from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,8 @@ def _eval_terms(rows, env):
         for var, n in mono.items():
             p = power(var, n)
             cur = p if cur is None else cur * p
-        if isinstance(cur, PuiseuxSeries):
-            cur = cur * coeff
-        elif isinstance(cur.comps[0], complex):
-            cur = cur * complex(coeff)
-        else:
-            import mpmath
-
-            cur = cur * mpmath.mpmathify(coeff)
-        parts.append(cur)
+        # a Fraction scalar gives the same bits as complex() or mpmathify()
+        parts.append(cur * coeff)
     if isinstance(parts[0], PuiseuxSeries) or not isinstance(parts[0].comps[0], complex):
         total = parts[0]
         for cur in parts[1:]:
@@ -137,32 +130,28 @@ def _eval_terms(rows, env):
     return Jet(comps)
 
 
+_TABLES = {0: A0_TERMS, 1: A2_TERMS, 2: A4_TERMS}
+
+
+def _table_coefficient(frame: InstantonFrame, n: int) -> CoeffResult:
+    idx = CoeffIndex(n)
+    result = _eval_terms(_TABLES[n], _term_environment(frame, idx.order))
+    if frame.mode == "series":
+        assert result.grade == idx.grade
+    return CoeffResult(idx, result)
+
+
 def a0(frame: InstantonFrame) -> CoeffResult:
     """a0 = 4 F^2 w1 w2 w3."""
-    idx = CoeffIndex(0)
-    if frame.mode == "series":
-        F, w1, w2, w3 = frame.F_[0], frame.w[0][0], frame.w[1][0], frame.w[2][0]
-        series = (F * F * w1 * w2 * w3) * 4
-        assert series.grade == idx.grade
-        return CoeffResult(idx, series)
-    env = _term_environment(frame, 0)
-    return CoeffResult(idx, 4 * env["F"] ** 2 * env["w1"] * env["w2"] * env["w3"])
+    return _table_coefficient(frame, 0)
 
 
 def a2(frame: InstantonFrame) -> CoeffResult:
-    idx = CoeffIndex(1)
-    result = _eval_terms(A2_TERMS, _term_environment(frame, 2))
-    if frame.mode == "series":
-        assert result.grade == idx.grade
-    return CoeffResult(idx, result)
+    return _table_coefficient(frame, 1)
 
 
 def a4(frame: InstantonFrame) -> CoeffResult:
-    idx = CoeffIndex(2)
-    result = _eval_terms(A4_TERMS, _term_environment(frame, 4))
-    if frame.mode == "series":
-        assert result.grade == idx.grade
-    return CoeffResult(idx, result)
+    return _table_coefficient(frame, 2)
 
 
 _COEFF_FUNCS = {0: a0, 1: a2, 2: a4}
@@ -197,8 +186,10 @@ def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
         res = coefficient(frame, index)
         contrib = res.representation if mult == 1 else res.representation * mult
         total = contrib if total is None else total + contrib
+    # sorted, so that float evaluation sums the terms in one order whether the
+    # series is fresh or read back from JSON
     rational = {}
-    for e, c in total.terms.items():
+    for e, c in sorted(total.terms.items()):
         if not c.is_rational():
             raise ValueError(f"orbit sum left a non-rational coefficient at exponent {e}/{total.exp_den}: {c!r}")
         if e % total.exp_den != 0:

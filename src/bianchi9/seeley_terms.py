@@ -1,4 +1,4 @@
-"""Closed-form term tables for the heat-trace coefficients a2 and a4.
+"""Closed-form term tables for the heat-trace coefficients a0, a2 and a4.
 
 Each table is data, not code: a list of rows ``(coefficient, monomial)`` where
 the monomial maps variable names to integer exponents (possibly negative).
@@ -8,13 +8,18 @@ builds the rows, ``render_terms`` regenerates the text for auditing, and
 ``table_checksum`` fingerprints the canonical rendering so accidental edits
 are caught by the tests.
 
-a0 needs no table: a0 = 4 F^2 w1 w2 w3.
+a0 = 4 F^2 w1 w2 w3 is the one-row table ``A0_TEXT``, so all three
+coefficients go through the same evaluator.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+
+A0_TEXT = """
++4 F^2 w1 w2 w3
+"""
 
 A2_TEXT = """
 -1/3 F w1^2
@@ -284,9 +289,11 @@ def table_checksum(rows) -> str:
     return hashlib.sha256(render_terms(rows).encode()).hexdigest()
 
 
+A0_TERMS = parse_terms(A0_TEXT)
 A2_TERMS = parse_terms(A2_TEXT)
 A4_TERMS = parse_terms(A4_TEXT)
 
 # canonical fingerprints; the test suite recomputes these from the parsed rows
+A0_CHECKSUM = table_checksum(A0_TERMS)
 A2_CHECKSUM = table_checksum(A2_TERMS)
 A4_CHECKSUM = table_checksum(A4_TERMS)

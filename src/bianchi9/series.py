@@ -5,21 +5,17 @@ cyclotomic-rational coefficients, known modulo ``Q^(trunc/D)``.  Each series
 also carries a grade: an overall factor ``pi^a * Lambda^b`` tracked separately
 so that the coefficient data stays rational.
 
-Two interchangeable multiplication kernels are provided: a naive reference
-convolution and a Kronecker-substitution kernel that packs the whole
-convolution (exponent axis times cyclotomic power basis) into one big-integer
-multiply.  Select with the ``SDW_SERIES_KERNEL`` environment variable
-(``kronecker``, the default, or ``naive``).
+Products use Kronecker substitution: the whole convolution (exponent axis
+times cyclotomic power basis) is packed into one big-integer multiply.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, Rational, euler_phi, _reduce
+from .cyclotomic import Cyclotomic, euler_phi
 
 
 @dataclass(frozen=True)
@@ -141,18 +137,6 @@ class PuiseuxSeries:
         if t is not None:
             t = -((-t) // g)  # ceil division keeps the horizon honest
         return PuiseuxSeries(self.exp_den // g, {e // g: c for e, c in self.terms.items()}, t, self.grade)
-
-    def truncate(self, horizon) -> "PuiseuxSeries":
-        """Drop terms at or above the given Fraction exponent."""
-        horizon = Fraction(horizon)
-        t = horizon * self.exp_den
-        t = int(t) if t.denominator == 1 else math.ceil(t)
-        if self.trunc is not None:
-            t = min(t, self.trunc)
-        return PuiseuxSeries(self.exp_den, self.terms, t, self.grade)
-
-    def with_grade(self, grade: Grade) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.exp_den, self.terms, self.trunc, grade)
 
     # -- ring operations ----------------------------------------------
 
@@ -300,7 +284,7 @@ class PuiseuxSeries:
 
 
 # ---------------------------------------------------------------------------
-# multiplication kernels
+# multiplication
 # ---------------------------------------------------------------------------
 
 
@@ -329,22 +313,8 @@ def _mul_setup(a: PuiseuxSeries, b: PuiseuxSeries):
     return a, b, grade, t, False
 
 
-def _series_mul_naive(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    a, b, grade, t, trivial = _mul_setup(a, b)
-    if trivial:
-        return PuiseuxSeries(a.exp_den, {}, t, grade)
-    terms: dict[int, Cyclotomic] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = ea + eb
-            if t is not None and e >= t:
-                continue
-            prod = ca * cb
-            terms[e] = terms.get(e, Cyclotomic.zero(prod.order)) + prod
-    return PuiseuxSeries(a.exp_den, terms, t, grade)
-
-
-def _series_mul_kronecker(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+def series_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    """Product by Kronecker substitution; the horizon follows the valuations."""
     a, b, grade, t, trivial = _mul_setup(a, b)
     if trivial:
         return PuiseuxSeries(a.exp_den, {}, t, grade)
@@ -433,15 +403,6 @@ def _flatten_cached(s: PuiseuxSeries, order: int, stride: int, grid: int):
     got = (den, digits, big)
     cache[key] = got
     return got
-
-
-def series_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    kernel = os.environ.get("SDW_SERIES_KERNEL", "kronecker")
-    if kernel == "naive":
-        return _series_mul_naive(a, b)
-    if kernel == "kronecker":
-        return _series_mul_kronecker(a, b)
-    raise ValueError(f"unknown series kernel {kernel!r}")
 
 
 def series_invert(a: PuiseuxSeries) -> PuiseuxSeries:

@@ -1,12 +1,14 @@
 """Jacobi theta functions with characteristics.
 
 theta[p,q](i mu) = sum_m exp(-pi (m+p)^2 mu + 2 pi i (m+p) q), together with
-mu-derivatives up to order 4 and a single q-derivative.  Two representations:
+mu-derivatives and a single q-derivative.  Two representations:
 
 * exact: a Puiseux series in the nome Q = e^{-2 pi mu} with coefficients in a
-  cyclotomic field (theta_series), the power of pi factored into the grade;
+  cyclotomic field (theta_series, mu-derivatives up to order 4), the power of
+  pi factored into the grade;
 * numeric: direct partial summation with a Gaussian tail bound (theta_eval),
-  and order-stacked jets (theta_jet).
+  and jets of mu-derivatives 0..order for any order (theta_jet, from which
+  both instanton frames are assembled).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .cyclotomic import Cyclotomic
 from .jets import Jet
@@ -140,20 +141,6 @@ def theta_eval(spec: ThetaSpec, mu: complex, tol: float = 1e-12) -> complex:
     return _theta_eval_raw(spec.char.p, spec.char.q, spec.mu_order, spec.q_deriv, mu, tol)
 
 
-def theta_jet(char: Characteristics, q_deriv: bool, mu: complex, order: int = 4, tol: float = 1e-12) -> Jet:
-    """Jet whose component j is the j-th mu-derivative value."""
-    if order > 4:
-        raise ValueError("jet order capped at 4")
-    comps = [
-        _theta_eval_raw(char.p, char.q, j, q_deriv, mu, tol) for j in range(order + 1)
-    ]
-    return Jet(comps)
-
-
-def c_const(j: int, n: int) -> Cyclotomic:
-    """(-i)^n n! / (2^j (n-2j)! (2j)!!), exactly in Q(i)."""
-    if not 0 <= 2 * j <= n:
-        raise ValueError("need 0 <= 2j <= n")
-    double_fact = 2**j * factorial(j)  # (2j)!! for even arguments
-    r = Fraction(factorial(n), 2**j * factorial(n - 2 * j) * double_fact)
-    return Cyclotomic.root(4, (3 * n) % 4) * r  # (-i)^n = zeta_4^{3n}
+def theta_jet(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> Jet:
+    """Jet whose component j is the j-th mu-derivative of (d_q) theta[p,q](i mu)."""
+    return Jet([_theta_eval_raw(p, q, j, q_deriv, mu, tol) for j in range(order + 1)])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bianchi9 import cli
+from bianchi9 import cli, seeley
 
 
 def _run(capsys, *argv) -> dict:
@@ -131,3 +131,89 @@ def test_check_crossval(capsys):
         capsys, "check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"
     )
     assert doc["pass"] and doc["relative_residual"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "-3"), 2),
+        (("identify", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "-3"), 2),
+        (("theta", "--p", "0", "--q", "0", "--series", "--trunc", "-3"), 2),
+        (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "-3"), 2),
+        (("check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3", "--mu-re", "-1"), 3),
+        (("check", "dirac", "--p", "1/6", "--q", "1/2"), 3),  # F on the branch cut
+    ],
+)
+def test_bad_input_exit_codes(argv, code):
+    assert _exit_code(*argv) == code
+
+
+def _forbid_recompute(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("orbit sum recomputed instead of read from the cache")
+
+    monkeypatch.setattr(seeley, "orbit_sum", fail)
+
+
+def test_orbit_alias_point_hits_cache(tmp_path, monkeypatch, capsys):
+    common = ["--cache-dir", str(tmp_path), "coeff", "--order", "0", "--trunc", "3"]
+    cli.main(common + ["--p", "1/6", "--q", "5/6"])
+    first = capsys.readouterr().out
+    _forbid_recompute(monkeypatch)
+    cli.main(common + ["--p", "1/2", "--q", "1/6"])  # another point of the same orbit
+    assert capsys.readouterr().out == first
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_cache_key_depends_on_tables(monkeypatch):
+    from fractions import Fraction
+
+    base = cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 0, 3)
+    monkeypatch.setattr(cli, "A4_CHECKSUM", "0" * 64)
+    assert base != cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 0, 3)
+
+
+def test_identify_and_crossval_read_cache(tmp_path, monkeypatch, capsys):
+    common = ["--p", "0", "--q", "1/3", "--order", "0", "--trunc", "3"]
+    identify = ["--cache-dir", str(tmp_path), "identify"] + common
+    crossval = ["--cache-dir", str(tmp_path), "check", "crossval"] + common
+    cli.main(identify)
+    cli.main(crossval)
+    first = capsys.readouterr().out
+    assert not list(tmp_path.glob("*.json"))  # only coeff stores an entry
+    cli.main(["--cache-dir", str(tmp_path), "coeff", "--p", "1/6", "--q", "0"] + common[4:])
+    capsys.readouterr()
+    _forbid_recompute(monkeypatch)
+    cli.main(identify)
+    cli.main(crossval)
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        b'{"order":0,"series":{"terms":"wrong shape"}}',
+        b"[]",
+        b"\xff\xfe not utf-8",
+    ],
+)
+def test_malformed_cache_entry_recomputed(tmp_path, capsys, entry):
+    argv = ["--cache-dir", str(tmp_path), "coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3"]
+    cli.main(list(argv))
+    first = capsys.readouterr().out
+    path = next(tmp_path.glob("*.json"))
+    path.write_bytes(entry)
+    cli.main(list(argv))
+    assert capsys.readouterr().out == first
+
+
+def test_cache_entry_of_another_order_recomputed(tmp_path, capsys):
+    argv = ["--cache-dir", str(tmp_path), "coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3"]
+    cli.main(list(argv))
+    first = capsys.readouterr().out
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(first)
+    doc["order"] = 2
+    path.write_text(json.dumps(doc))
+    cli.main(list(argv))
+    assert capsys.readouterr().out == first

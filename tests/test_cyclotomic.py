@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchi9.cyclotomic import Cyclotomic, cyc_arith, cyclotomic_poly, euler_phi
+from bianchi9.cyclotomic import Cyclotomic, cyclotomic_poly, euler_phi
 
 F = Fraction
 
@@ -53,9 +54,17 @@ def test_embed_round_trip():
     assert abs(complex(x.embed(12)) - complex(x)) < 1e-12
 
 
+def _conjugate(x: Cyclotomic) -> Cyclotomic:
+    """Complex conjugation: zeta -> zeta^{-1}."""
+    acc = Cyclotomic.zero(x.order)
+    for j, c in enumerate(x.coeffs):
+        acc = acc + Cyclotomic.root(x.order, -j) * c
+    return acc
+
+
 def test_conjugate_gives_modulus_squared():
     x = Cyclotomic(12, [F(1), F(2), F(0), F(-1, 2)])
-    norm = x * x.conjugate()
+    norm = x * _conjugate(x)
     assert abs(complex(norm) - abs(complex(x)) ** 2) < 1e-12
 
 
@@ -89,10 +98,28 @@ def _elements(draw, orders=(1, 3, 4, 8, 12)):
 @given(_elements(), _elements())
 @settings(max_examples=60, deadline=None)
 def test_arithmetic_matches_numeric_embedding(a, b):
-    for op, f in (("add", complex.__add__), ("sub", complex.__sub__), ("mul", complex.__mul__)):
-        got = complex(cyc_arith(a, b, op))
-        want = f(complex(a), complex(b))
+    for op in (operator.add, operator.sub, operator.mul):
+        got = complex(op(a, b))
+        want = op(complex(a), complex(b))
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
+
+
+@st.composite
+def _int_coeff_lists(draw):
+    """(n, ints, den) with more coefficients than phi(n), as products leave them."""
+    order = draw(st.sampled_from((1, 3, 4, 8, 12)))
+    phi = euler_phi(order)
+    ints = draw(st.lists(st.integers(-50, 50), min_size=phi + 1, max_size=2 * phi + 3))
+    return order, ints, draw(st.integers(1, 9))
+
+
+@given(_int_coeff_lists())
+@settings(max_examples=60, deadline=None)
+def test_from_int_coeffs_matches_fraction_constructor(args):
+    order, ints, den = args
+    got = Cyclotomic.from_int_coeffs(order, ints, den)
+    want = Cyclotomic(order, [F(c, den) for c in ints])
+    assert got.order == want.order and got.coeffs == want.coeffs
 
 
 @given(_elements())

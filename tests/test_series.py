@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi9.cyclotomic import Cyclotomic, euler_phi
-from bianchi9.series import (
-    Grade,
-    PuiseuxSeries,
-    _series_mul_kronecker,
-    _series_mul_naive,
-    series_mul,
-)
+from bianchi9.series import Grade, PuiseuxSeries, _mul_setup, series_mul
 
 F = Fraction
 
@@ -100,16 +94,17 @@ def test_json_round_trip():
     assert PuiseuxSeries.from_json(a.to_json()) == a
 
 
-def test_kernel_env_selection(monkeypatch):
-    a, b = _geometric(6), _geometric(6)
-    monkeypatch.setenv("SDW_SERIES_KERNEL", "naive")
-    nv = series_mul(a, b)
-    monkeypatch.setenv("SDW_SERIES_KERNEL", "kronecker")
-    kr = series_mul(a, b)
-    assert nv == kr
-    monkeypatch.setenv("SDW_SERIES_KERNEL", "bogus")
-    with pytest.raises(ValueError):
-        series_mul(a, b)
+def _naive_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    """Reference product: direct convolution over all term pairs."""
+    a, b, grade, t, _ = _mul_setup(a, b)
+    terms: dict[int, Cyclotomic] = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = ea + eb
+            if t is None or e < t:
+                prod = ca * cb
+                terms[e] = terms.get(e, Cyclotomic.zero(prod.order)) + prod
+    return PuiseuxSeries(a.exp_den, terms, t, grade)
 
 
 @st.composite
@@ -131,7 +126,7 @@ def _series(draw):
 @given(_series(), _series())
 @settings(max_examples=60, deadline=None)
 def test_kernels_agree(a, b):
-    assert _series_mul_naive(a, b) == _series_mul_kronecker(a, b)
+    assert _naive_mul(a, b) == series_mul(a, b)
 
 
 def _known_terms(s: PuiseuxSeries, horizon: Fraction) -> dict:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,10 +15,8 @@ from bianchi9.theta import (
     Characteristics,
     ThetaSpec,
     _theta_eval_raw,
-    c_const,
     cyclotomic_order,
     theta_eval,
-    theta_jet,
     theta_series,
 )
 
@@ -69,8 +68,6 @@ def test_cyclotomic_order_accommodates_all_phases():
 def test_mu_order_capped():
     with pytest.raises(ValueError):
         ThetaSpec(THETA3, 5)
-    with pytest.raises(ValueError):
-        theta_jet(THETA3, False, 1.0, order=5)
 
 
 def test_eval_domain_errors():
@@ -78,6 +75,15 @@ def test_eval_domain_errors():
         theta_eval(ThetaSpec(THETA3), -1.0)
     with pytest.raises(ValueError):
         theta_eval(ThetaSpec(THETA3), 1.0, tol=0.0)
+
+
+def c_const(j: int, n: int) -> Cyclotomic:
+    """(-i)^n n! / (2^j (n-2j)! (2j)!!), exactly in Q(i): the inversion-law constants."""
+    if not 0 <= 2 * j <= n:
+        raise ValueError("need 0 <= 2j <= n")
+    double_fact = 2**j * factorial(j)  # (2j)!! for even arguments
+    r = Fraction(factorial(n), 2**j * factorial(n - 2 * j) * double_fact)
+    return Cyclotomic.root(4, (3 * n) % 4) * r  # (-i)^n = zeta_4^{3n}
 
 
 def test_c_const_small_cases():
