@@ -20,7 +20,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, modular, seeley
-from .dirac import dtilde_sq_crosscheck
 from .instanton import TwoParamPoint, frame_two_param_jet
 from .modular import ExceptionalOrbitError, IdentificationError
 from .seeley import CoeffIndex, CoeffResult
@@ -47,11 +46,16 @@ def _rational(text: str) -> Fraction:
         raise SystemExit(EXIT_INVALID) from exc
 
 
-def _trunc(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("trunc must be nonnegative")
-    return n
+def _int_at_least(low: int):
+    """Argparse type for an integer option with a lower bound."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return n
+
+    return integer
 
 
 @contextmanager
@@ -221,6 +225,8 @@ def cmd_check(args) -> None:
         _emit(report)
         return
     if args.subject == "dirac":
+        from .dirac import dtilde_sq_crosscheck  # imports numpy, which only this check needs
+
         pt = TwoParamPoint(_rational(args.p), _rational(args.q))
         mu = complex(args.mu_re, args.mu_im)
         import random
@@ -236,7 +242,7 @@ def cmd_check(args) -> None:
     index = _coeff_index(args.order)
     mu = args.mu_re
     with _domain_errors():
-        frames = [frame_two_param_jet(TwoParamPoint(pt.p, pt.q), mu, 1e-14) for pt in orb.points]
+        frames = [frame_two_param_jet(pt, mu, 1e-14) for pt in orb.points]
     exact = _orbit_sum_cached(args, orb, index, store=False).representation.evaluate_mu(mu)
     direct = 0j
     for frame in frames:
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", required=True)
         sp.add_argument("--q", required=True)
         if trunc:
-            sp.add_argument("--trunc", type=_trunc, default=6)
+            sp.add_argument("--trunc", type=_int_at_least(0), default=6)
 
     t = sub.add_parser("theta", help="theta function value or nome series")
     common(t)
@@ -298,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("subject", choices=("transforms", "dirac", "crossval"))
     common(k)
     k.add_argument("--order", type=int, default=4, choices=(0, 2, 4))
-    k.add_argument("--samples", type=int, default=5)
+    k.add_argument("--samples", type=_int_at_least(1), default=5)
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--tol", type=float, default=1e-10)
     k.add_argument("--mu-re", type=float, default=1.05)

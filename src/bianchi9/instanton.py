@@ -41,8 +41,10 @@ DEGENERATE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TwoParamPoint:
+    """A parameter pair (p, q), reduced mod 1; ordered lexicographically."""
+
     p: Fraction
     q: Fraction
 

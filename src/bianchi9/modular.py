@@ -17,22 +17,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .instanton import TwoParamPoint, frame_two_param_jet
+from .seeley import coefficient
 from .series import Grade, PuiseuxSeries
 
 
-@dataclass(frozen=True, order=True)
-class OrbitPoint:
-    p: Fraction
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p) % 1)
-        object.__setattr__(self, "q", Fraction(self.q) % 1)
+OrbitPoint = TwoParamPoint  # an orbit point is an instanton parameter point
 
 
 @dataclass(frozen=True)
 class Orbit:
-    points: tuple[OrbitPoint, ...]  # sorted lexicographically
+    points: tuple[TwoParamPoint, ...]  # sorted lexicographically
     n: int
     n0: int
 
@@ -41,17 +36,17 @@ class ExceptionalOrbitError(ValueError):
     """Raised for the two orbits excluded from valence bookkeeping."""
 
 
-def act_S(pt: OrbitPoint) -> OrbitPoint:
-    return OrbitPoint((-pt.q) % 1, pt.p)
+def act_S(pt: TwoParamPoint) -> TwoParamPoint:
+    return TwoParamPoint(-pt.q, pt.p)
 
 
-def act_T(pt: OrbitPoint) -> OrbitPoint:
-    return OrbitPoint(pt.p, (pt.q + pt.p + Fraction(1, 2)) % 1)
+def act_T(pt: TwoParamPoint) -> TwoParamPoint:
+    return TwoParamPoint(pt.p, pt.q + pt.p + Fraction(1, 2))
 
 
 def orbit(p, q) -> Orbit:
     """Breadth-first closure of (p,q) under act_S and act_T."""
-    start = OrbitPoint(Fraction(p), Fraction(q))
+    start = TwoParamPoint(p, q)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -132,21 +127,12 @@ def classical_series(kind: str, trunc: int) -> PuiseuxSeries:
 
     kinds: Delta, E4, E6, E8, E10, E14 (E8, E10, E14 via the one-dimensional
     space identities E8 = E4^2, E10 = E4 E6, E14 = E4^2 E6 — equivalently the
-    sigma-sum formula, which is what is used here).
+    sigma-sum formula, which is what is used here).  Delta = (E4^3 - E6^2)/1728.
     """
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
     if kind == "Delta":
-        # q * prod (1-q^n)^24 expanded exactly
-        poly = {0: Fraction(1)}
-        for n in range(1, trunc):
-            for _ in range(24):
-                nxt = dict(poly)
-                for e, c in poly.items():
-                    if e + n < trunc:
-                        nxt[e + n] = nxt.get(e + n, Fraction(0)) - c
-                poly = nxt
-        return PuiseuxSeries(1, {e + 1: c for e, c in poly.items() if e + 1 < trunc}, trunc)
+        return (classical_series("E4", trunc) ** 3 - classical_series("E6", trunc) ** 2) / 1728
     if kind.startswith("E"):
         k = int(kind[1:])
         if k < 4 or k % 2 != 0:
@@ -302,11 +288,11 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
     """
     import mpmath
 
-    from .instanton import TwoParamPoint, frame_two_param_jet
-    from .seeley import coefficient
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
 
-    def value(pt: OrbitPoint, mu) -> complex:
-        frame = frame_two_param_jet(TwoParamPoint(pt.p, pt.q), mu, tol=1e-35)
+    def value(pt: TwoParamPoint, mu) -> complex:
+        frame = frame_two_param_jet(pt, mu, tol=1e-35)
         return coefficient(frame, index).representation[0]
 
     worst = {"T": 0.0, "S": 0.0}

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .instanton import InstantonFrame, TwoParamPoint, frame_two_param_series
 from .jets import Jet
@@ -45,14 +44,9 @@ class CoeffIndex:
 class CoeffResult:
     index: CoeffIndex
     representation: object  # PuiseuxSeries or complex
-    source: object = None
-
-    @property
-    def is_series(self) -> bool:
-        return isinstance(self.representation, PuiseuxSeries)
 
     def to_json(self) -> dict:
-        if self.is_series:
+        if isinstance(self.representation, PuiseuxSeries):
             return {"order": self.index.order, "series": self.representation.to_json()}
         v = complex(self.representation)
         return {"order": self.index.order, "value": [v.real, v.imag]}
@@ -166,23 +160,24 @@ def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
 
     The sum must come out with rational coefficients at integer exponents
     only; anything else signals a bug and raises.  The result is returned on
-    the integer exponent grid.
+    the integer exponent grid.  ``orbit`` is an ``Orbit`` or a list of
+    ``TwoParamPoint``.  The result's ``trunc`` is the horizon actually known,
+    which is at least the requested ``trunc`` and often beyond it.
     """
     points = getattr(orbit, "points", orbit)
     # a_{2n}[p,q] = a_{2n}[-p,-q] exactly: under (p,q) -> (-p,-q) the frame
     # maps to (-w1, w2, -w3, F) and every table monomial has even total degree
     # in the (w1, w3) block, so conjugate pairs contribute identical series.
-    todo: dict[tuple, int] = {}
+    todo: dict[TwoParamPoint, int] = {}
     for pt in points:
-        p, q = (Fraction(pt.p), Fraction(pt.q)) if hasattr(pt, "p") else (Fraction(pt[0]), Fraction(pt[1]))
-        partner = ((-p) % 1, (-q) % 1)
-        if partner in todo and partner != (p, q):
+        partner = TwoParamPoint(-pt.p, -pt.q)
+        if partner in todo and partner != pt:
             todo[partner] += 1
         else:
-            todo[(p, q)] = todo.get((p, q), 0) + 1
+            todo[pt] = todo.get(pt, 0) + 1
     total = None
-    for (p, q), mult in todo.items():
-        frame = frame_two_param_series(TwoParamPoint(p, q), trunc)
+    for pt, mult in todo.items():
+        frame = frame_two_param_series(pt, trunc)
         res = coefficient(frame, index)
         contrib = res.representation if mult == 1 else res.representation * mult
         total = contrib if total is None else total + contrib
@@ -199,4 +194,4 @@ def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
     if t is not None:
         t = t // total.exp_den  # floor: integer horizon
     series = PuiseuxSeries(1, rational, t, total.grade)
-    return CoeffResult(index, series, source=points)
+    return CoeffResult(index, series)

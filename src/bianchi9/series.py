@@ -31,12 +31,6 @@ class Grade:
     def __neg__(self) -> "Grade":
         return Grade(-self.pi_exp, -self.lambda_exp)
 
-    def __sub__(self, other: "Grade") -> "Grade":
-        return self + (-other)
-
-    def scale(self, n: int) -> "Grade":
-        return Grade(self.pi_exp * n, self.lambda_exp * n)
-
 
 def _as_cyc(x) -> Cyclotomic:
     if isinstance(x, Cyclotomic):
@@ -70,10 +64,6 @@ class PuiseuxSeries:
         self.grade = grade
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, exp_den=1, trunc=None, grade=Grade()):
-        return cls(exp_den, {}, trunc, grade)
 
     @classmethod
     def constant(cls, value, grade=Grade()):
@@ -289,28 +279,20 @@ class PuiseuxSeries:
 
 
 def _mul_setup(a: PuiseuxSeries, b: PuiseuxSeries):
+    """Aligned operands, grade, horizon and whether the product has no terms.
+
+    Each known horizon is shifted by the other factor's valuation; a zero
+    factor with no horizon has no valuation and contributes no bound.
+    """
     a, b = PuiseuxSeries._aligned(a, b)
-    grade = a.grade + b.grade
     va, vb = a.valuation, b.valuation
-    if not a.terms or not b.terms:
-        # zero times anything: only the horizon matters
-        if a.trunc is None and b.trunc is None:
-            t = None
-        else:
-            cands = []
-            if a.trunc is not None and vb is not None:
-                cands.append(a.trunc + vb)
-            if b.trunc is not None and va is not None:
-                cands.append(b.trunc + va)
-            t = min(cands) if cands else None
-        return a, b, grade, t, True
     cands = []
-    if a.trunc is not None:
+    if a.trunc is not None and vb is not None:
         cands.append(a.trunc + vb)
-    if b.trunc is not None:
+    if b.trunc is not None and va is not None:
         cands.append(b.trunc + va)
     t = min(cands) if cands else None
-    return a, b, grade, t, False
+    return a, b, a.grade + b.grade, t, not a.terms or not b.terms
 
 
 def series_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
@@ -409,38 +391,28 @@ def series_invert(a: PuiseuxSeries) -> PuiseuxSeries:
     """Multiplicative inverse as a truncated series.
 
     The leading coefficient must be invertible; the result is known to the
-    same relative precision as the input.
+    same relative precision as the input.  Newton iteration
+    x <- x - x (a x - 1) doubles the relative precision of x at each step,
+    so every coefficient comes out of ``series_mul``.
     """
     if not a.terms:
         raise ZeroDivisionError("cannot invert a series with no known terms")
     v = a.valuation
-    lead = a.terms[v]
-    lead_inv = lead.inverse()
-    grade = -a.grade
-    if len(a.terms) == 1:
-        t = None if a.trunc is None else a.trunc - 2 * v
-        return PuiseuxSeries(a.exp_den, {-v: lead_inv}, t, grade)
+    x = PuiseuxSeries(a.exp_den, {-v: a.terms[v].inverse()}, None, -a.grade)
     if a.trunc is None:
-        raise ValueError("inverse of a multi-term exact series needs a truncation horizon")
-
-    # rebase onto the integer grid generated by the exponent differences
-    g = 0
-    for e in a.terms:
-        g = math.gcd(g, e - v)
-    rel = a.trunc - v  # relative precision in 1/exp_den units
-    kmax = (rel + g - 1) // g  # indices 0..kmax-1 are known
-    f = [Cyclotomic.zero() for _ in range(kmax)]
-    for e, c in a.terms.items():
-        f[(e - v) // g] = c
-    inv = [lead_inv]
-    for k in range(1, kmax):
-        s = Cyclotomic.zero()
-        for j in range(1, k + 1):
-            if not f[j].is_zero():
-                s = s + f[j] * inv[k - j]
-        inv.append(-lead_inv * s)
-    terms = {-v + k * g: c for k, c in enumerate(inv)}
-    return PuiseuxSeries(a.exp_den, terms, a.trunc - 2 * v, grade)
+        if len(a.terms) > 1:
+            raise ValueError("inverse of a multi-term exact series needs a truncation horizon")
+        return x
+    rel = a.trunc - v  # relative precision of the input, in 1/exp_den units
+    # x is the inverse modulo relative order n: the leading monomial alone is
+    # exact up to the next term of a
+    n = min((e - v for e in a.terms if e > v), default=rel)
+    while n < rel:
+        n = min(2 * n, rel)
+        head = PuiseuxSeries(a.exp_den, a.terms, v + n, a.grade)
+        step = x - x * (head * x - 1)  # known to relative order n
+        x = PuiseuxSeries(a.exp_den, step.terms, None, x.grade)
+    return PuiseuxSeries(a.exp_den, x.terms, a.trunc - 2 * v, x.grade)
 
 
 def series_mu_derivative(a: PuiseuxSeries) -> PuiseuxSeries:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,10 +146,22 @@ def test_check_crossval(capsys):
         (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "-3"), 2),
         (("check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3", "--mu-re", "-1"), 3),
         (("check", "dirac", "--p", "1/6", "--q", "1/2"), 3),  # F on the branch cut
+        (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "0"), 2),
+        (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "-3"), 2),
     ],
 )
 def test_bad_input_exit_codes(argv, code):
     assert _exit_code(*argv) == code
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Only ``check dirac`` needs numpy, so importing the CLI must not load it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import bianchi9.cli, sys; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _forbid_recompute(monkeypatch):

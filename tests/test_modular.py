@@ -18,6 +18,7 @@ from bianchi9.modular import (
     valence_budget,
     zeta_over_pi_power,
 )
+from bianchi9.seeley import CoeffIndex
 from bianchi9.series import Grade
 
 F = Fraction
@@ -96,6 +97,26 @@ def test_classical_series_goldens():
         classical_series("E5", 3)
 
 
+def _delta_product(trunc: int) -> dict:
+    """Reference Delta: q * prod (1 - q^n)^24, expanded one factor at a time."""
+    poly = {0: F(1)}
+    for n in range(1, trunc):
+        for _ in range(24):
+            nxt = dict(poly)
+            for e, c in poly.items():
+                if e + n < trunc:
+                    nxt[e + n] = nxt.get(e + n, F(0)) - c
+            poly = nxt
+    return {e + 1: c for e, c in poly.items() if e + 1 < trunc and c}
+
+
+def test_delta_matches_product_expansion():
+    for trunc in range(1, 31):
+        d = classical_series("Delta", trunc)
+        assert d.trunc == trunc
+        assert d.as_q_expansion() == _delta_product(trunc)
+
+
 def test_weight_identities_from_dimension_one():
     # E4^2 = E8 and E4 E6 = E10 as sigma-sum series
     t = 8
@@ -139,3 +160,9 @@ def test_sample_mu_deterministic_and_in_range():
     for mu in a:
         assert 0.7 <= mu.real <= 2.0
         assert abs(mu.imag) <= 0.3
+
+
+@pytest.mark.parametrize("samples", (0, -3))
+def test_report_refuses_empty_sample(orbit_sixth, samples):
+    with pytest.raises(ValueError):
+        modular.vv_modularity_report(orbit_sixth, CoeffIndex(0), samples=samples)

@@ -110,6 +110,21 @@ def test_orbit_sum_matches_pointwise_sum(orbit_sixth):
     assert summed.as_q_expansion()  # integer grid, rational coefficients
 
 
+@pytest.mark.parametrize("n", (0, 1))
+def test_orbit_sum_horizon_and_prefix(orbit_third, orbit_sixth, n):
+    """The horizon reached is at least the one requested, and a deeper sum
+    extends a shallower one without changing its known terms."""
+    for orb in (orbit_third, orbit_sixth):
+        prev = None
+        for trunc in (2, 3, 4):
+            s = orbit_sum(orb, CoeffIndex(n), trunc).representation
+            assert s.trunc >= trunc
+            if prev is not None:
+                assert s.trunc >= prev.trunc and s.grade == prev.grade
+                assert {e: c for e, c in s.terms.items() if e < prev.trunc} == prev.terms
+            prev = s
+
+
 def test_orbit_sum_result_shape(orbit_sums):
     res, _ = orbit_sums["third", 0]
     s = res.representation

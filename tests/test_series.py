@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi9.cyclotomic import Cyclotomic, euler_phi
-from bianchi9.series import Grade, PuiseuxSeries, _mul_setup, series_mul
+from bianchi9.series import Grade, PuiseuxSeries, _mul_setup, series_invert, series_mul
 
 F = Fraction
 
@@ -153,3 +154,48 @@ def test_mu_derivative_leibniz(a, b):
     lhs = (a * b).mu_derivative()
     rhs = a.mu_derivative() * b + a * b.mu_derivative()
     _assert_agree(lhs, rhs)
+
+
+def _recurrence_invert(a: PuiseuxSeries) -> PuiseuxSeries:
+    """Reference inverse of a series with terms and a horizon: the O(n^2)
+    recurrence inv[k] = -inv[0] * sum_j f[j] inv[k-j] on the exponent grid."""
+    v = a.valuation
+    lead_inv = a.terms[v].inverse()
+    if len(a.terms) == 1:
+        return PuiseuxSeries(a.exp_den, {-v: lead_inv}, a.trunc - 2 * v, -a.grade)
+    g = 0
+    for e in a.terms:
+        g = math.gcd(g, e - v)
+    kmax = (a.trunc - v + g - 1) // g
+    f = [Cyclotomic.zero() for _ in range(kmax)]
+    for e, c in a.terms.items():
+        f[(e - v) // g] = c
+    inv = [lead_inv]
+    for k in range(1, kmax):
+        s = Cyclotomic.zero()
+        for j in range(1, k + 1):
+            if not f[j].is_zero():
+                s = s + f[j] * inv[k - j]
+        inv.append(-lead_inv * s)
+    terms = {-v + k * g: c for k, c in enumerate(inv)}
+    return PuiseuxSeries(a.exp_den, terms, a.trunc - 2 * v, -a.grade)
+
+
+@given(_series().filter(lambda s: s.terms and s.trunc is not None))
+@settings(max_examples=60, deadline=None)
+def test_newton_inverse_matches_recurrence(a):
+    inv = series_invert(a)
+    ref = _recurrence_invert(a)
+    assert inv.to_json() == ref.to_json()  # same exponents, horizon, grade and orders
+    one = a * inv
+    assert one.trunc == a.trunc - a.valuation
+    assert one.terms == {0: Cyclotomic.one()}
+
+
+def test_invert_guards():
+    with pytest.raises(ZeroDivisionError):
+        series_invert(PuiseuxSeries(1, {}, 4))
+    mono = series_invert(PuiseuxSeries(2, {3: F(4)}, 9, Grade(1, 2)))
+    assert mono == PuiseuxSeries(2, {-3: F(1, 4)}, 3, Grade(-1, -2))
+    with pytest.raises(ValueError):
+        series_invert(PuiseuxSeries(1, {0: F(1), 1: F(1)}, None))
