@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -58,19 +59,32 @@ def _int_at_least(low: int):
     return integer
 
 
+def _finite_float(text: str) -> float:
+    """Argparse type for a float option that must be finite (no nan or inf)."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("must be finite")
+    return x
+
+
 @contextmanager
 def _domain_errors():
-    """Turn a ValueError of the numeric layer into the domain-error exit code."""
+    """Turn a ValueError or ZeroDivisionError of the numeric layer into the domain-error exit code."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         log.error("%s", exc)
         raise SystemExit(EXIT_DOMAIN) from exc
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write("\n")
+    """Write one JSON document to stdout; a non-finite number in it is a domain error."""
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        log.error("result holds a non-finite number: %s", exc)
+        raise SystemExit(EXIT_DOMAIN) from exc
+    sys.stdout.write(text + "\n")
 
 
 def _fmt(r: Fraction) -> str:
@@ -242,11 +256,13 @@ def cmd_check(args) -> None:
     index = _coeff_index(args.order)
     mu = args.mu_re
     with _domain_errors():
-        frames = [frame_two_param_jet(pt, mu, 1e-14) for pt in orb.points]
-    exact = _orbit_sum_cached(args, orb, index, store=False).representation.evaluate_mu(mu)
-    direct = 0j
-    for frame in frames:
-        direct += complex(seeley.coefficient(frame, index).representation.comps[0])
+        direct = 0j
+        for pt in orb.points:
+            frame = frame_two_param_jet(pt, mu, 1e-14)
+            direct += complex(seeley.coefficient(frame, index).representation.comps[0])
+    series = _orbit_sum_cached(args, orb, index, store=False).representation
+    with _domain_errors():
+        exact = series.evaluate_mu(mu)
     scale = max(abs(direct), 1.0)
     resid = abs(exact - direct) / scale
     _emit(
@@ -281,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, default=0, help="mu-derivative order")
     t.add_argument("--dq", action="store_true", help="apply the q-derivative")
     t.add_argument("--series", action="store_true")
-    t.add_argument("--mu-re", type=float, default=1.0)
-    t.add_argument("--mu-im", type=float, default=0.0)
-    t.add_argument("--tol", type=float, default=1e-10)
+    t.add_argument("--mu-re", type=_finite_float, default=1.0)
+    t.add_argument("--mu-im", type=_finite_float, default=0.0)
+    t.add_argument("--tol", type=_finite_float, default=1e-10)
     t.set_defaults(func=cmd_theta)
 
     o = sub.add_parser("orbit", help="enumerate the orbit of a parameter point")
@@ -306,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--order", type=int, default=4, choices=(0, 2, 4))
     k.add_argument("--samples", type=_int_at_least(1), default=5)
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--tol", type=float, default=1e-10)
-    k.add_argument("--mu-re", type=float, default=1.05)
-    k.add_argument("--mu-im", type=float, default=0.0)
+    k.add_argument("--tol", type=_finite_float, default=1e-10)
+    k.add_argument("--mu-re", type=_finite_float, default=1.05)
+    k.add_argument("--mu-im", type=_finite_float, default=0.0)
     k.set_defaults(func=cmd_check)
     return parser
 

@@ -23,75 +23,46 @@ def euler_phi(n: int) -> int:
     return count
 
 
-def _poly_divmod_int(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (b monic), low-to-high coeffs."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    quot = [0] * (da - db + 1)
-    for d in range(da, db - 1, -1):
-        c = a[d]
-        if c:
-            quot[d - db] = c
-            for j in range(db + 1):
-                a[d - db + j] -= c * b[j]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return quot, a
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the N-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    # divide x^n - 1 by the product of Phi_d over proper divisors d of n
+    # divide x^n - 1 by Phi_d for each proper divisor d of n
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_poly(d)))
-            assert all(r == 0 for r in rem)
+            rem, poly = _divmod_phi(poly, d, 0)
+            assert not any(rem)
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """Row t expresses zeta^(phi+t) in the power basis, t = 0..count-1, as ints."""
+def _phi_low_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(N) and the nonzero (j, coefficient of x^j) of Phi_N below its leading term."""
     phi = euler_phi(n)
-    mod = cyclotomic_poly(n)
-    rows = []
-    # zeta^phi = -(low part of Phi_N)  (Phi_N is monic)
-    cur = [-c for c in mod[:phi]]
-    rows.append(tuple(cur))
-    for _ in range(count - 1):
-        # multiply current row by zeta and reduce the overflow term
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j in range(phi):
-                cur[j] += top * rows[0][j]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    return phi, tuple((j, c) for j, c in enumerate(cyclotomic_poly(n)[:phi]) if c)
+
+
+def _divmod_phi(a, n: int, zero) -> tuple[list, list]:
+    """Divide the polynomial a (low to high) by Phi_N, over any coefficient ring.
+
+    Eliminates from the top with x^phi = -(low part of Phi_N), which is monic.
+    Returns the remainder padded to phi(N) with ``zero`` and the quotient:
+    the coefficient left at degree phi + k is the quotient's coefficient of x^k.
+    """
+    phi, low = _phi_low_terms(n)
+    a = list(a)
+    for d in range(len(a) - 1, phi - 1, -1):
+        c = a[d]
+        if c:
+            base = d - phi
+            for j, m in low:
+                a[base + j] -= c * m
+    return a[:phi] + [zero] * (phi - len(a)), a[phi:]
 
 
 def _reduce(n: int, coeffs: list, zero=Fraction(0)) -> list:
     """Reduce a coefficient list of any length modulo Phi_N; pad to phi(N) with zero."""
-    phi = euler_phi(n)
-    if len(coeffs) > phi:
-        rows = _reduction_rows(n, len(coeffs) - phi)
-        out = list(coeffs[:phi])
-        for t in range(len(coeffs) - 1, phi - 1, -1):
-            c = coeffs[t]
-            if c:
-                row = rows[t - phi]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        coeffs = out
-    else:
-        coeffs = list(coeffs)
-    while len(coeffs) < phi:
-        coeffs.append(zero)
-    return coeffs
+    return _divmod_phi(coeffs, n, zero)[0]
 
 
 class Cyclotomic:
@@ -167,12 +138,13 @@ class Cyclotomic:
             return self
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into {order}")
-        step = order // self.order
-        phi = euler_phi(order)
-        out = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1 if self.coeffs else 1)
+        return self._power_map(order // self.order, order)
+
+    def _power_map(self, k: int, order: int) -> "Cyclotomic":
+        """Send zeta_self.order^j to zeta_order^(j k); at order == self.order this is sigma_k."""
+        out = [Fraction(0)] * min(order, k * (len(self.coeffs) - 1) + 1)
         for j, c in enumerate(self.coeffs):
-            if c:
-                out[j * step] += c
+            out[j * k % order] = c
         return Cyclotomic(order, out)
 
     # -- arithmetic ---------------------------------------------------
@@ -219,41 +191,15 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/x = rest / N(x), rest the product of the other Galois conjugates and N(x) = x rest."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         n = self.order
-        phi = euler_phi(n)
-        mod = [Fraction(c) for c in cyclotomic_poly(n)]
-        # extended Euclid over Q[x]: find u with u*self = gcd = const mod Phi_N
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            d = len(p) - 1
-            while d > 0 and p[d] == 0:
-                d -= 1
-            return d if any(p) else -1
-
-        while deg(r1) > 0:
-            dq = deg(r0) - deg(r1)
-            if dq < 0:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            lead = r0[deg(r0)] / r1[deg(r1)]
-            # r0 -= lead * x^dq * r1 ; s0 likewise
-            for j in range(deg(r1) + 1):
-                r0[j + dq] -= lead * r1[j]
-            while len(s0) < len(s1) + dq:
-                s0.append(Fraction(0))
-            for j in range(len(s1)):
-                s0[j + dq] -= lead * s1[j]
-            if deg(r0) < deg(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        c = r1[deg(r1)] if deg(r1) >= 0 else None
-        if c is None or c == 0:
-            raise ZeroDivisionError("scalar is a zero divisor (unexpected)")
-        inv = Cyclotomic(n, [x / c for x in s1])
-        return inv
+        rest = Cyclotomic.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                rest = rest * self._power_map(k, n)
+        return rest / (self * rest).as_rational()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

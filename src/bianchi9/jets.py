@@ -8,7 +8,6 @@ carries their mu-derivatives along.
 
 from __future__ import annotations
 
-import cmath
 from math import comb
 
 
@@ -40,15 +39,6 @@ class Jet:
 
     def __getitem__(self, j: int) -> complex:
         return self.comps[j]
-
-    @property
-    def value(self) -> complex:
-        return self.comps[0]
-
-    def lower(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError("cannot raise jet order")
-        return Jet(self.comps[: order + 1])
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -108,25 +98,6 @@ class Jet:
         for _ in range(m - 1):
             r = r * self
         return r
-
-    def sqrt(self) -> "Jet":
-        """Principal branch square root, propagated through the order."""
-        z0 = self.comps[0]
-        if isinstance(z0, complex):
-            s0 = cmath.sqrt(z0)
-        else:
-            import mpmath
-
-            s0 = mpmath.sqrt(z0)
-        if s0 == 0:
-            raise ZeroDivisionError("square root of a jet with zero value")
-        s: list[complex] = [s0]
-        for j in range(1, self.order + 1):
-            acc = self.comps[j]
-            for k in range(1, j):
-                acc -= comb(j, k) * s[k] * s[j - k]
-            s.append(acc / (2 * s0))
-        return Jet(s)
 
     def __repr__(self):
         return f"Jet({list(self.comps)})"

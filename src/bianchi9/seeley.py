@@ -58,28 +58,18 @@ def _term_environment(frame: InstantonFrame, max_deriv: int):
     In jet mode each derivative variable is the shifted jet, and everything is
     lowered to the common order frame.order - max_deriv so products line up.
     """
-    env = {}
     if frame.mode == "series":
-        for j in (1, 2, 3):
-            env[f"w{j}"] = frame.w[j - 1][0]
-            for k in range(1, max_deriv + 1):
-                env[f"w{j}d{k}"] = frame.w[j - 1][k]
-        env["F"] = frame.F_[0]
+        deriv = lambda x, k: x[k]
+    else:
+        target = frame.order - max_deriv
+        if target < 0:
+            raise ValueError(f"frame order {frame.order} too low for derivative depth {max_deriv}")
+        deriv = lambda x, k: Jet(x.comps[k : k + target + 1])
+    env = {}
+    for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_)):
+        env[name] = deriv(x, 0)
         for k in range(1, max_deriv + 1):
-            env[f"Fd{k}"] = frame.F_[k]
-        return env
-    target = frame.order - max_deriv
-    if target < 0:
-        raise ValueError(f"frame order {frame.order} too low for derivative depth {max_deriv}")
-    for j in (1, 2, 3):
-        w = frame.w[j - 1]
-        env[f"w{j}"] = Jet(w.comps[: target + 1])
-        for k in range(1, max_deriv + 1):
-            env[f"w{j}d{k}"] = Jet(w.comps[k : k + target + 1])
-    F = frame.F_
-    env["F"] = Jet(F.comps[: target + 1])
-    for k in range(1, max_deriv + 1):
-        env[f"Fd{k}"] = Jet(F.comps[k : k + target + 1])
+            env[f"{name}d{k}"] = deriv(x, k)
     return env
 
 

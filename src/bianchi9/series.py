@@ -69,13 +69,6 @@ class PuiseuxSeries:
     def constant(cls, value, grade=Grade()):
         return cls(1, {0: _as_cyc(value)}, None, grade)
 
-    @classmethod
-    def monomial(cls, exponent: Fraction, value, grade=Grade(), trunc=None):
-        exponent = Fraction(exponent)
-        d = exponent.denominator
-        t = None if trunc is None else math.ceil(Fraction(trunc) * d)
-        return cls(d, {exponent.numerator: _as_cyc(value)}, t, grade)
-
     # -- bookkeeping --------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -114,19 +107,6 @@ class PuiseuxSeries:
         f = exp_den // self.exp_den
         t = None if self.trunc is None else self.trunc * f
         return PuiseuxSeries(exp_den, {e * f: c for e, c in self.terms.items()}, t, self.grade)
-
-    def compact(self) -> "PuiseuxSeries":
-        """Shrink exp_den to the gcd of all exponents (and trunc)."""
-        g = 0
-        for e in self.terms:
-            g = math.gcd(g, e)
-        g = math.gcd(g, self.exp_den)
-        if g <= 1:
-            return self
-        t = self.trunc
-        if t is not None:
-            t = -((-t) // g)  # ceil division keeps the horizon honest
-        return PuiseuxSeries(self.exp_den // g, {e // g: c for e, c in self.terms.items()}, t, self.grade)
 
     # -- ring operations ----------------------------------------------
 

@@ -148,6 +148,20 @@ def test_check_crossval(capsys):
         (("check", "dirac", "--p", "1/6", "--q", "1/2"), 3),  # F on the branch cut
         (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "0"), 2),
         (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "-3"), 2),
+        # non-finite floats are refused by the parser
+        (("theta", "--p", "0", "--q", "0", "--mu-re", "nan"), 2),
+        (("theta", "--p", "0", "--q", "0", "--tol", "nan"), 2),
+        (("theta", "--p", "0", "--q", "0", "--tol", "inf"), 2),
+        (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "nan"), 2),
+        (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "inf"), 2),
+        (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--tol", "nan"), 2),
+        (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--tol", "inf"), 2),
+        (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "3", "--mu-re", "inf"), 2),
+        # finite mu so deep in the cusp that the jets lose their value
+        (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "3", "--mu-re", "60"), 3),
+        (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "3", "--mu-re", "1000"), 3),
+        (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "1000"), 3),
+        (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "0.0"), 3),
     ],
 )
 def test_bad_input_exit_codes(argv, code):

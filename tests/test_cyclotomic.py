@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchi9.cyclotomic import Cyclotomic, cyclotomic_poly, euler_phi
+from bianchi9.cyclotomic import Cyclotomic, _reduce, cyclotomic_poly, euler_phi
 
 F = Fraction
 
@@ -129,3 +130,105 @@ def test_inverse_is_two_sided(a):
         return
     assert a * a.inverse() == Cyclotomic.one(a.order)
     assert a.inverse() * a == Cyclotomic.one(a.order)
+
+
+# -- oracles: a row reduction and an extended Euclid inverse, independent
+# references for the one division modulo Phi_N and the inverse by the norm --
+
+# orders the pipeline reaches: 36 at points with denominator 6, 60 at (1/3, 1/5)
+PIPELINE_ORDERS = (1, 3, 4, 8, 12, 36, 60)
+
+
+def _row_reduce(n: int, coeffs: list, zero) -> list:
+    """Reduce with one precomputed row per power: row t is zeta^(phi+t) in the power basis."""
+    phi = euler_phi(n)
+    rows = [[-c for c in cyclotomic_poly(n)[:phi]]]  # zeta^phi = -(low part of Phi_N)
+    while len(rows) < len(coeffs) - phi:
+        top = rows[-1][-1]
+        rows.append([0] + rows[-1][:-1])
+        if top:
+            for j in range(phi):
+                rows[-1][j] += top * rows[0][j]
+    out = list(coeffs[:phi])
+    for t in range(len(coeffs) - 1, phi - 1, -1):
+        if coeffs[t]:
+            for j in range(phi):
+                out[j] += coeffs[t] * rows[t - phi][j]
+    return out + [zero] * (phi - len(out))
+
+
+def _euclid_inverse(x: Cyclotomic) -> Cyclotomic:
+    """The inverse by the extended Euclidean algorithm over Q[z], modulo Phi_N."""
+
+    def deg(p):
+        return max((j for j, c in enumerate(p) if c), default=-1)
+
+    r0, r1 = [F(c) for c in cyclotomic_poly(x.order)], list(x.coeffs)
+    s0, s1 = [F(0)], [F(1)]
+    while deg(r1) > 0:
+        dq = deg(r0) - deg(r1)
+        if dq < 0:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        lead = r0[deg(r0)] / r1[deg(r1)]
+        for j in range(deg(r1) + 1):
+            r0[j + dq] -= lead * r1[j]
+        s0 += [F(0)] * (len(s1) + dq - len(s0))
+        for j in range(len(s1)):
+            s0[j + dq] -= lead * s1[j]
+        if deg(r0) < deg(r1):
+            r0, r1, s0, s1 = r1, r0, s1, s0
+    return Cyclotomic(x.order, [c / r1[0] for c in s1])
+
+
+@st.composite
+def _long_int_lists(draw):
+    """(n, ints) at a pipeline order, up to 3 phi(n) + 5 long, with many zeros."""
+    order = draw(st.sampled_from(PIPELINE_ORDERS))
+    phi = euler_phi(order)
+    digit = st.one_of(st.just(0), st.integers(-50, 50))
+    return order, draw(st.lists(digit, max_size=3 * phi + 5))
+
+
+@given(_long_int_lists())
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_row_oracle(args):
+    order, ints = args
+    assert _reduce(order, ints, 0) == _row_reduce(order, ints, 0)
+    fracs = [F(c, 7) for c in ints]
+    assert _reduce(order, fracs) == _row_reduce(order, fracs, F(0))
+
+
+@st.composite
+def _sparse_elements(draw):
+    """Nonzero elements at a pipeline order; most coefficients are zero, as in the series."""
+    order = draw(st.sampled_from(PIPELINE_ORDERS))
+    phi = euler_phi(order)
+    coeff = st.one_of(st.just(F(0)), st.just(F(0)), st.builds(F, st.integers(-9, 9), st.integers(1, 7)))
+    coeffs = draw(st.lists(coeff, min_size=phi, max_size=phi).filter(any))
+    return Cyclotomic(order, coeffs)
+
+
+@given(_sparse_elements())
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_euclid_oracle(a):
+    got, want = a.inverse(), _euclid_inverse(a)
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polys_factor_x_n_minus_1():
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+        assert len(cyclotomic_poly(n)) - 1 == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
