@@ -67,6 +67,14 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_float(text: str) -> float:
+    """Argparse type for a finite float above 0."""
+    x = _finite_float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError("must be above 0")
+    return x
+
+
 @contextmanager
 def _domain_errors():
     """Turn a ValueError or ZeroDivisionError of the numeric layer into the domain-error exit code."""
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--series", action="store_true")
     t.add_argument("--mu-re", type=_finite_float, default=1.0)
     t.add_argument("--mu-im", type=_finite_float, default=0.0)
-    t.add_argument("--tol", type=_finite_float, default=1e-10)
+    t.add_argument("--tol", type=_positive_float, default=1e-10)
     t.set_defaults(func=cmd_theta)
 
     o = sub.add_parser("orbit", help="enumerate the orbit of a parameter point")
@@ -322,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--order", type=int, default=4, choices=(0, 2, 4))
     k.add_argument("--samples", type=_int_at_least(1), default=5)
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--tol", type=_finite_float, default=1e-10)
+    k.add_argument("--tol", type=_positive_float, default=1e-10)
     k.add_argument("--mu-re", type=_finite_float, default=1.05)
     k.add_argument("--mu-im", type=_finite_float, default=0.0)
     k.set_defaults(func=cmd_check)

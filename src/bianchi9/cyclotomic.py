@@ -76,13 +76,17 @@ class Cyclotomic:
         self.coeffs = tuple(_reduce(order, cs))
 
     @classmethod
-    def from_int_coeffs(cls, order: int, coeffs: list[int], den: int) -> "Cyclotomic":
-        """Fast path: integer power-basis coefficients over a common denominator."""
-        reduced = _reduce(order, coeffs, 0)
+    def _from_reduced(cls, order: int, coeffs: tuple) -> "Cyclotomic":
+        """An element from coefficients already in reduced form: phi(order) Fractions."""
         obj = object.__new__(cls)
         obj.order = order
-        obj.coeffs = tuple(Fraction(c, den) for c in reduced)
+        obj.coeffs = coeffs
         return obj
+
+    @classmethod
+    def from_int_coeffs(cls, order: int, coeffs: list[int], den: int) -> "Cyclotomic":
+        """Fast path: integer power-basis coefficients over a common denominator."""
+        return cls._from_reduced(order, tuple(Fraction(c, den) for c in _reduce(order, coeffs, 0)))
 
     # -- constructors -------------------------------------------------
 
@@ -160,12 +164,12 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(other, self.order)
         a, b = self._common(self, other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return Cyclotomic._from_reduced(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return Cyclotomic._from_reduced(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -177,7 +181,7 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [c * other for c in self.coeffs])
+            return Cyclotomic._from_reduced(self.order, tuple(c * other for c in self.coeffs))
         a, b = self._common(self, other)
         phi = euler_phi(a.order)
         prod = [Fraction(0)] * (2 * phi - 1)
@@ -203,7 +207,7 @@ class Cyclotomic:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [c / other for c in self.coeffs])
+            return Cyclotomic._from_reduced(self.order, tuple(c / other for c in self.coeffs))
         a, b = self._common(self, other)
         return a * b.inverse()
 

@@ -12,11 +12,16 @@ sigma(P1 P2) = sum_alpha (-i)^{|alpha|}/alpha! d_xi^alpha sigma(P1)
 d_x^alpha sigma(P2), which terminates at |alpha| <= 1 for first-order symbols.
 Spatial derivatives of coefficients are carried analytically by first-order
 multivariate jets (trig in eta, psi; the mu-jet components of the frame).
+
+Two square roots are taken, each once: rW = sqrt(w1 w2 w3), with
+sqrt(w_j / (w_k w_l)) = w_j / rW, and sqrt(F).  Every coefficient of D is odd
+in rW and every coefficient of Dtilde is odd in sqrt(F), so the squares do not
+depend on the branches, only on using one branch throughout.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +40,19 @@ IDENT = np.eye(4, dtype=complex)
 
 
 class SField:
-    """A scalar function's value and first partials in (mu, eta, phi, psi)."""
+    """A function's value and first partials in (mu, eta, phi, psi).
+
+    The value is a complex scalar or a 4x4 complex matrix: a scalar field
+    times a constant matrix, ``field * GAMMA1``, is a symbol entry.  Products
+    and quotients of two fields need one of them to be scalar.
+    """
 
     __slots__ = ("value", "grad")
+    __array_ufunc__ = None  # ``matrix * field`` defers to ``field.__rmul__``
 
     def __init__(self, value, grad=(0, 0, 0, 0)):
-        self.value = complex(value)
-        self.grad = tuple(complex(g) for g in grad)
+        self.value = value
+        self.grad = tuple(grad)
 
     def _coerce(self, other) -> "SField":
         return other if isinstance(other, SField) else SField(other)
@@ -55,17 +66,12 @@ class SField:
     def __neg__(self):
         return SField(-self.value, [-g for g in self.grad])
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        if not isinstance(other, SField):
+            return SField(self.value * other, [g * other for g in self.grad])
         return SField(
-            self.value * o.value,
-            [self.value * g2 + g1 * o.value for g1, g2 in zip(self.grad, o.grad)],
+            self.value * other.value,
+            [self.value * g2 + g1 * other.value for g1, g2 in zip(self.grad, other.grad)],
         )
 
     __rmul__ = __mul__
@@ -79,45 +85,16 @@ class SField:
         return self._coerce(other) / self
 
     def sqrt(self) -> "SField":
-        import cmath
-
         s = cmath.sqrt(self.value)
         return SField(s, [g / (2 * s) for g in self.grad])
-
-
-def _mat(field, gamma) -> np.ndarray:
-    """field * constant matrix, as an object array of SFields."""
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = field * gamma[i, j]
-    return out
-
-
-def _mat_value(m: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            x = m[i, j]
-            out[i, j] = x.value if isinstance(x, SField) else complex(x)
-    return out
-
-
-def _mat_partial(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            x = m[i, j]
-            out[i, j] = x.grad[k] if isinstance(x, SField) else 0
-    return out
 
 
 @dataclass
 class Symbol1:
     """sigma = i sum_k a[k] xi_k + b for a first-order operator."""
 
-    a: list  # four object matrices (coefficients of d/dx_k)
-    b: np.ndarray  # object matrix
+    a: list  # four matrix SFields (coefficients of d/dx_k)
+    b: SField  # matrix SField
 
 
 @dataclass
@@ -128,39 +105,21 @@ class SymbolQuadratic:
     p1: np.ndarray  # shape (4, 4, 4): [k] -> matrix
     p0: np.ndarray
 
-    def __call__(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=complex)
-        out = self.p0.copy()
-        for k in range(4):
-            out += self.p1[k] * xi[k]
-            for j in range(4):
-                out += self.p2[j, k] * xi[j] * xi[k]
-        return out
-
-    def p2_form(self, xi) -> complex:
-        """The scalar quadratic form: (1/4) tr of the xi-quadratic part."""
-        xi = np.asarray(xi, dtype=complex)
-        acc = 0j
-        for j in range(4):
-            for k in range(4):
-                acc += np.trace(self.p2[j, k]) / 4 * xi[j] * xi[k]
-        return acc
-
 
 def _frame_fields(frame: InstantonFrame):
     if frame.mode != "jet":
         raise ValueError("symbol construction needs a jet-mode frame")
-    w = [SField(frame.w[j][0], (frame.w[j][1], 0, 0, 0)) for j in range(3)]
-    dw = [SField(frame.w[j][1], (frame.w[j][2], 0, 0, 0)) for j in range(3)]
-    F = SField(frame.F_[0], (frame.F_[1], 0, 0, 0))
-    dF = SField(frame.F_[1], (frame.F_[2], 0, 0, 0))
-    return w, dw, F, dF
+
+    def field(jet, k):
+        return SField(complex(jet[k]), (complex(jet[k + 1]), 0, 0, 0))
+
+    w = [field(frame.w[j], 0) for j in range(3)]
+    dw = [field(frame.w[j], 1) for j in range(3)]
+    return w, dw, field(frame.F_, 0), field(frame.F_, 1)
 
 
 def _trig_fields(x):
     _, eta, _, psi = (complex(c) for c in x)
-    import cmath
-
     sin_eta = SField(cmath.sin(eta), (0, cmath.cos(eta), 0, 0))
     cos_eta = SField(cmath.cos(eta), (0, -cmath.sin(eta), 0, 0))
     sin_psi = SField(cmath.sin(psi), (0, 0, 0, cmath.cos(psi)))
@@ -168,94 +127,64 @@ def _trig_fields(x):
     return sin_eta, cos_eta, sin_psi, cos_psi
 
 
-def sigma_D(x, frame: InstantonFrame) -> Symbol1:
-    """First-order symbol of D at x = (mu, eta, phi, psi)."""
-    _, eta, _, _ = (complex(c) for c in x)
-    if abs(math.sin(eta.real) if eta.imag == 0 else np.sin(eta)) < 1e-12:
+def _sigma_D(x, frame: InstantonFrame):
+    """The symbol of D at x = (mu, eta, phi, psi), the root rW it takes, and the fields F, F'."""
+    if abs(cmath.sin(complex(x[1]))) < 1e-12:
         raise ValueError("eta at a coordinate singularity (csc/cot pole)")
     w, dw, F, dF = _frame_fields(frame)
     sin_eta, cos_eta, sin_psi, cos_psi = _trig_fields(x)
     csc_eta = 1 / sin_eta
     cot_eta = cos_eta / sin_eta
-    r1 = (w[0] / (w[1] * w[2])).sqrt()  # sqrt(w1/(w2 w3))
-    r2 = (w[1] / (w[0] * w[2])).sqrt()
-    r3 = (w[2] / (w[0] * w[1])).sqrt()
     rW = (w[0] * w[1] * w[2]).sqrt()
     inv_rW = 1 / rW
+    r1, r2, r3 = (wj / rW for wj in w)  # sqrt(w_j / (w_k w_l)) on the branch of rW
 
-    a = [None] * 4
-    a[0] = _mat(inv_rW, GAMMA0)
-    a[1] = _mat(-r1 * sin_psi, GAMMA1) + _mat(r2 * cos_psi, GAMMA2)
-    a[2] = _mat(r1 * csc_eta * cos_psi, GAMMA1) + _mat(r2 * csc_eta * sin_psi, GAMMA2)
-    a[3] = (
-        _mat(-r1 * cot_eta * cos_psi, GAMMA1)
-        + _mat(-r2 * cot_eta * sin_psi, GAMMA2)
-        + _mat(r3, GAMMA3)
-    )
+    u = r1 * cos_psi * GAMMA1 + r2 * sin_psi * GAMMA2  # sin(eta) times the d/dphi coefficient
+    a = [inv_rW * GAMMA0, -r1 * sin_psi * GAMMA1 + r2 * cos_psi * GAMMA2]
+    a += [csc_eta * u, -cot_eta * u + r3 * GAMMA3]
     sum_dlog = dw[0] / w[0] + dw[1] / w[1] + dw[2] / w[2]
     sum_isq = 1 / (w[0] * w[0]) + 1 / (w[1] * w[1]) + 1 / (w[2] * w[2])
-    b = _mat(inv_rW * sum_dlog * 0.25, GAMMA0) + _mat(rW * sum_isq * (-0.25), GAMMA123)
-    return Symbol1(a, b)
+    b = inv_rW * sum_dlog * 0.25 * GAMMA0 + rW * sum_isq * (-0.25) * GAMMA123
+    return Symbol1(a, b), rW, F, dF
+
+
+def sigma_D(x, frame: InstantonFrame) -> Symbol1:
+    """First-order symbol of D at x = (mu, eta, phi, psi)."""
+    return _sigma_D(x, frame)[0]
 
 
 def sigma_Dtilde(x, frame: InstantonFrame) -> Symbol1:
-    w, dw, F, dF = _frame_fields(frame)
     Fv = complex(frame.F_[0])
     if Fv == 0 or (Fv.real <= 0 and abs(Fv.imag) < 1e-14 * abs(Fv.real)):
         raise ValueError("F on the branch cut of the principal square root")
-    base = sigma_D(x, frame)
-    inv_sF = 1 / F.sqrt()
+    base, rW, F, dF = _sigma_D(x, frame)
+    sF = F.sqrt()
+    inv_sF = 1 / sF
     # conformal zero-order term 3F'/(4 F^{3/2} sqrt(w1 w2 w3)) gamma^0: the
     # normalization with sqrt(w1 w2 w3) is forced by conformal covariance
     # (it is a_mu times 3F'/(4F^{3/2})) and is the one consistent with the
     # displayed first-order mu-term of the squared operator
-    rootW = (w[0] * w[1] * w[2]).sqrt()
-    extra = dF * 3 / (F * F.sqrt() * rootW * 4)
-    a = [np.vectorize(lambda e: inv_sF * e, otypes=[object])(m) for m in base.a]
-    b = np.vectorize(lambda e: inv_sF * e, otypes=[object])(base.b) + _mat(extra, GAMMA0)
-    return Symbol1(a, b)
+    extra = dF * 3 / (F * sF * rW * 4)
+    return Symbol1([inv_sF * m for m in base.a], inv_sF * base.b + extra * GAMMA0)
 
 
 def compose_square(sym: Symbol1) -> SymbolQuadratic:
     """sigma(P P) for a first-order P via the finite composition sum."""
-    a_val = [_mat_value(m) for m in sym.a]
-    b_val = _mat_value(sym.b)
-    p2 = np.zeros((4, 4, 4, 4), dtype=complex)
-    p1 = np.zeros((4, 4, 4), dtype=complex)
-    p0 = b_val @ b_val
-    for j in range(4):
-        for k in range(4):
-            p2[j, k] = -(a_val[j] @ a_val[k])
-    for k in range(4):
-        p1[k] = 1j * (a_val[k] @ b_val + b_val @ a_val[k])
+    a = [m.value for m in sym.a]
+    b = sym.b.value
+    p2 = np.array([[-(aj @ ak) for ak in a] for aj in a])
+    p1 = np.array([1j * (ak @ b + b @ ak) for ak in a])
+    p0 = b @ b
     # |alpha| = 1 corrections: + a_j (i d_j a_l xi_l + d_j b)
     for j in range(4):
-        da = [_mat_partial(sym.a[l], j) for l in range(4)]
-        db = _mat_partial(sym.b, j)
         for l in range(4):
-            p1[l] += 1j * (a_val[j] @ da[l])
-        p0 += a_val[j] @ db
+            p1[l] += 1j * (a[j] @ sym.a[l].grad[j])
+        p0 += a[j] @ sym.b.grad[j]
     return SymbolQuadratic(p2, p1, p0)
 
 
 def sigma_Dtilde_sq(x, frame: InstantonFrame) -> SymbolQuadratic:
     return compose_square(sigma_Dtilde(x, frame))
-
-
-def metric_matrix(x, frame: InstantonFrame, conformal: bool = True) -> np.ndarray:
-    """The (rescaled) metric tensor at x in coordinates (mu, eta, phi, psi)."""
-    _, eta, _, psi = (complex(c) for c in x)
-    w1, w2, w3 = (complex(frame.w[j][0]) for j in range(3))
-    F = complex(frame.F_[0]) if conformal else 1.0
-    se, ce, sp, cp = np.sin(eta), np.cos(eta), np.sin(psi), np.cos(psi)
-    g = np.zeros((4, 4), dtype=complex)
-    g[0, 0] = w1 * w2 * w3
-    g[1, 1] = w2 * w3 * sp**2 / w1 + w1 * w3 * cp**2 / w2
-    g[2, 2] = w2 * w3 * se**2 * cp**2 / w1 + w1 * (w3 * se**2 * sp**2 / w2 + w2 * ce**2 / w3)
-    g[3, 3] = w1 * w2 / w3
-    g[2, 3] = g[3, 2] = w1 * w2 * ce / w3
-    g[1, 2] = g[2, 1] = (w1**2 - w2**2) * w3 * se * sp * cp / (w1 * w2)
-    return F * g
 
 
 def dtilde_sq_crosscheck(x, frame: InstantonFrame, tol: float = 1e-10) -> dict:

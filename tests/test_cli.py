@@ -7,8 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchi9 import cli, seeley
+from bianchi9.series import Grade, PuiseuxSeries
+from test_series import _series
 
 
 def _run(capsys, *argv) -> dict:
@@ -130,6 +134,11 @@ def test_check_dirac(capsys):
     assert doc["pass"] and doc["max_residual"] <= doc["tol"]
 
 
+def test_check_dirac_at_complex_mu_and_p_zero(capsys):
+    doc = _run(capsys, "check", "dirac", "--p", "0", "--q", "1/3", "--mu-re", "1.05", "--mu-im", "0.001")
+    assert doc["pass"] and doc["max_residual"] <= doc["tol"]
+
+
 def test_check_crossval(capsys):
     doc = _run(
         capsys, "check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"
@@ -162,6 +171,13 @@ def test_check_crossval(capsys):
         (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "3", "--mu-re", "1000"), 3),
         (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "1000"), 3),
         (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "0.0"), 3),
+        # --tol must be above 0 everywhere
+        (("theta", "--p", "0", "--q", "0", "--tol", "0"), 2),
+        (("theta", "--p", "0", "--q", "0", "--tol", "-1"), 2),
+        (("check", "dirac", "--p", "1/6", "--q", "5/6", "--tol", "0"), 2),
+        (("check", "dirac", "--p", "1/6", "--q", "5/6", "--tol", "-1"), 2),
+        (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--tol", "0"), 2),
+        (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--tol", "-1"), 2),
     ],
 )
 def test_bad_input_exit_codes(argv, code):
@@ -247,3 +263,16 @@ def test_cache_entry_of_another_order_recomputed(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     cli.main(list(argv))
     assert capsys.readouterr().out == first
+
+
+@given(_series(), st.integers(-3, 3), st.integers(-3, 3), st.sampled_from((0, 2, 4)))
+@settings(max_examples=60, deadline=None)
+def test_cache_entry_round_trips(tmp_path_factory, s, pi_exp, lambda_exp, order):
+    s = PuiseuxSeries(s.exp_den, s.terms, s.trunc, Grade(pi_exp, lambda_exp))
+    doc = s.to_json()
+    assert PuiseuxSeries.from_json(doc).to_json() == doc
+    path = tmp_path_factory.getbasetemp() / "round-trip" / "entry.json"
+    cli.cache_write(path, {"order": order, "series": doc})
+    cached = cli._cached_series(path, order)
+    assert cached is not None and cached.to_json() == doc  # cyclotomic orders too
+    assert cli._cached_series(path, (order + 2) % 6) is None  # an entry of another order is a miss

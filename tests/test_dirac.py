@@ -14,18 +14,33 @@ from bianchi9.dirac import (
     GAMMAS,
     IDENT,
     SField,
-    _mat_value,
+    Symbol1,
     compose_square,
     dtilde_sq_crosscheck,
-    metric_matrix,
     sigma_D,
     sigma_Dtilde,
     sigma_Dtilde_sq,
 )
 from bianchi9.instanton import InstantonFrame, TwoParamPoint, frame_two_param_jet
 from bianchi9.jets import Jet
+from bianchi9.modular import orbit
 
 F = Fraction
+
+
+def metric_matrix(x, frame: InstantonFrame) -> np.ndarray:
+    """Oracle: the rescaled metric tensor F g at x in coordinates (mu, eta, phi, psi)."""
+    _, eta, _, psi = (complex(c) for c in x)
+    w1, w2, w3 = (complex(frame.w[j][0]) for j in range(3))
+    se, ce, sp, cp = np.sin(eta), np.cos(eta), np.sin(psi), np.cos(psi)
+    g = np.zeros((4, 4), dtype=complex)
+    g[0, 0] = w1 * w2 * w3
+    g[1, 1] = w2 * w3 * sp**2 / w1 + w1 * w3 * cp**2 / w2
+    g[2, 2] = w2 * w3 * se**2 * cp**2 / w1 + w1 * (w3 * se**2 * sp**2 / w2 + w2 * ce**2 / w3)
+    g[3, 3] = w1 * w2 / w3
+    g[2, 3] = g[3, 2] = w1 * w2 * ce / w3
+    g[1, 2] = g[2, 1] = (w1**2 - w2**2) * w3 * se * sp * cp / (w1 * w2)
+    return complex(frame.F_[0]) * g
 
 
 @pytest.fixture(scope="module")
@@ -59,20 +74,20 @@ def test_symbol_leading_part(frame):
     x = (1.05, 1.1, 0.3, 2.0)
     sym = sigma_D(x, frame)
     W = np.prod([complex(frame.w[j][0]) for j in range(3)])
-    got = _mat_value(sym.a[0])
+    got = sym.a[0].value
     assert np.abs(got - GAMMA0 / cmath.sqrt(W)).max() < 1e-12
 
 
 def test_symbol_constant_part_traceless(frame):
     sym = sigma_D((1.05, 1.1, 0.3, 2.0), frame)
-    assert abs(np.trace(_mat_value(sym.b))) < 1e-12
+    assert abs(np.trace(sym.b.value)) < 1e-12
 
 
 def test_unit_frame_constant_part():
     ws = tuple(Jet.constant(1.0, 4) for _ in range(3))
     fr = InstantonFrame("jet", ws, Jet.constant(1.0, 4))
     sym = sigma_D((1.0, 1.2, 0.5, 1.7), fr)
-    assert np.abs(_mat_value(sym.b) + 0.75 * GAMMA123).max() < 1e-14
+    assert np.abs(sym.b.value + 0.75 * GAMMA123).max() < 1e-14
 
 
 def test_coordinate_singularity_rejected(frame):
@@ -97,7 +112,7 @@ def test_principal_symbol_is_inverse_metric(frame):
         ginv = np.linalg.inv(metric_matrix(x, frame))
         xi = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)])
         want = xi @ ginv @ xi
-        got = sq.p2_form(xi)
+        got = sum(np.trace(sq.p2[j, k]) / 4 * xi[j] * xi[k] for j in range(4) for k in range(4))
         assert abs(got - want) < 1e-12 * (1 + abs(want))
         # and the xi-quadratic block is that scalar times the identity
         acc = np.zeros((4, 4), dtype=complex)
@@ -121,8 +136,8 @@ def test_conformal_factor_one_degenerates(frame):
     base = sigma_D((1.05, 1.1, 0.3, 2.0), fr1)
     tilde = sigma_Dtilde((1.05, 1.1, 0.3, 2.0), fr1)
     for k in range(4):
-        assert np.abs(_mat_value(tilde.a[k]) - _mat_value(base.a[k])).max() == 0
-    assert np.abs(_mat_value(tilde.b) - _mat_value(base.b)).max() == 0
+        assert np.abs(tilde.a[k].value - base.a[k].value).max() == 0
+    assert np.abs(tilde.b.value - base.b.value).max() == 0
 
 
 def test_conformal_scaling_of_p2(frame):
@@ -133,26 +148,11 @@ def test_conformal_scaling_of_p2(frame):
     assert np.abs(p2_scaled - p2_base / 4).max() < 1e-12 * np.abs(p2_base).max()
 
 
-def test_symbol_call_assembles_orders(frame):
-    x = (1.05, 1.3, 0.9, 0.4)
-    sq = sigma_Dtilde_sq(x, frame)
-    xi = np.array([0.3, -1.1, 0.7, 0.2])
-    direct = sq(xi)
-    manual = sq.p0.copy()
-    for k in range(4):
-        manual = manual + sq.p1[k] * xi[k]
-        for j in range(4):
-            manual = manual + sq.p2[j, k] * xi[j] * xi[k]
-    assert np.abs(direct - manual).max() == 0
-
-
 def test_composition_of_constant_symbols():
     # with constant coefficients the square has no first-order correction
     # beyond the anticommutator term
-    from bianchi9.dirac import Symbol1, _mat
-
-    a = [_mat(SField(1.0), g) for g in GAMMAS]
-    b = _mat(SField(0.5), GAMMA123)
+    a = [SField(1.0) * g for g in GAMMAS]
+    b = SField(0.5) * GAMMA123
     sq = compose_square(Symbol1(a, b))
     for j in range(4):
         for k in range(4):
@@ -171,3 +171,23 @@ def test_crosscheck_other_parameters():
         fr = frame_two_param_jet(TwoParamPoint(p, q), mu, 1e-14)
         report = dtilde_sq_crosscheck((mu, 0.9, 1.3, 0.4), fr, tol=1e-10)
         assert report["pass"]
+
+
+_SWEEP_POINTS = orbit(F(1, 6), F(5, 6)).points + orbit(F(0), F(1, 3)).points
+_SWEEP_MU = (1.0, 1.05, 1.1, 1.05 + 0.001j, 1.05 + 0.05j, 0.9 - 0.2j)
+
+
+@pytest.mark.parametrize("mu", _SWEEP_MU, ids=str)
+@pytest.mark.parametrize("pt", _SWEEP_POINTS, ids=lambda pt: f"{pt.p},{pt.q}")
+def test_crosscheck_sweeps_both_orbits(pt, mu):
+    """Every orbit point passes at every mu, complex ones and p = 0 included,
+    except where F is real and negative: at real mu, q in {0, 1/2} and p not in
+    {0, 1/2}, where the branch-cut guard refuses."""
+    fr = frame_two_param_jet(pt, mu, 1e-14)
+    x = (mu, 0.9, 1.3, 0.4)
+    if mu.imag == 0 and pt.q in (0, F(1, 2)) and pt.p not in (0, F(1, 2)):
+        with pytest.raises(ValueError, match="branch cut"):
+            dtilde_sq_crosscheck(x, fr, tol=1e-10)
+    else:
+        report = dtilde_sq_crosscheck(x, fr, tol=1e-10)
+        assert report["pass"], report
