@@ -143,7 +143,8 @@ def cache_write(path: Path, doc: dict) -> None:
 
 
 def cmd_theta(args) -> None:
-    char = Characteristics(_rational(args.p), _rational(args.q))
+    # reduced mod 1: the printed value and series belong to [p mod 1, q mod 1]
+    char = Characteristics(_rational(args.p) % 1, _rational(args.q) % 1)
     if args.n < 0 or args.n > 4:
         raise SystemExit(EXIT_INVALID)
     spec = ThetaSpec(char, args.n, args.dq)
@@ -212,15 +213,9 @@ def _orbit_sum_cached(args, orb, index: CoeffIndex, store: bool) -> CoeffResult:
     return result
 
 
-def _coeff_index(order: int) -> CoeffIndex:
-    if order not in (0, 2, 4):
-        raise SystemExit(EXIT_INVALID)
-    return CoeffIndex(order // 2)
-
-
 def cmd_coeff(args) -> None:
     orb = _orbit_or_exit(args)
-    _emit(_orbit_sum_cached(args, orb, _coeff_index(args.order), store=True).to_json())
+    _emit(_orbit_sum_cached(args, orb, CoeffIndex(args.order // 2), store=True).to_json())
 
 
 def cmd_identify(args) -> None:
@@ -228,7 +223,7 @@ def cmd_identify(args) -> None:
         log.error("identification needs trunc >= 3")
         raise SystemExit(EXIT_INVALID)
     orb = _orbit_or_exit(args)
-    index = _coeff_index(args.order)
+    index = CoeffIndex(args.order // 2)
     result = _orbit_sum_cached(args, orb, index, store=False)
     try:
         ident = modular.identify(result, orb)
@@ -242,7 +237,7 @@ def cmd_check(args) -> None:
     if args.subject == "transforms":
         orb = _orbit_or_exit(args)
         report = modular.vv_modularity_report(
-            orb, _coeff_index(args.order), samples=args.samples, tol=args.tol, seed=args.seed
+            orb, CoeffIndex(args.order // 2), samples=args.samples, tol=args.tol, seed=args.seed
         )
         _emit(report)
         return
@@ -261,7 +256,7 @@ def cmd_check(args) -> None:
         return
     # subject == "crossval": exact orbit-sum series vs jet evaluation at mu
     orb = _orbit_or_exit(args)
-    index = _coeff_index(args.order)
+    index = CoeffIndex(args.order // 2)
     mu = args.mu_re
     with _domain_errors():
         direct = 0j

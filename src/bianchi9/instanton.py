@@ -87,22 +87,6 @@ class InstantonFrame:
         return self.F_.order
 
 
-def _theta_series_shifted(p: Fraction, q: Fraction, q_deriv: bool, trunc: int) -> PuiseuxSeries:
-    """Series of (d_q) th[p,q] for unreduced p, q, with quasi-periodicity phases.
-
-    p-shifts are exact; each unit shift in q multiplies by e^{2 pi i p}.
-    """
-    p_red = p % 1
-    q_shift = math.floor(q)  # q - q_red
-    char = Characteristics(p_red, q - q_shift)
-    base = theta_series(ThetaSpec(char, 0, q_deriv), trunc)
-    if q_shift:
-        order = cyclotomic_order(char)
-        phase = Cyclotomic.from_turns((p_red * q_shift) % 1, order)
-        base = base.scale(phase)
-    return base
-
-
 def _derivative_tower(series: PuiseuxSeries, order: int) -> list[PuiseuxSeries]:
     tower = [series]
     for _ in range(order):
@@ -118,24 +102,21 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int, order: int = 4) -> Ins
     half = Fraction(1, 2)
     # generous working truncation: inversion of th[p,q] keeps relative precision
     work = trunc + 2
-    th2 = theta_series(ThetaSpec(THETA2), work)
-    th3 = theta_series(ThetaSpec(THETA3), work)
-    th4 = theta_series(ThetaSpec(THETA4), work)
-    tpq = _theta_series_shifted(p, q, False, work)
-    dtpq = _theta_series_shifted(p, q, True, work)
+
+    def th(char: Characteristics, q_deriv: bool = False) -> PuiseuxSeries:
+        return theta_series(ThetaSpec(char, 0, q_deriv), work)
+
+    th2, th3, th4 = th(THETA2), th(THETA3), th(THETA4)
+    tpq = th(Characteristics(p, q))
+    dtpq = th(Characteristics(p, q), True)
     inv_tpq = tpq.invert()
     n = cyclotomic_order(Characteristics(p, q))
     i_unit = Cyclotomic.i(n)
     e_pip = Cyclotomic.from_turns(Fraction(p, 2) % 1, n)  # e^{i pi p}
-    w1 = (th3 * th4 * _theta_series_shifted(p, q + half, True, work) * inv_tpq).scale(
-        -i_unit / (2 * e_pip)
-    )
-    w2 = (th2 * th4 * _theta_series_shifted(p + half, q + half, True, work) * inv_tpq).scale(
-        i_unit / (2 * e_pip)
-    )
-    w3 = (th2 * th3 * _theta_series_shifted(p + half, q, True, work) * inv_tpq).scale(
-        Fraction(-1, 2)
-    )
+    # q + 1/2 may pass 1; theta_series then carries the phase e^{2 pi i p} itself
+    w1 = (th3 * th4 * th(Characteristics(p, q + half), True) * inv_tpq).scale(-i_unit / (2 * e_pip))
+    w2 = (th2 * th4 * th(Characteristics(p + half, q + half), True) * inv_tpq).scale(i_unit / (2 * e_pip))
+    w3 = (th2 * th3 * th(Characteristics(p + half, q), True) * inv_tpq).scale(Fraction(-1, 2))
     F = (tpq * dtpq.invert()) ** 2
     F = F.scale(2, dpi=-1, dlam=-1)
     for w in (w1, w2, w3):

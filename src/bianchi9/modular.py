@@ -284,7 +284,8 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
     For each orbit point and each generator:
       T: a[p,q](i mu + 1) = a[T(p,q)](i mu)    (argument mu - i)
       S: a[p,q](i/mu)     = -mu^2 a[S(p,q)](i mu)
-    evaluated by jets at seeded sample mu.  Returns per-generator maxima.
+    evaluated by jets at seeded sample mu; both right-hand sides read the one
+    value a[pt](i mu) of each orbit point.  Returns per-generator maxima.
     """
     import mpmath
 
@@ -300,13 +301,14 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
     # the result), so evaluate at 40 digits and let float64 sampling pick mu
     with mpmath.workdps(40):
         mus = [mpmath.mpc(m) for m in sample_mu(samples, seed)]
-        for pt in orb.points:
-            for mu in mus:
+        for mu in mus:
+            at_mu = {pt: value(pt, mu) for pt in orb.points}
+            for pt in orb.points:
                 lhs = value(pt, mu - 1j)
-                rhs = value(act_T(pt), mu)
+                rhs = at_mu[act_T(pt)]
                 worst["T"] = max(worst["T"], float(abs(lhs - rhs) / (1 + abs(rhs))))
                 lhs = value(pt, 1 / mu)
-                rhs = -(mu**2) * value(act_S(pt), mu)
+                rhs = -(mu**2) * at_mu[act_S(pt)]
                 worst["S"] = max(worst["S"], float(abs(lhs - rhs) / (1 + abs(rhs))))
     return {
         "order": index.order,

@@ -43,13 +43,10 @@ class CoeffIndex:
 @dataclass(frozen=True)
 class CoeffResult:
     index: CoeffIndex
-    representation: object  # PuiseuxSeries or complex
+    representation: object  # PuiseuxSeries or Jet
 
     def to_json(self) -> dict:
-        if isinstance(self.representation, PuiseuxSeries):
-            return {"order": self.index.order, "series": self.representation.to_json()}
-        v = complex(self.representation)
-        return {"order": self.index.order, "value": [v.real, v.imag]}
+        return {"order": self.index.order, "series": self.representation.to_json()}
 
 
 def _term_environment(frame: InstantonFrame, max_deriv: int):

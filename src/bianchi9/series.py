@@ -81,10 +81,6 @@ class PuiseuxSeries:
             return min(self.terms)
         return self.trunc
 
-    def valuation_frac(self) -> Fraction | None:
-        v = self.valuation
-        return None if v is None else Fraction(v, self.exp_den)
-
     def trunc_frac(self) -> Fraction | None:
         return None if self.trunc is None else Fraction(self.trunc, self.exp_den)
 

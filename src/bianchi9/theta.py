@@ -1,14 +1,16 @@
 """Jacobi theta functions with characteristics.
 
 theta[p,q](i mu) = sum_m exp(-pi (m+p)^2 mu + 2 pi i (m+p) q), together with
-mu-derivatives and a single q-derivative.  Two representations:
+mu-derivatives and a single q-derivative.  Characteristics are taken as
+given, not reduced mod 1, so a unit shift of q carries the quasi-periodicity
+phase e^{2 pi i p} inside the lattice sum.  Two representations:
 
 * exact: a Puiseux series in the nome Q = e^{-2 pi mu} with coefficients in a
   cyclotomic field (theta_series, mu-derivatives up to order 4), the power of
   pi factored into the grade;
-* numeric: direct partial summation with a Gaussian tail bound (theta_eval),
-  and jets of mu-derivatives 0..order for any order (theta_jet, from which
-  both instanton frames are assembled).
+* numeric: direct partial summation with a Gaussian tail bound, one lattice
+  pass for the whole jet of mu-derivatives 0..order (theta_jet, from which
+  both instanton frames are assembled; theta_eval reads one component).
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from .series import Grade, PuiseuxSeries
 
 @dataclass(frozen=True)
 class Characteristics:
-    """The [p,q] pair, stored reduced modulo 1 into [0,1)."""
+    """The [p,q] pair, stored as given: theta[p, q+1] = e^{2 pi i p} theta[p, q]."""
 
     p: Fraction
     q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p) % 1)
-        object.__setattr__(self, "q", Fraction(self.q) % 1)
+        object.__setattr__(self, "p", Fraction(self.p))
+        object.__setattr__(self, "q", Fraction(self.q))
 
 
 # the three classical characteristics
@@ -101,11 +103,12 @@ def _eval_range(p: float, mu: complex, tol: float) -> int:
     return math.ceil(abs(p) + math.sqrt(inner)) + 2
 
 
-def _theta_eval_raw(p, q, mu_order: int, q_deriv: bool, mu: complex, tol: float) -> complex:
-    """Partial summation without the public derivative-order cap.
+def _theta_eval_raw(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> list:
+    """Mu-derivatives 0..order of (d_q) theta[p,q](i mu) from one lattice pass.
 
-    An arbitrary-precision complex ``mu`` (mpmath) switches the whole sum to
-    that precision; plain complex input stays in machine floats.
+    Each lattice term takes one exp and is scaled by (-pi (m+p)^2)^j for
+    order j.  An arbitrary-precision complex ``mu`` (mpmath) switches the
+    whole sum to that precision; plain complex input stays in machine floats.
     """
     if isinstance(mu, (int, float)):
         mu = complex(mu)
@@ -121,26 +124,29 @@ def _theta_eval_raw(p, q, mu_order: int, q_deriv: bool, mu: complex, tol: float)
         pi = +mpmath.pi
         exp = mpmath.exp
         p_num, q_num = mpmath.mpmathify(p), mpmath.mpmathify(q)
-        acc = mpmath.mpc(0)
+        acc = [mpmath.mpc(0)] * (order + 1)
     else:
         pi, exp = math.pi, cmath.exp
         p_num, q_num = complex(p), complex(q)
-        acc = 0j
+        acc = [0j] * (order + 1)
     for m in range(-m_max, m_max + 1):
         mp = m + p_num
-        term = exp(-pi * mp * mp * mu + 2j * pi * mp * q_num)
-        term *= (-pi * mp * mp) ** mu_order
-        if q_deriv:
-            term *= 2j * pi * mp
-        acc += term
+        gauss = -pi * mp * mp
+        base = exp(gauss * mu + 2j * pi * mp * q_num)
+        for j in range(order + 1):
+            term = base * gauss**j
+            if q_deriv:
+                term *= 2j * pi * mp
+            acc[j] += term
     return acc
 
 
 def theta_eval(spec: ThetaSpec, mu: complex, tol: float = 1e-12) -> complex:
     """Numeric value of d^n/dmu^n (d/dq) theta[p,q](i mu)."""
-    return _theta_eval_raw(spec.char.p, spec.char.q, spec.mu_order, spec.q_deriv, mu, tol)
+    n = spec.mu_order
+    return _theta_eval_raw(spec.char.p, spec.char.q, spec.q_deriv, mu, n, tol)[n]
 
 
 def theta_jet(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> Jet:
     """Jet whose component j is the j-th mu-derivative of (d_q) theta[p,q](i mu)."""
-    return Jet([_theta_eval_raw(p, q, j, q_deriv, mu, tol) for j in range(order + 1)])
+    return Jet(_theta_eval_raw(p, q, q_deriv, mu, order, tol))

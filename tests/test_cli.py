@@ -40,6 +40,15 @@ def test_theta_series_exponents(capsys):
     assert exps == ["1/8", "9/8", "25/8"]
 
 
+@pytest.mark.parametrize("extra", [(), ("--series",), ("--dq", "--n", "2")])
+def test_theta_reduces_characteristics_mod_1(capsys, extra):
+    outs = []
+    for p, q in (("1/3", "1/5"), ("1/3", "6/5"), ("4/3", "1/5")):
+        cli.main(["theta", "--p", p, "--q", q, *extra])
+        outs.append(capsys.readouterr().out)
+    assert outs[0].endswith("\n") and outs[1:] == outs[:1] * 2
+
+
 def test_theta_invalid_order():
     assert _exit_code("theta", "--p", "0", "--q", "0", "--n", "7") == 2
 

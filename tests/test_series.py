@@ -23,7 +23,7 @@ def test_constant_and_monomial():
     m = PuiseuxSeries(8, {1: F(5)}, None)
     prod = c * m
     assert prod.coefficient(F(1, 8)) == F(15, 2)
-    assert prod.valuation_frac() == F(1, 8)
+    assert F(prod.valuation, prod.exp_den) == F(1, 8)
 
 
 def test_grade_bookkeeping():

@@ -14,9 +14,10 @@ from bianchi9.theta import (
     THETA4,
     Characteristics,
     ThetaSpec,
-    _theta_eval_raw,
+    _eval_range,
     cyclotomic_order,
     theta_eval,
+    theta_jet,
     theta_series,
 )
 
@@ -65,6 +66,83 @@ def test_cyclotomic_order_accommodates_all_phases():
     assert n % 4 == 0 and n % 6 == 0 and n % 10 == 0 and n % 15 == 0
 
 
+# -- one lattice pass against the per-order and phase-by-hand oracles --
+
+# characteristics as given, with p >= 1 or q >= 1 among them
+UNREDUCED_CHARS = SAMPLE_CHARS + [(F(4, 3), F(1, 5)), (F(1, 3), F(6, 5)), (F(7, 6), F(11, 6)), (F(3, 2), F(1))]
+
+
+def _per_order_walk(p, q, mu_order: int, q_deriv: bool, mu, tol: float):
+    """One full lattice sum for one derivative order: the numeric oracle."""
+    if isinstance(mu, (int, float)):
+        mu = complex(mu)
+    m_max = _eval_range(float(abs(complex(p))), complex(mu), tol)
+    if not isinstance(mu, complex):
+        import mpmath
+
+        pi, exp = +mpmath.pi, mpmath.exp
+        p_num, q_num = mpmath.mpmathify(p), mpmath.mpmathify(q)
+        acc = mpmath.mpc(0)
+    else:
+        pi, exp = math.pi, cmath.exp
+        p_num, q_num = complex(p), complex(q)
+        acc = 0j
+    for m in range(-m_max, m_max + 1):
+        mp = m + p_num
+        term = exp(-pi * mp * mp * mu + 2j * pi * mp * q_num)
+        term *= (-pi * mp * mp) ** mu_order
+        if q_deriv:
+            term *= 2j * pi * mp
+        acc += term
+    return acc
+
+
+@pytest.mark.parametrize("p,q", UNREDUCED_CHARS)
+def test_theta_jet_equals_per_order_walk(p, q):
+    for dq in (False, True):
+        for mu in (1.2, 0.85 + 0.1j):
+            jet = theta_jet(p, q, dq, mu, 4, 1e-15)
+            assert jet.comps == tuple(_per_order_walk(p, q, j, dq, mu, 1e-15) for j in range(5))
+
+
+@pytest.mark.parametrize("p,q", UNREDUCED_CHARS)
+def test_theta_jet_equals_per_order_walk_at_40_digits(p, q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu = mpmath.mpc("1.03", "0.02")
+        for dq in (False, True):
+            jet = theta_jet(p, q, dq, mu, 4, 1e-35)
+            assert jet.comps == tuple(_per_order_walk(p, q, j, dq, mu, 1e-35) for j in range(5))
+
+
+def _theta_series_shifted(p: Fraction, q: Fraction, q_deriv: bool, trunc: int):
+    """Series of (d_q) th[p,q] at the reduced characteristic, phase added by hand.
+
+    p-shifts are exact; each unit shift in q multiplies by e^{2 pi i p}: the
+    exact oracle for theta_series at unreduced characteristics.
+    """
+    p_red = p % 1
+    q_shift = math.floor(q)
+    char = Characteristics(p_red, q - q_shift)
+    base = theta_series(ThetaSpec(char, 0, q_deriv), trunc)
+    if q_shift:
+        phase = Cyclotomic.from_turns((p_red * q_shift) % 1, cyclotomic_order(char))
+        base = base.scale(phase)
+    return base
+
+
+def test_theta_series_carries_the_quasi_periodicity_phase():
+    half = F(1, 2)
+    grid = sorted({F(k, d) for d in range(1, 7) for k in range(d)})
+    for p in grid:
+        for q in grid:
+            for dp, dq in ((0, 0), (0, half), (half, half), (half, 0)):
+                for q_deriv in (False, True):
+                    got = theta_series(ThetaSpec(Characteristics(p + dp, q + dq), 0, q_deriv), 3)
+                    want = _theta_series_shifted(p + dp, q + dq, q_deriv, 3)
+                    assert got.to_json() == want.to_json(), (p + dp, q + dq, q_deriv)
+
+
 def test_mu_order_capped():
     with pytest.raises(ValueError):
         ThetaSpec(THETA3, 5)
@@ -104,8 +182,8 @@ def test_quasi_periodicity_in_q():
         phase = cmath.exp(2j * cmath.pi * float(p))
         for n in range(5):
             for dq in (False, True):
-                lhs = _theta_eval_raw(p, q + 1, n, dq, 1.2, 1e-15)
-                rhs = phase * _theta_eval_raw(p, q, n, dq, 1.2, 1e-15)
+                lhs = theta_eval(ThetaSpec(Characteristics(p, q + 1), n, dq), 1.2, 1e-15)
+                rhs = phase * theta_eval(ThetaSpec(Characteristics(p, q), n, dq), 1.2, 1e-15)
                 assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
 
 
@@ -113,8 +191,8 @@ def test_quasi_periodicity_in_p():
     for p, q in SAMPLE_CHARS:
         for n in range(5):
             for dq in (False, True):
-                lhs = _theta_eval_raw(p + 1, q, n, dq, 1.2, 1e-15)
-                rhs = _theta_eval_raw(p, q, n, dq, 1.2, 1e-15)
+                lhs = theta_eval(ThetaSpec(Characteristics(p + 1, q), n, dq), 1.2, 1e-15)
+                rhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), 1.2, 1e-15)
                 assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
 
 
@@ -124,8 +202,8 @@ def _t_residual(p, q, mu) -> float:
     phase = cmath.exp(-1j * cmath.pi * float(p) * (float(p) + 1))
     for n in range(5):
         for dq in (False, True):
-            lhs = _theta_eval_raw(p, q, n, dq, mu - 1j, 1e-15)
-            rhs = phase * _theta_eval_raw(p, q + p + F(1, 2), n, dq, mu, 1e-15)
+            lhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), mu - 1j, 1e-15)
+            rhs = phase * theta_eval(ThetaSpec(Characteristics(p, q + p + F(1, 2)), n, dq), mu, 1e-15)
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
     return worst
 
@@ -136,8 +214,8 @@ def _t2_residual(p, q, mu) -> float:
     phase = cmath.exp(-2j * cmath.pi * float(p) ** 2)
     for n in range(5):
         for dq in (False, True):
-            lhs = _theta_eval_raw(p, q, n, dq, mu - 2j, 1e-15)
-            rhs = phase * _theta_eval_raw(p, q + 2 * p, n, dq, mu, 1e-15)
+            lhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), mu - 2j, 1e-15)
+            rhs = phase * theta_eval(ThetaSpec(Characteristics(p, q + 2 * p), n, dq), mu, 1e-15)
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
     return worst
 
@@ -152,13 +230,15 @@ def _s_residual(p, q, mu) -> float:
     phase = cmath.exp(2j * cmath.pi * float(p) * float(q))
     for n in range(5):
         for dq in (False, True):
-            lhs = _theta_eval_raw(p, q, n, dq, 1 / mu, 1e-15)
+            lhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), 1 / mu, 1e-15)
             rhs = 0j
             for j in range(n + 1):
                 order = 2 * n + 1 if dq else 2 * n
                 power = order + 0.5 - j
-                rhs += complex(c_const(j, order)) * mu**power * _theta_eval_raw(
-                    -q, p, n - j, dq, mu, 1e-15
+                rhs += (
+                    complex(c_const(j, order))
+                    * mu**power
+                    * theta_eval(ThetaSpec(Characteristics(-q, p), n - j, dq), mu, 1e-15)
                 )
             rhs *= phase
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
@@ -187,14 +267,14 @@ def test_classical_theta_shift_laws():
     # theta2 picks up e^{i pi/4}; theta3 and theta4 swap
     mu = 1.3
     for n in range(5):
-        t2l = _theta_eval_raw(F(1, 2), 0, n, False, mu - 1j, 1e-15)
-        t2r = cmath.exp(1j * cmath.pi / 4) * _theta_eval_raw(F(1, 2), 0, n, False, mu, 1e-15)
+        t2l = theta_eval(ThetaSpec(THETA2, n, False), mu - 1j, 1e-15)
+        t2r = cmath.exp(1j * cmath.pi / 4) * theta_eval(ThetaSpec(THETA2, n, False), mu, 1e-15)
         assert abs(t2l - t2r) < 1e-12
-        t3l = _theta_eval_raw(0, 0, n, False, mu - 1j, 1e-15)
-        t4 = _theta_eval_raw(0, F(1, 2), n, False, mu, 1e-15)
+        t3l = theta_eval(ThetaSpec(THETA3, n, False), mu - 1j, 1e-15)
+        t4 = theta_eval(ThetaSpec(THETA4, n, False), mu, 1e-15)
         assert abs(t3l - t4) < 1e-12
-        t4l = _theta_eval_raw(0, F(1, 2), n, False, mu - 1j, 1e-15)
-        t3 = _theta_eval_raw(0, 0, n, False, mu, 1e-15)
+        t4l = theta_eval(ThetaSpec(THETA4, n, False), mu - 1j, 1e-15)
+        t3 = theta_eval(ThetaSpec(THETA3, n, False), mu, 1e-15)
         assert abs(t4l - t3) < 1e-12
 
 
@@ -204,11 +284,11 @@ def test_classical_theta_inversion_laws():
     pairs = [(THETA2, THETA4), (THETA3, THETA3), (THETA4, THETA2)]
     for src, dst in pairs:
         for n in range(5):
-            lhs = _theta_eval_raw(src.p, src.q, n, False, 1 / mu, 1e-15)
+            lhs = theta_eval(ThetaSpec(src, n, False), 1 / mu, 1e-15)
             rhs = sum(
                 complex(c_const(j, 2 * n))
                 * mu ** (2 * n + 0.5 - j)
-                * _theta_eval_raw(dst.p, dst.q, n - j, False, mu, 1e-15)
+                * theta_eval(ThetaSpec(dst, n - j, False), mu, 1e-15)
                 for j in range(n + 1)
             )
             assert abs(lhs - rhs) < 1e-11 * (1 + abs(rhs))
@@ -247,24 +327,24 @@ def expected_dq_theta_valuation(p: Fraction, q: Fraction) -> Fraction | None:
 @pytest.mark.parametrize("p,q", SAMPLE_CHARS + [(F(1, 2), F(0)), (F(0), F(1, 2))])
 def test_valuations_match_closed_form(p, q):
     s = theta_series(ThetaSpec(Characteristics(p, q)), 6)
-    assert s.valuation_frac() == expected_theta_valuation(p)
+    assert F(s.valuation, s.exp_den) == expected_theta_valuation(p)
     d = theta_series(ThetaSpec(Characteristics(p, q), 0, True), 6)
     want = expected_dq_theta_valuation(p, q)
     if want is None:
         assert d.is_zero()
     else:
-        assert d.valuation_frac() == want
+        assert F(d.valuation, d.exp_den) == want
 
 
 def test_classical_valuations():
-    assert theta_series(ThetaSpec(THETA2), 6).valuation_frac() == F(1, 8)
-    assert theta_series(ThetaSpec(THETA3), 6).valuation_frac() == 0
-    assert theta_series(ThetaSpec(THETA4), 6).valuation_frac() == 0
+    for char, want in ((THETA2, F(1, 8)), (THETA3, 0), (THETA4, 0)):
+        s = theta_series(ThetaSpec(char), 6)
+        assert F(s.valuation, s.exp_den) == want
 
 
 def test_high_precision_eval_path():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        v = _theta_eval_raw(F(1, 3), F(1, 5), 1, True, mpmath.mpc("1.2"), 1e-25)
-        w = _theta_eval_raw(F(1, 3), F(1, 5), 1, True, 1.2, 1e-15)
+        v = theta_eval(ThetaSpec(Characteristics(F(1, 3), F(1, 5)), 1, True), mpmath.mpc("1.2"), 1e-25)
+        w = theta_eval(ThetaSpec(Characteristics(F(1, 3), F(1, 5)), 1, True), 1.2, 1e-15)
         assert abs(complex(v) - w) < 1e-12
