@@ -151,8 +151,11 @@ def cmd_theta(args) -> None:
     if args.series:
         _emit({"series": theta_series(spec, args.trunc).to_json()})
         return
+    # the lattice sum has period 2 dp^2 in Im mu; fmod is exact, so a huge
+    # |Im mu| keeps the digits of its phase (and |Im mu| < 2 is left as is)
+    mu_im = math.fmod(args.mu_im, 2 * char.p.denominator**2)
     with _domain_errors():
-        v = theta_eval(spec, complex(args.mu_re, args.mu_im), args.tol)
+        v = theta_eval(spec, complex(args.mu_re, mu_im), args.tol)
     _emit({"value": [v.real, v.imag]})
 
 

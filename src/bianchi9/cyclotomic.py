@@ -91,8 +91,16 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _padded(cls, order: int, coeffs: list) -> "Cyclotomic":
+        """An element from Fraction power-basis coefficients; reduced only if longer than phi(order)."""
+        phi = euler_phi(order)
+        if len(coeffs) > phi:
+            return cls(order, coeffs)
+        return cls._from_reduced(order, tuple(coeffs) + (Fraction(0),) * (phi - len(coeffs)))
+
+    @classmethod
     def zero(cls, order: int = 4) -> "Cyclotomic":
-        return cls(order, [])
+        return cls._padded(order, [])
 
     @classmethod
     def one(cls, order: int = 4) -> "Cyclotomic":
@@ -100,14 +108,13 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, x, order: int = 4) -> "Cyclotomic":
-        return cls(order, [Fraction(x)])
+        return cls._padded(order, [Fraction(x)])
 
     @classmethod
     def root(cls, order: int, k: int) -> "Cyclotomic":
         """zeta_order^k, reduced."""
         k %= order
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        return cls(order, coeffs)
+        return cls._padded(order, [Fraction(0)] * k + [Fraction(1)])
 
     @classmethod
     def from_turns(cls, turns: Fraction, order: int) -> "Cyclotomic":
@@ -149,7 +156,7 @@ class Cyclotomic:
         out = [Fraction(0)] * min(order, k * (len(self.coeffs) - 1) + 1)
         for j, c in enumerate(self.coeffs):
             out[j * k % order] = c
-        return Cyclotomic(order, out)
+        return Cyclotomic._padded(order, out)
 
     # -- arithmetic ---------------------------------------------------
 

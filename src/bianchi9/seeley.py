@@ -7,18 +7,22 @@ grade bookkeeping pi^{2n-3} Lambda^{n-2}) and numeric jets (Lambda set to 1).
 
 Orbit sums collapse the cyclotomic phases: summed over a full PSL2(Z) orbit
 of parameter points the series has rational coefficients at integer powers of
-Q only; ``orbit_sum`` verifies this exactly and down-converts.
+Q only; ``orbit_sum`` verifies this exactly and down-converts.  It builds one
+frame per class of points whose series are Galois images of each other.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .instanton import InstantonFrame, TwoParamPoint, frame_two_param_series
 from .jets import Jet
 from .series import Grade, PuiseuxSeries
 from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS
+from .theta import Characteristics, cyclotomic_order
 
 
 @dataclass(frozen=True)
@@ -142,32 +146,53 @@ def coefficient(frame: InstantonFrame, index: CoeffIndex) -> CoeffResult:
     return _COEFF_FUNCS[index.n](frame)
 
 
+def _unit_taking(q: Fraction, target: Fraction, n: int) -> int:
+    """The least unit k mod n with k q = target (mod 1); q and target share a denominator dividing n."""
+    d = q.denominator
+    k = target.numerator * pow(q.numerator, -1, d) % d
+    while math.gcd(k, n) != 1:
+        k += d
+    return k
+
+
 def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
     """Exact sum of the coefficient series over all points of an orbit.
 
     The sum must come out with rational coefficients at integer exponents
     only; anything else signals a bug and raises.  The result is returned on
     the integer exponent grid.  ``orbit`` is an ``Orbit`` or a list of
-    ``TwoParamPoint``.  The result's ``trunc`` is the horizon actually known,
-    which is at least the requested ``trunc`` and often beyond it.
+    ``TwoParamPoint``; every point in the list counts once, so a partial or
+    reordered list gives the plain sum over its points.  The result's
+    ``trunc`` is the horizon actually known, which is at least the requested
+    ``trunc`` and often beyond it.
+
+    One frame is built per class of points, not per point.  Two exact rules
+    relate the series of the points of a class:
+
+    * a_{2n}[p,q] = a_{2n}[-p,-q]: under (p,q) -> (-p,-q) the frame maps to
+      (-w1, w2, -w3, F), and every table monomial has even total degree in
+      the (w1, w3) block;
+    * sigma_k (zeta_N -> zeta_N^k, k a unit mod N) maps a_{2n}[p,q] to
+      a_{2n}[p,kq].
+
+    So the point (s p, q') with s = +-1 has the series sigma_k of a_{2n}[p,q]
+    for k q = s q' (mod 1).  A class holds every point with the same
+    {p, -p mod 1} and the same denominator of q; its first point met is the
+    one whose frame is built.
     """
     points = getattr(orbit, "points", orbit)
-    # a_{2n}[p,q] = a_{2n}[-p,-q] exactly: under (p,q) -> (-p,-q) the frame
-    # maps to (-w1, w2, -w3, F) and every table monomial has even total degree
-    # in the (w1, w3) block, so conjugate pairs contribute identical series.
-    todo: dict[TwoParamPoint, int] = {}
+    classes: dict[tuple, tuple[TwoParamPoint, Counter]] = {}  # key -> (first point, {k: multiplicity})
     for pt in points:
-        partner = TwoParamPoint(-pt.p, -pt.q)
-        if partner in todo and partner != pt:
-            todo[partner] += 1
-        else:
-            todo[pt] = todo.get(pt, 0) + 1
+        rep, units = classes.setdefault((min(pt.p, -pt.p % 1), pt.q.denominator), (pt, Counter()))
+        target = pt.q if pt.p == rep.p else -pt.q % 1
+        units[_unit_taking(rep.q, target, cyclotomic_order(Characteristics(rep.p, rep.q)))] += 1
     total = None
-    for pt, mult in todo.items():
-        frame = frame_two_param_series(pt, trunc)
-        res = coefficient(frame, index)
-        contrib = res.representation if mult == 1 else res.representation * mult
-        total = contrib if total is None else total + contrib
+    for rep, units in classes.values():
+        series = coefficient(frame_two_param_series(rep, trunc), index).representation
+        for k, mult in units.items():
+            contrib = series if k == 1 else series.galois(k)
+            contrib = contrib if mult == 1 else contrib * mult
+            total = contrib if total is None else total + contrib
     # sorted, so that float evaluation sums the terms in one order whether the
     # series is fresh or read back from JSON
     rational = {}

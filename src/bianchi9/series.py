@@ -123,7 +123,10 @@ class PuiseuxSeries:
         a, b = self._aligned(self, other)
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            terms[e] = terms.get(e, Cyclotomic.zero()) + c
+            old = terms.get(e)
+            # a term of b alone goes where a sum with Cyclotomic.zero() would:
+            # into Q(zeta_lcm(4, N)), since rationals are stored at order 4
+            terms[e] = c.embed(math.lcm(4, c.order)) if old is None else old + c
         if a.trunc is None:
             t = b.trunc
         elif b.trunc is None:
@@ -174,6 +177,11 @@ class PuiseuxSeries:
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return self.scale(_as_cyc(1) / _as_cyc(other))
         return self * other.invert()
+
+    def galois(self, k: int) -> "PuiseuxSeries":
+        """sigma_k on every coefficient: zeta_N -> zeta_N^k; k must be a unit mod each order N."""
+        terms = {e: c._power_map(k % c.order, c.order) for e, c in self.terms.items()}
+        return PuiseuxSeries(self.exp_den, terms, self.trunc, self.grade)
 
     def mu_derivative(self) -> "PuiseuxSeries":
         return series_mu_derivative(self)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,19 @@ def test_theta_reduces_characteristics_mod_1(capsys, extra):
         cli.main(["theta", "--p", p, "--q", q, *extra])
         outs.append(capsys.readouterr().out)
     assert outs[0].endswith("\n") and outs[1:] == outs[:1] * 2
+
+
+@pytest.mark.parametrize("mu_im", ("1e300", "18.3"))
+def test_theta_reduces_mu_im_mod_its_period(capsys, mu_im):
+    """At p = 1/3 the lattice sum has period 2 * 3^2 = 18 in Im mu."""
+    outs = []
+    for im in (mu_im, repr(math.fmod(float(mu_im), 18)), "0.3"):
+        cli.main(["theta", "--p", "4/3", "--q", "1/5", "--mu-re", "1.0", "--mu-im", im])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    if mu_im == "18.3":
+        # 18.3 - 18 is 0.3 + 7e-16, so the phase keeps nearly every digit
+        assert json.loads(outs[0])["value"] == pytest.approx(json.loads(outs[2])["value"], abs=1e-13)
 
 
 def test_theta_invalid_order():

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bianchi9 import seeley
 from bianchi9.instanton import InstantonFrame, TwoParamPoint, frame_two_param_jet, frame_two_param_series
 from bianchi9.jets import Jet
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
@@ -17,6 +22,7 @@ from bianchi9.seeley_terms import (
     table_checksum,
 )
 from bianchi9.series import Grade
+from bianchi9.theta import Characteristics, cyclotomic_order
 
 F = Fraction
 
@@ -95,19 +101,78 @@ def test_jet_frame_too_shallow_raises():
         a4(fr)
 
 
-def test_orbit_sum_matches_pointwise_sum(orbit_sixth):
-    """The conjugate-pair shortcut equals the plain sum over every point."""
-    trunc = 3
-    idx = CoeffIndex(0)
-    direct = None
-    for pt in orbit_sixth.points:
-        fr = frame_two_param_series(TwoParamPoint(pt.p, pt.q), trunc)
-        contrib = coefficient(fr, idx).representation
-        direct = contrib if direct is None else direct + contrib
-    summed = orbit_sum(orbit_sixth, idx, trunc).representation
-    for e, c in summed.terms.items():
-        assert direct.coefficient(F(e, summed.exp_den)) == c
-    assert summed.as_q_expansion()  # integer grid, rational coefficients
+def _pointwise(points, n, trunc, cache):
+    """The plain sum of the coefficient series over the points, on the integer grid."""
+    total = None
+    for pt in points:
+        if pt not in cache:
+            cache[pt] = coefficient(frame_two_param_series(pt, trunc), CoeffIndex(n)).representation
+        total = cache[pt] if total is None else total + cache[pt]
+    horizon = total.trunc // total.exp_den
+    return {e: c for e, c in total.as_q_expansion().items() if e < horizon}, horizon, total.grade
+
+
+def _lists(points):
+    """Lists whose sums are rational: the orbit shuffled, the first point met
+    of each pair (p, q), (-p, -q) (half the orbit sum), and the orbit with its
+    p = 1/2 points repeated."""
+    shuffled = random.Random(1).sample(points, len(points))
+    first_of_pair = {}
+    for pt in shuffled:
+        first_of_pair.setdefault(min(pt, TwoParamPoint(-pt.p, -pt.q)), pt)
+    return shuffled, list(first_of_pair.values()), shuffled + [pt for pt in points if pt.p == F(1, 2)]
+
+
+def test_orbit_sum_matches_pointwise_sum(orbit_sixth, orbit_third):
+    """One frame per Galois class gives the plain sum over every point of the list."""
+    cases = ((orbit_sixth, 0, 3), (orbit_sixth, 1, 3), (orbit_sixth, 2, 1), (orbit_third, 0, 3), (orbit_third, 1, 3))
+    for orb, n, trunc in cases:
+        cache = {}
+        lists = _lists(list(orb.points))
+        for points in lists[:1] if n == 2 else lists:  # a4 costs about a second per point even at trunc 1
+            summed = orbit_sum(points, CoeffIndex(n), trunc).representation
+            assert (summed.as_q_expansion(), summed.trunc, summed.grade) == _pointwise(points, n, trunc, cache)
+
+
+@pytest.mark.parametrize(("name", "frames"), [("sixth", 3), ("third", 9)])
+def test_orbit_sum_builds_one_frame_per_class(monkeypatch, orbit_sixth, orbit_third, name, frames):
+    points = list({"sixth": orbit_sixth, "third": orbit_third}[name].points)
+    built = []
+
+    def counting(pt, trunc):
+        built.append(pt)
+        return frame_two_param_series(pt, trunc)
+
+    monkeypatch.setattr(seeley, "frame_two_param_series", counting)
+    rng = random.Random(2)
+    for order in (points, points[::-1], rng.sample(points, len(points))):
+        built.clear()
+        orbit_sum(order, CoeffIndex(0), 1)
+        assert len(built) == frames and built[0] == order[0]
+
+
+_SMALL_POINTS = st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(1, 6), st.integers(0, 5))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_SMALL_POINTS, st.integers(0, 10**6), st.sampled_from((0, 1)), st.integers(0, 2))
+def test_galois_image_is_the_series_at_k_q(pq, pick, n, trunc):
+    """sigma_k maps a_2n[p, q] to a_2n[p, k q] for every unit k mod N."""
+    dp, a, dq, b = pq
+    pt = TwoParamPoint(F(a % dp, dp), F(b % dq, dq))
+    assume(not pt.is_degenerate() and pt != TwoParamPoint(F(1, 2), F(1, 2)))  # theta_1 vanishes identically
+    big_n = cyclotomic_order(Characteristics(pt.p, pt.q))
+    units = [k for k in range(1, big_n) if math.gcd(k, big_n) == 1]
+    k = units[pick % len(units)]
+    image = coefficient(frame_two_param_series(pt, trunc), CoeffIndex(n)).representation.galois(k)
+    at_kq = coefficient(frame_two_param_series(TwoParamPoint(pt.p, k * pt.q), trunc), CoeffIndex(n))
+    assert image.to_json() == at_kq.representation.to_json()
+
+
+def test_galois_image_of_a4():
+    """sigma_5 of a4 at (1/6, 1/6), where N = 36, is a4 at (1/6, 5/6)."""
+    image = a4(frame_two_param_series(TwoParamPoint(F(1, 6), F(1, 6)), 1)).representation.galois(5)
+    assert image.to_json() == a4(frame_two_param_series(TwoParamPoint(F(1, 6), F(5, 6)), 1)).representation.to_json()
 
 
 @pytest.mark.parametrize("n", (0, 1))
