@@ -2,7 +2,8 @@
 
 Subcommands: theta, orbit, coeff, identify, check.  All results go to stdout
 as a single JSON document; logs go to stderr.  Rationals are "num/den"
-strings end to end.  Exit codes: 2 invalid parameters, 3 domain errors,
+strings end to end.  Exit codes: 2 invalid parameters (argparse's own
+code: every option is validated by its type or choices), 3 domain errors,
 4 identification failure, 5 exceptional orbit.
 """
 
@@ -34,17 +35,17 @@ log = logging.getLogger("bianchi9")
 # convention must invalidate old cache entries
 NOME_TAG = "Q=exp(-2*pi*mu)"
 
-EXIT_INVALID = 2
 EXIT_DOMAIN = 3
 EXIT_IDENTIFY = 4
 EXIT_EXCEPTIONAL = 5
 
 
 def _rational(text: str) -> Fraction:
+    """Argparse type for an exact rational such as ``1/3`` or ``0``."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(EXIT_INVALID) from exc
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
 def _int_at_least(low: int):
@@ -144,9 +145,7 @@ def cache_write(path: Path, doc: dict) -> None:
 
 def cmd_theta(args) -> None:
     # reduced mod 1: the printed value and series belong to [p mod 1, q mod 1]
-    char = Characteristics(_rational(args.p) % 1, _rational(args.q) % 1)
-    if args.n < 0 or args.n > 4:
-        raise SystemExit(EXIT_INVALID)
+    char = Characteristics(args.p % 1, args.q % 1)
     spec = ThetaSpec(char, args.n, args.dq)
     if args.series:
         _emit({"series": theta_series(spec, args.trunc).to_json()})
@@ -160,7 +159,7 @@ def cmd_theta(args) -> None:
 
 
 def _orbit_or_exit(args) -> modular.Orbit:
-    orb = modular.orbit(_rational(args.p), _rational(args.q))
+    orb = modular.orbit(args.p, args.q)
     try:
         budget = modular.valence_budget(orb)
     except ExceptionalOrbitError as exc:
@@ -222,9 +221,6 @@ def cmd_coeff(args) -> None:
 
 
 def cmd_identify(args) -> None:
-    if args.trunc < 3:
-        log.error("identification needs trunc >= 3")
-        raise SystemExit(EXIT_INVALID)
     orb = _orbit_or_exit(args)
     index = CoeffIndex(args.order // 2)
     result = _orbit_sum_cached(args, orb, index, store=False)
@@ -247,7 +243,7 @@ def cmd_check(args) -> None:
     if args.subject == "dirac":
         from .dirac import dtilde_sq_crosscheck  # imports numpy, which only this check needs
 
-        pt = TwoParamPoint(_rational(args.p), _rational(args.q))
+        pt = TwoParamPoint(args.p, args.q)
         mu = complex(args.mu_re, args.mu_im)
         import random
 
@@ -292,15 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, trunc=True):
-        sp.add_argument("--p", required=True)
-        sp.add_argument("--q", required=True)
-        if trunc:
-            sp.add_argument("--trunc", type=_int_at_least(0), default=6)
+    def common(sp, least_trunc=0):
+        """--p and --q, and --trunc unless least_trunc is None."""
+        sp.add_argument("--p", type=_rational, required=True)
+        sp.add_argument("--q", type=_rational, required=True)
+        if least_trunc is not None:
+            sp.add_argument("--trunc", type=_int_at_least(least_trunc), default=6)
 
     t = sub.add_parser("theta", help="theta function value or nome series")
     common(t)
-    t.add_argument("--n", type=int, default=0, help="mu-derivative order")
+    t.add_argument("--n", type=int, default=0, choices=range(5), help="mu-derivative order")
     t.add_argument("--dq", action="store_true", help="apply the q-derivative")
     t.add_argument("--series", action="store_true")
     t.add_argument("--mu-re", type=_finite_float, default=1.0)
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_theta)
 
     o = sub.add_parser("orbit", help="enumerate the orbit of a parameter point")
-    common(o, trunc=False)
+    common(o, least_trunc=None)
     o.set_defaults(func=cmd_orbit)
 
     c = sub.add_parser("coeff", help="exact orbit-sum heat coefficient series")
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_coeff)
 
     i = sub.add_parser("identify", help="match an orbit sum against modular forms")
-    common(i)
+    common(i, least_trunc=3)
     i.add_argument("--order", type=int, required=True, choices=(0, 2, 4))
     i.set_defaults(func=cmd_identify)
 

@@ -60,7 +60,12 @@ def _divmod_phi(a, n: int, zero) -> tuple[list, list]:
     return a[:phi] + [zero] * (phi - len(a)), a[phi:]
 
 
-def _reduce(n: int, coeffs: list, zero=Fraction(0)) -> list:
+# one shared zero: a zero coefficient costs no Fraction of its own, and a
+# scaled series keeps no zero of the operand it was made from alive
+_ZERO = Fraction(0)
+
+
+def _reduce(n: int, coeffs: list, zero=_ZERO) -> list:
     """Reduce a coefficient list of any length modulo Phi_N; pad to phi(N) with zero."""
     return _divmod_phi(coeffs, n, zero)[0]
 
@@ -86,7 +91,7 @@ class Cyclotomic:
     @classmethod
     def from_int_coeffs(cls, order: int, coeffs: list[int], den: int) -> "Cyclotomic":
         """Fast path: integer power-basis coefficients over a common denominator."""
-        return cls._from_reduced(order, tuple(Fraction(c, den) for c in _reduce(order, coeffs, 0)))
+        return cls._from_reduced(order, tuple(Fraction(c, den) if c else _ZERO for c in _reduce(order, coeffs, 0)))
 
     # -- constructors -------------------------------------------------
 
@@ -123,12 +128,6 @@ class Cyclotomic:
         if order % turns.denominator != 0:
             raise ValueError(f"denominator of {turns} does not divide order {order}")
         return cls.root(order, int(turns * order))
-
-    @classmethod
-    def i(cls, order: int = 4) -> "Cyclotomic":
-        if order % 4 != 0:
-            raise ValueError("order must be divisible by 4 to represent i")
-        return cls.root(order, order // 4)
 
     # -- structure ----------------------------------------------------
 
@@ -188,7 +187,7 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic._from_reduced(self.order, tuple(c * other for c in self.coeffs))
+            return Cyclotomic._from_reduced(self.order, tuple(c * other if c else c for c in self.coeffs))
         a, b = self._common(self, other)
         phi = euler_phi(a.order)
         prod = [Fraction(0)] * (2 * phi - 1)
@@ -225,11 +224,6 @@ class Cyclotomic:
             return NotImplemented
         a, b = self._common(self, other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
 
     def __complex__(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)

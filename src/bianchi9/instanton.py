@@ -38,6 +38,7 @@ DEGENERATE = {
     (Fraction(0), Fraction(0)),
     (Fraction(0), Fraction(1, 2)),
     (Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2)),  # theta[1/2, 1/2] = theta_1 vanishes identically
 }
 
 
@@ -94,8 +95,8 @@ def _derivative_tower(series: PuiseuxSeries, order: int) -> list[PuiseuxSeries]:
     return tower
 
 
-def frame_two_param_series(pt: TwoParamPoint, trunc: int, order: int = 4) -> InstantonFrame:
-    """Exact series frame; w_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
+def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
+    """Exact series frame to mu-derivative order 4; w_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
@@ -111,19 +112,18 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int, order: int = 4) -> Ins
     dtpq = th(Characteristics(p, q), True)
     inv_tpq = tpq.invert()
     n = cyclotomic_order(Characteristics(p, q))
-    i_unit = Cyclotomic.i(n)
-    e_pip = Cyclotomic.from_turns(Fraction(p, 2) % 1, n)  # e^{i pi p}
+    phase = Cyclotomic.from_turns((Fraction(1, 4) - p / 2) % 1, n) / 2  # i / (2 e^{i pi p})
     # q + 1/2 may pass 1; theta_series then carries the phase e^{2 pi i p} itself
-    w1 = (th3 * th4 * th(Characteristics(p, q + half), True) * inv_tpq).scale(-i_unit / (2 * e_pip))
-    w2 = (th2 * th4 * th(Characteristics(p + half, q + half), True) * inv_tpq).scale(i_unit / (2 * e_pip))
+    w1 = (th3 * th4 * th(Characteristics(p, q + half), True) * inv_tpq).scale(-phase)
+    w2 = (th2 * th4 * th(Characteristics(p + half, q + half), True) * inv_tpq).scale(phase)
     w3 = (th2 * th3 * th(Characteristics(p + half, q), True) * inv_tpq).scale(Fraction(-1, 2))
     F = (tpq * dtpq.invert()) ** 2
     F = F.scale(2, dpi=-1, dlam=-1)
     for w in (w1, w2, w3):
         assert w.grade == Grade(1, 0)
     assert F.grade == Grade(-3, -1)
-    ws = tuple(_derivative_tower(w, order) for w in (w1, w2, w3))
-    return InstantonFrame("series", ws, _derivative_tower(F, order))
+    ws = tuple(_derivative_tower(w, 4) for w in (w1, w2, w3))
+    return InstantonFrame("series", ws, _derivative_tower(F, 4))
 
 
 def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, order: int = 4) -> InstantonFrame:

@@ -62,15 +62,9 @@ def orbit(p, q) -> Orbit:
     return Orbit(pts, len(pts), n0)
 
 
-_EXCEPTIONAL = (
-    frozenset({(Fraction(1, 2), Fraction(1, 2))}),
-    frozenset({(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))}),
-)
-
-
 def is_exceptional(orb: Orbit) -> bool:
-    key = frozenset((pt.p, pt.q) for pt in orb.points)
-    return key in _EXCEPTIONAL
+    """Whether the orbit holds degenerate points: {(1/2,1/2)} or {(0,0), (1/2,0), (0,1/2)}."""
+    return any(pt.is_degenerate() for pt in orb.points)
 
 
 def valence_budget(orb: Orbit) -> Fraction:
@@ -153,7 +147,6 @@ def classical_series(kind: str, trunc: int) -> PuiseuxSeries:
 @dataclass(frozen=True)
 class IdentificationResult:
     multiplier: tuple[int, int, int]  # exponents of Delta, E4, E6
-    target_space: str
     target: str
     constant: Fraction
     grade: Grade
@@ -249,7 +242,6 @@ def identify(result, orb: Orbit) -> IdentificationResult:
             g14 = eisenstein_constant(14)
             return IdentificationResult(
                 (a, b, c),
-                "weight 14 Eisenstein (dim 1)",
                 "G14/Delta",
                 r / g14,
                 grade + Grade(pi_exp=-14),
@@ -259,14 +251,13 @@ def identify(result, orb: Orbit) -> IdentificationResult:
             g4, g6 = eisenstein_constant(4), eisenstein_constant(6)
             return IdentificationResult(
                 (a, b, c),
-                "weight 18 cusp (dim 1)",
                 "Delta*G6/G4^4",
                 r * g4**4 / g6,
                 grade + Grade(pi_exp=10),
                 orb,
             )
         space = f"weight {weight} {'cusp' if cusp else 'Eisenstein'} (dim 1)"
-        return IdentificationResult((a, b, c), space, space, r, grade, orb)
+        return IdentificationResult((a, b, c), space, r, grade, orb)
     raise IdentificationError("no identification within the bounded multiplier search")
 
 

@@ -193,17 +193,9 @@ def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
             contrib = series if k == 1 else series.galois(k)
             contrib = contrib if mult == 1 else contrib * mult
             total = contrib if total is None else total + contrib
-    # sorted, so that float evaluation sums the terms in one order whether the
-    # series is fresh or read back from JSON
-    rational = {}
-    for e, c in sorted(total.terms.items()):
-        if not c.is_rational():
-            raise ValueError(f"orbit sum left a non-rational coefficient at exponent {e}/{total.exp_den}: {c!r}")
-        if e % total.exp_den != 0:
-            raise ValueError(f"orbit sum left a non-integer exponent {e}/{total.exp_den}")
-        rational[e // total.exp_den] = c.as_rational()
+    # the rational view is sorted, so that float evaluation sums the terms in
+    # one order whether the series is fresh or read back from JSON
     t = total.trunc
     if t is not None:
         t = t // total.exp_den  # floor: integer horizon
-    series = PuiseuxSeries(1, rational, t, total.grade)
-    return CoeffResult(index, series)
+    return CoeffResult(index, PuiseuxSeries(1, total.as_q_expansion(), t, total.grade))

@@ -11,6 +11,7 @@ times cyclotomic power basis) is packed into one big-integer multiply.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,16 +85,6 @@ class PuiseuxSeries:
     def trunc_frac(self) -> Fraction | None:
         return None if self.trunc is None else Fraction(self.trunc, self.exp_den)
 
-    def coefficient(self, exponent) -> Cyclotomic:
-        """Coefficient of Q^exponent (a Fraction); errors past the horizon."""
-        exponent = Fraction(exponent)
-        e = exponent * self.exp_den
-        if self.trunc is not None and exponent >= self.trunc_frac():
-            raise ValueError(f"exponent {exponent} is beyond the truncation horizon")
-        if e.denominator != 1:
-            return Cyclotomic.zero()
-        return self.terms.get(int(e), Cyclotomic.zero())
-
     def rescale(self, exp_den: int) -> "PuiseuxSeries":
         """Re-express on a finer exponent grid (exp_den must be a multiple)."""
         if exp_den == self.exp_den:
@@ -146,12 +137,12 @@ class PuiseuxSeries:
         return self + (-other)
 
     def scale(self, value, dpi: int = 0, dlam: int = 0) -> "PuiseuxSeries":
-        """Multiply by a scalar, optionally shifting the grade."""
-        c = _as_cyc(value)
+        """Multiply by a scalar as given, optionally shifting the grade.
+
+        A rational stays a rational, so it takes Cyclotomic's scalar product.
+        """
         g = self.grade + Grade(dpi, dlam)
-        if c.is_zero():
-            return PuiseuxSeries(self.exp_den, {}, self.trunc, g)
-        return PuiseuxSeries(self.exp_den, {e: v * c for e, v in self.terms.items()}, self.trunc, g)
+        return PuiseuxSeries(self.exp_den, {e: v * value for e, v in self.terms.items()}, self.trunc, g)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -174,8 +165,10 @@ class PuiseuxSeries:
         return series_invert(self)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self.scale(_as_cyc(1) / _as_cyc(other))
+        if isinstance(other, Cyclotomic):
+            return self.scale(other.inverse())
+        if isinstance(other, (int, Fraction)):
+            return self.scale(Fraction(1, other))
         return self * other.invert()
 
     def galois(self, k: int) -> "PuiseuxSeries":
@@ -184,7 +177,10 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.exp_den, terms, self.trunc, self.grade)
 
     def mu_derivative(self) -> "PuiseuxSeries":
-        return series_mu_derivative(self)
+        """d/dmu, using Q = e^{-2 pi mu}: each term picks up -2 pi e/D."""
+        d = self.exp_den
+        terms = {e: c * Fraction(-2 * e, d) for e, c in self.terms.items()}
+        return PuiseuxSeries(d, terms, self.trunc, self.grade + Grade(pi_exp=1))
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -204,28 +200,26 @@ class PuiseuxSeries:
 
     # -- numerics -----------------------------------------------------
 
-    def evaluate(self, q: complex, lam: float = 1.0) -> complex:
-        """Numeric value at nome q, including the pi/Lambda prefactor."""
+    def evaluate_mu(self, mu: complex) -> complex:
+        """Numeric value at mu, with Q = e^{-2 pi mu}, the pi prefactor and Lambda = 1."""
+        q = cmath.exp(-2 * cmath.pi * mu)
         acc = 0j
         for e, c in self.terms.items():
             acc += complex(c) * q ** (e / self.exp_den)
-        return acc * math.pi**self.grade.pi_exp * lam**self.grade.lambda_exp
-
-    def evaluate_mu(self, mu: complex, lam: float = 1.0) -> complex:
-        import cmath
-
-        return self.evaluate(cmath.exp(-2 * cmath.pi * mu), lam)
+        return acc * math.pi**self.grade.pi_exp
 
     # -- rational views and serialization -----------------------------
 
     def as_q_expansion(self) -> dict[int, Fraction]:
-        """Integer-exponent rational view; errors if the series is not one."""
+        """Integer-exponent rational view in increasing exponent; an error names the first term not of that form."""
         out = {}
-        for e, c in self.terms.items():
-            r = c.as_rational()  # raises if any coefficient is irrational
+        for e in sorted(self.terms):
+            c = self.terms[e]
+            if not c.is_rational():
+                raise ValueError(f"non-rational coefficient at exponent {e}/{self.exp_den}: {c!r}")
             if e % self.exp_den != 0:
-                raise ValueError(f"non-integer exponent {Fraction(e, self.exp_den)} present")
-            out[e // self.exp_den] = r
+                raise ValueError(f"non-integer exponent {e}/{self.exp_den}")
+            out[e // self.exp_den] = c.as_rational()
         return out
 
     def to_json(self) -> dict:
@@ -397,10 +391,3 @@ def series_invert(a: PuiseuxSeries) -> PuiseuxSeries:
         step = x - x * (head * x - 1)  # known to relative order n
         x = PuiseuxSeries(a.exp_den, step.terms, None, x.grade)
     return PuiseuxSeries(a.exp_den, x.terms, a.trunc - 2 * v, x.grade)
-
-
-def series_mu_derivative(a: PuiseuxSeries) -> PuiseuxSeries:
-    """d/dmu, using Q = e^{-2 pi mu}: each term picks up -2 pi e/D."""
-    d = a.exp_den
-    terms = {e: c * Fraction(-2 * e, d) for e, c in a.terms.items()}
-    return PuiseuxSeries(d, terms, a.trunc, a.grade + Grade(pi_exp=1))

@@ -82,14 +82,14 @@ def theta_series(spec: ThetaSpec, trunc: int) -> PuiseuxSeries:
         e = k * k
         if e >= trunc * exp_den:
             continue
-        coeff = Cyclotomic.from_turns((mp * q) % 1, order)
+        turns = mp * q
         if spec.q_deriv:
-            # 2 i (-1)^n (m+p)^{2n+1}; the pi^{n+1} lives in the grade
+            # 2 i (-1)^n (m+p)^{2n+1}: the i is a quarter turn, the pi^{n+1} lives in the grade
+            turns += Fraction(1, 4)
             factor = 2 * Fraction((-1) ** n) * mp ** (2 * n + 1)
-            coeff = coeff * Cyclotomic.i(order)
         else:
             factor = Fraction((-1) ** n) * mp ** (2 * n)
-        coeff = coeff * factor
+        coeff = Cyclotomic.from_turns(turns % 1, order) * factor
         if not coeff.is_zero():
             terms[e] = terms.get(e, Cyclotomic.zero(order)) + coeff
     grade = Grade(pi_exp=n + (1 if spec.q_deriv else 0))

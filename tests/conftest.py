@@ -1,13 +1,9 @@
-import os
-import sys
 from fractions import Fraction
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from bianchi9 import modular  # noqa: E402
-from bianchi9.seeley import CoeffIndex, orbit_sum  # noqa: E402
+from bianchi9 import modular
+from bianchi9.seeley import CoeffIndex, orbit_sum
 
 
 @pytest.fixture(scope="session")

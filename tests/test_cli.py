@@ -63,16 +63,21 @@ def test_theta_reduces_mu_im_mod_its_period(capsys, mu_im):
         assert json.loads(outs[0])["value"] == pytest.approx(json.loads(outs[2])["value"], abs=1e-13)
 
 
-def test_theta_invalid_order():
+def test_theta_invalid_order(capsys):
     assert _exit_code("theta", "--p", "0", "--q", "0", "--n", "7") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --n: invalid choice: 7" in err
 
 
 def test_theta_domain_error():
     assert _exit_code("theta", "--p", "0", "--q", "0", "--mu-re", "-1.0") == 3
 
 
-def test_invalid_rational():
-    assert _exit_code("orbit", "--p", "zebra", "--q", "0") == 2
+def test_invalid_rational(capsys):
+    for argv, option in ((("orbit", "--p", "zebra", "--q", "0"), "--p"), (("theta", "--p", "0", "--q", "1/0"), "--q")):
+        assert _exit_code(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {option}: not a rational number" in err
 
 
 def test_orbit_output(capsys):
@@ -201,10 +206,34 @@ def test_check_crossval(capsys):
         (("check", "dirac", "--p", "1/6", "--q", "5/6", "--tol", "-1"), 2),
         (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--tol", "0"), 2),
         (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--tol", "-1"), 2),
+        # theta[1/2, 1/2] = theta_1 vanishes identically: a degenerate parameter point
+        (("check", "dirac", "--p", "1/2", "--q", "1/2"), 3),
     ],
 )
 def test_bad_input_exit_codes(argv, code):
     assert _exit_code(*argv) == code
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CLI_REFS = json.loads((PERFBENCH / "refs.json").read_text())["cli"]
+
+
+def _benchmark_cli_requests() -> dict:
+    """{reference key: CLI arguments} of the stored benchmark requests (perfbench/workloads.py)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+
+        return workloads.referenced_cli()
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("key", sorted(CLI_REFS))
+def test_cli_stdout_matches_benchmark_reference(tmp_path, capsys, key):
+    """The stdout bytes the benchmark stores for each CLI request, from an empty cache."""
+    cli.main(["--cache-dir", str(tmp_path)] + _benchmark_cli_requests()[key])
+    assert capsys.readouterr().out == CLI_REFS[key]
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -15,7 +15,7 @@ F = Fraction
 
 
 def test_roots_of_unity_basics():
-    i = Cyclotomic.i()
+    i = Cyclotomic.from_turns(F(1, 4), 4)
     assert i * i == F(-1)
     z8 = Cyclotomic.root(8, 1)
     acc = Cyclotomic.one(8)
@@ -42,10 +42,27 @@ def test_primitive_root_sums_vanish():
 
 
 def test_from_turns():
-    assert Cyclotomic.from_turns(F(1, 4), 12) == Cyclotomic.i(12)
+    assert Cyclotomic.from_turns(F(1, 4), 12) == Cyclotomic.root(12, 3)
     assert Cyclotomic.from_turns(F(1, 2), 4) == F(-1)
     with pytest.raises(ValueError):
         Cyclotomic.from_turns(F(1, 5), 12)
+
+
+def test_equal_across_orders_and_unhashable():
+    """i at order 4 is zeta_8^2 at order 8; with no hash, no dict or set can split equal keys."""
+    i4, i8 = Cyclotomic.from_turns(F(1, 4), 4), Cyclotomic.root(8, 2)
+    assert i4 == i8 and Cyclotomic.from_rational(F(2), 4) == Cyclotomic.from_rational(F(2), 12)
+    with pytest.raises(TypeError):
+        hash(i4)
+    with pytest.raises(TypeError):
+        {i4, i8}
+
+
+def test_zero_coefficients_share_one_fraction():
+    """Zeros of packed products and of rational scalings are one object, so a scaled series keeps none of its operand's."""
+    x = Cyclotomic.from_int_coeffs(12, [0, 3, 0, 5, 0, 0], 2)
+    zeros = [c for c in x.coeffs + (x * F(2, 3)).coeffs + (x * 3).coeffs if c == 0]
+    assert len(zeros) >= 3 and all(z is zeros[0] for z in zeros)
 
 
 def test_embed_round_trip():

@@ -39,10 +39,11 @@ def _cascade(target, n: int, sign0: int, mu: complex) -> complex:
 
 
 def test_degenerate_points_rejected():
-    for p, q in ((0, 0), (0, F(1, 2)), (F(1, 2), 0)):
-        with pytest.raises(ValueError):
+    """theta[p, q] or the q-derivative it is divided by vanishes identically."""
+    for p, q in ((0, 0), (0, F(1, 2)), (F(1, 2), 0), (F(1, 2), F(1, 2))):
+        with pytest.raises(ValueError, match="degenerate parameter point"):
             frame_two_param_jet(TwoParamPoint(p, q), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degenerate parameter point"):
             frame_two_param_series(TwoParamPoint(p, q), 4)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bianchi9 import modular
+from bianchi9.instanton import DEGENERATE
 from bianchi9.modular import (
     ExceptionalOrbitError,
     OrbitPoint,
@@ -70,6 +71,17 @@ def test_exceptional_orbits_refused():
     for p, q in ((F(1, 2), F(1, 2)), (F(0), F(0))):
         with pytest.raises(ExceptionalOrbitError):
             valence_budget(modular.orbit(p, q))
+
+
+def test_exceptional_orbits_are_the_orbits_of_the_degenerate_points():
+    orbits = {modular.orbit(p, q).points for p, q in DEGENERATE}
+    assert {frozenset((pt.p, pt.q) for pt in pts) for pts in orbits} == {
+        frozenset({(F(1, 2), F(1, 2))}),
+        frozenset({(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2))}),
+    }
+    assert all(modular.is_exceptional(modular.orbit(p, q)) for p, q in DEGENERATE)
+    for p, q in ((F(1, 6), F(5, 6)), (F(0), F(1, 3)), (F(1, 2), F(1, 6)), (F(1, 3), F(1, 5))):
+        assert not modular.is_exceptional(modular.orbit(p, q))
 
 
 def test_bernoulli_values():

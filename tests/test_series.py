@@ -22,7 +22,7 @@ def test_constant_and_monomial():
     c = PuiseuxSeries.constant(F(3, 2))
     m = PuiseuxSeries(8, {1: F(5)}, None)
     prod = c * m
-    assert prod.coefficient(F(1, 8)) == F(15, 2)
+    assert prod.exp_den == 8 and prod.terms == {1: F(15, 2)}
     assert F(prod.valuation, prod.exp_den) == F(1, 8)
 
 
@@ -39,27 +39,22 @@ def test_truncation_propagates_through_products():
     b = _geometric(3)
     prod = a * b
     assert prod.trunc == 3  # limited by the shorter factor (valuations 0)
-    assert prod.coefficient(2) == F(3)
-    with pytest.raises(ValueError):
-        prod.coefficient(3)
+    assert prod.as_q_expansion() == {0: F(1), 1: F(2), 2: F(3)}
 
 
 def test_inversion_of_geometric_series():
     a = _geometric(8)
     inv = a.invert()
     # 1/(1+q+q^2+...) = 1 - q
-    assert inv.coefficient(0) == F(1)
-    assert inv.coefficient(1) == F(-1)
-    assert all(inv.coefficient(e) == 0 for e in range(2, 8))
+    assert inv.trunc == 8 and inv.as_q_expansion() == {0: F(1), 1: F(-1)}
     one = a * inv
-    assert one.coefficient(0) == F(1)
-    assert all(one.coefficient(e) == 0 for e in range(1, one.trunc))
+    assert one.trunc == 8 and one.as_q_expansion() == {0: F(1)}
 
 
 def test_inversion_shifts_valuation():
     a = PuiseuxSeries(2, {-1: F(2), 1: F(3)}, 6)
     prod = a * a.invert()
-    assert prod.coefficient(0) == F(1)
+    assert prod.as_q_expansion()[0] == F(1)
     assert prod.valuation == 0
 
 
@@ -67,8 +62,8 @@ def test_mu_derivative_brings_down_minus_two_pi_e():
     a = PuiseuxSeries(2, {1: F(1), 4: F(5)}, 10)
     d = a.mu_derivative()
     assert d.grade == Grade(pi_exp=1)
-    assert d.coefficient(F(1, 2)) == F(-1)  # -2 * (1/2)
-    assert d.coefficient(2) == F(-20)  # -2 * 2 * 5
+    # Q^(1/2) picks up -2 * (1/2), Q^2 picks up -2 * 2
+    assert d.exp_den == 2 and d.terms == {1: F(-1), 4: F(-20)}
 
 
 def test_compact_and_rescale_round_trip():
@@ -80,9 +75,10 @@ def test_compact_and_rescale_round_trip():
 
 def test_evaluate_matches_horner_by_hand():
     a = PuiseuxSeries(2, {1: F(1), 2: F(-3)}, None, Grade(pi_exp=1))
-    q = 0.3 + 0.1j
+    mu = 0.3 + 0.1j
+    q = cmath.exp(-2 * cmath.pi * mu)
     want = (q**0.5 - 3 * q) * cmath.pi
-    assert abs(a.evaluate(q) - want) < 1e-14
+    assert abs(a.evaluate_mu(mu) - want) < 1e-14
 
 
 def test_json_round_trip():
@@ -154,6 +150,23 @@ def test_mu_derivative_leibniz(a, b):
     lhs = (a * b).mu_derivative()
     rhs = a.mu_derivative() * b + a * b.mu_derivative()
     _assert_agree(lhs, rhs)
+
+
+@given(_series(), st.fractions(max_denominator=12))
+@settings(max_examples=40, deadline=None)
+def test_scale_by_rational_is_the_field_product(a, r):
+    """A rational scalar takes the scalar branch; the value is that of the full field product."""
+    assert a.scale(r, dpi=1) == a.scale(Cyclotomic.from_rational(r), dpi=1)
+    assert a * r == a * Cyclotomic.from_rational(r)
+
+
+def test_as_q_expansion_names_the_first_bad_term():
+    half = PuiseuxSeries(2, {1: F(1), 2: Cyclotomic.root(4, 1), 4: F(3)}, 8)
+    with pytest.raises(ValueError, match="non-integer exponent 1/2"):
+        half.as_q_expansion()
+    with pytest.raises(ValueError, match="non-rational coefficient at exponent 2/2"):
+        PuiseuxSeries(2, half.terms | {1: F(0)}, 8).as_q_expansion()
+    assert list(PuiseuxSeries(1, {3: F(1), -1: F(2), 0: F(5)}, 4).as_q_expansion()) == [-1, 0, 3]
 
 
 def _recurrence_invert(a: PuiseuxSeries) -> PuiseuxSeries:

@@ -166,7 +166,7 @@ def c_const(j: int, n: int) -> Cyclotomic:
 
 def test_c_const_small_cases():
     assert c_const(0, 0) == Cyclotomic.one()
-    assert c_const(0, 1) == -Cyclotomic.i()
+    assert c_const(0, 1) == -Cyclotomic.from_turns(F(1, 4), 4)
     assert c_const(0, 2) == Cyclotomic.from_rational(F(-1))
     # C(1|2) = (-i)^2 2!/(2 * 0! * 2) = -1/2
     assert c_const(1, 2) == Cyclotomic.from_rational(F(-1, 2))
