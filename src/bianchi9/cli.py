@@ -3,7 +3,8 @@
 Subcommands: theta, orbit, coeff, identify, check.  All results go to stdout
 as a single JSON document; logs go to stderr.  Rationals are "num/den"
 strings end to end.  Exit codes: 2 invalid parameters (argparse's own
-code: every option is validated by its type or choices), 3 domain errors,
+code: every option is validated by its type or choices, and ``main``
+refuses a complex mu for ``check crossval``), 3 domain errors,
 4 identification failure, 5 exceptional orbit.
 """
 
@@ -333,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check" and args.subject == "crossval" and args.mu_im:
+        parser.error("argument --mu-im: check crossval compares at a real mu; leave it at 0")
     logging.basicConfig(
         stream=sys.stderr, level=logging.DEBUG if args.verbose else logging.INFO
     )

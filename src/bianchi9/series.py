@@ -5,8 +5,9 @@ cyclotomic-rational coefficients, known modulo ``Q^(trunc/D)``.  Each series
 also carries a grade: an overall factor ``pi^a * Lambda^b`` tracked separately
 so that the coefficient data stays rational.
 
-Products use Kronecker substitution: the whole convolution (exponent axis
-times cyclotomic power basis) is packed into one big-integer multiply.
+Products convolve the stored terms directly.  Each coefficient is packed
+into one integer, its power-basis numerators as digits, so a pair of terms
+costs one big-integer multiply.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class PuiseuxSeries:
     __slots__ = ("exp_den", "terms", "trunc", "grade", "_flat")
 
     def __init__(self, exp_den, terms, trunc, grade=Grade()):
-        self._flat = {}  # Kronecker-kernel packing cache; not part of the value
+        self._flat = {}  # product kernel's integer rows per cyclotomic order; not part of the value
         if exp_den <= 0:
             raise ValueError("exp_den must be positive")
         clean = {}
@@ -201,11 +202,15 @@ class PuiseuxSeries:
     # -- numerics -----------------------------------------------------
 
     def evaluate_mu(self, mu: complex) -> complex:
-        """Numeric value at mu, with Q = e^{-2 pi mu}, the pi prefactor and Lambda = 1."""
-        q = cmath.exp(-2 * cmath.pi * mu)
+        """Numeric value at mu, with Q = e^{-2 pi mu}, the pi prefactor and Lambda = 1.
+
+        Q^(e/D) is taken as (e^{-2 pi mu/D})^e, which holds at every mu; the
+        principal power of Q would lose the branch once |Im mu| > 1/2.
+        """
+        q = cmath.exp(-2 * cmath.pi * mu / self.exp_den)
         acc = 0j
         for e, c in self.terms.items():
-            acc += complex(c) * q ** (e / self.exp_den)
+            acc += complex(c) * q**e
         return acc * math.pi**self.grade.pi_exp
 
     # -- rational views and serialization -----------------------------
@@ -274,94 +279,73 @@ def _mul_setup(a: PuiseuxSeries, b: PuiseuxSeries):
 
 
 def series_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    """Product by Kronecker substitution; the horizon follows the valuations."""
+    """Product by direct convolution of the stored terms; the horizon follows the valuations.
+
+    Each coefficient is one integer ``sum_j n_j 2^(bits j)`` of its numerators
+    over the series' common denominator, so a pair of terms costs one big
+    multiply.  ``bits`` leaves room for the largest product digit and a sign,
+    and each exponent's sum is read back as 2 phi - 1 balanced digits.
+    """
     a, b, grade, t, trivial = _mul_setup(a, b)
     if trivial:
         return PuiseuxSeries(a.exp_den, {}, t, grade)
 
     # promote all coefficients to a common cyclotomic order
-    order = 1
-    for c in list(a.terms.values()) + list(b.terms.values()):
-        order = order * c.order // math.gcd(order, c.order)
+    order = math.lcm(*(c.order for s in (a, b) for c in s.terms.values()))
     phi = euler_phi(order)
-    stride = 2 * phi - 1  # cyclotomic degrees never alias across exponents
+    den_a, rows_a, ma = _integer_rows(a, order)
+    den_b, rows_b, mb = _integer_rows(b, order)
 
-    # pack on the coarsest common exponent grid, not the full 1/exp_den grid
-    g = 0
-    va, vb = a.valuation, b.valuation
-    for s, v in ((a, va), (b, vb)):
-        for e in s.terms:
-            g = math.gcd(g, e - v)
-    g = g or 1
+    # a product digit sums at most phi digit products per pair of terms, and
+    # at most min(#terms) pairs meet at one exponent
+    bound = phi * min(len(rows_a), len(rows_b)) * ma * mb
+    bits = bound.bit_length() + 1
+    pack_b = [(e, _pack(ns, bits)) for e, ns in rows_b]
+    horizon = rows_a[-1][0] + rows_b[-1][0] + 1 if t is None else t
+    sums: dict[int, int] = {}
+    for ea, ns in rows_a:
+        x = _pack(ns, bits)
+        for eb, y in pack_b:
+            e = ea + eb
+            if e >= horizon:
+                break
+            sums[e] = sums.get(e, 0) + x * y
 
-    den_a, da, ma = _flatten_cached(a, order, stride, g)
-    den_b, db, mb = _flatten_cached(b, order, stride, g)
-
-    # one product digit sums at most min(len) cross terms
-    bound = min(len(da), len(db)) * ma * mb
-    bits = max(8, ((bound.bit_length() + 2 + 7) // 8) * 8)
-    nbytes = bits // 8
-
-    def pack(digits):
-        buf = bytearray(len(digits) * nbytes)
-        neg = 0
-        for k, d in enumerate(digits):
-            if d > 0:
-                buf[k * nbytes : (k + 1) * nbytes] = d.to_bytes(nbytes, "little")
-            elif d < 0:
-                neg += (-d) << (bits * k)
-        return int.from_bytes(bytes(buf), "little") - neg
-
-    z = pack(da) * pack(db)
-    nk = len(da) + len(db) - 1
-    half = 1 << (bits - 1)
-    offset = half * ((1 << (bits * nk)) - 1) // ((1 << bits) - 1)
-    z += offset
-    raw = z.to_bytes(nk * nbytes + 16, "little")
-
+    full = 1 << bits
+    half = full >> 1
+    mask = full - 1
     den = den_a * den_b
     terms: dict[int, Cyclotomic] = {}
-    for e in range(0, nk, stride):
-        exp = va + vb + (e // stride) * g
-        if t is not None and exp >= t:
+    for e in sorted(sums):
+        z = sums[e]
+        if not z:
             continue
-        chunk = raw[e * nbytes : (min(e + stride, nk)) * nbytes]
-        poly = [
-            int.from_bytes(chunk[k * nbytes : (k + 1) * nbytes], "little") - half
-            for k in range(len(chunk) // nbytes)
-        ]
-        if any(poly):
-            terms[exp] = Cyclotomic.from_int_coeffs(order, poly, den)
+        poly = []
+        for _ in range(2 * phi - 1):
+            d = z & mask
+            if d >= half:
+                d -= full
+            poly.append(d)
+            z = (z - d) >> bits
+        terms[e] = Cyclotomic.from_int_coeffs(order, poly, den)
     return PuiseuxSeries(a.exp_den, terms, t, grade)
 
 
-def _flatten_cached(s: PuiseuxSeries, order: int, stride: int, grid: int):
-    """Integer digit array for Kronecker packing, memoized on the series."""
-    key = (order, grid)
-    cache = s._flat
-    got = cache.get(key)
+def _pack(numerators, bits: int) -> int:
+    """One integer holding the signed digits ``numerators`` at ``bits`` bits each."""
+    return sum(n << (bits * j) for j, n in enumerate(numerators))
+
+
+def _integer_rows(s: PuiseuxSeries, order: int):
+    """Common denominator, (exponent, integer numerators) in increasing exponent, largest |numerator|."""
+    got = s._flat.get(order)
     if got is not None:
         return got
-    v = s.valuation
-    den = 1
-    rows = {}
-    for e, c in s.terms.items():
-        cs = c.embed(order).coeffs
-        rows[(e - v) // grid] = cs
-        for x in cs:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    width = max(rows) + 1
-    digits = [0] * (width * stride)
-    big = 0
-    for e, cs in rows.items():
-        for j, x in enumerate(cs):
-            if x:
-                n = x.numerator * (den // x.denominator)
-                digits[e * stride + j] = n
-                if -n > big or n > big:
-                    big = abs(n)
-    got = (den, digits, big)
-    cache[key] = got
+    rows = sorted((e, c.embed(order).coeffs) for e, c in s.terms.items())
+    den = math.lcm(*(x.denominator for _, cs in rows for x in cs))
+    rows = [(e, [x.numerator * (den // x.denominator) for x in cs]) for e, cs in rows]
+    big = max(abs(n) for _, ns in rows for n in ns)
+    got = s._flat[order] = (den, rows, big)
     return got
 
 

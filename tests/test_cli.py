@@ -174,6 +174,12 @@ def test_check_crossval(capsys):
     assert doc["pass"] and doc["relative_residual"] < 1e-6
 
 
+def test_check_crossval_refuses_complex_mu(capsys):
+    assert _exit_code("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--mu-im", "-0.5") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --mu-im:" in err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -208,6 +214,8 @@ def test_check_crossval(capsys):
         (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--tol", "-1"), 2),
         # theta[1/2, 1/2] = theta_1 vanishes identically: a degenerate parameter point
         (("check", "dirac", "--p", "1/2", "--q", "1/2"), 3),
+        # crossval compares at a real mu only
+        (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "3", "--mu-im", "0.2"), 2),
     ],
 )
 def test_bad_input_exit_codes(argv, code):

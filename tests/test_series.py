@@ -105,25 +105,49 @@ def _naive_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
 
 @st.composite
-def _series(draw):
-    order = draw(st.sampled_from((1, 4, 12)))
-    exp_den = draw(st.sampled_from((1, 2, 8)))
+def _series(draw, wide=False):
+    """A random series; ``wide`` draws larger fields, numerators and denominators, and more terms
+    in a narrow exponent window, so that many pairs of terms meet at one exponent."""
+    order = draw(st.sampled_from((1, 4, 12, 36, 60) if wide else (1, 4, 12)))
+    exp_den = draw(st.sampled_from((1, 2, 8, 72) if wide else (1, 2, 8)))
     phi = euler_phi(order)
-    n_terms = draw(st.integers(0, 5))
+    n_terms = draw(st.integers(0, 12 if wide else 5))
+    big, max_den, exps = (10**30, 10**8, (-3, 8)) if wide else (20, 6, (-6, 14))
     terms = {}
     for _ in range(n_terms):
-        e = draw(st.integers(-6, 14))
-        cs = draw(st.lists(st.integers(-20, 20), min_size=phi, max_size=phi))
-        den = draw(st.integers(1, 6))
+        e = draw(st.integers(*exps))
+        cs = draw(st.lists(st.integers(-big, big), min_size=phi, max_size=phi))
+        den = draw(st.integers(1, max_den))
         terms[e] = Cyclotomic(order, [F(c, den) for c in cs])
     trunc = draw(st.one_of(st.none(), st.integers(15, 25)))
     return PuiseuxSeries(exp_den, terms, trunc)
 
 
-@given(_series(), _series())
+def _assert_is_the_naive_product(a: PuiseuxSeries, b: PuiseuxSeries) -> None:
+    prod = series_mul(a, b)
+    assert prod.to_json() == _naive_mul(a, b).to_json()  # orders and horizon included
+    assert list(prod.terms) == sorted(prod.terms)
+
+
+@given(_series(wide=True), _series(wide=True))
 @settings(max_examples=60, deadline=None)
 def test_kernels_agree(a, b):
-    assert _naive_mul(a, b) == series_mul(a, b)
+    _assert_is_the_naive_product(a, b)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_product_digit_at_the_packing_bound(sign):
+    """Digits all +-M on exponents 0..n-1: at exponent n-1 the middle digit is phi n M^2, the packing bound."""
+    n, order, m = 7, 12, 10**9 + 7
+    c = Cyclotomic(order, [sign * m] * euler_phi(order))
+    a = PuiseuxSeries(1, {e: c for e in range(n)}, None)
+    _assert_is_the_naive_product(a, a)
+
+
+def test_product_terms_in_increasing_exponent():
+    x = Cyclotomic(12, [1, 2, 0, -1])
+    prod = series_mul(PuiseuxSeries(1, {0: x, 1: x}, None), PuiseuxSeries(1, {10: x, 0: x}, None))
+    assert list(prod.terms) == [0, 1, 10, 11]
 
 
 def _known_terms(s: PuiseuxSeries, horizon: Fraction) -> dict:
