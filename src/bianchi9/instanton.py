@@ -9,13 +9,21 @@ Two-parametric family (theta-quotient parametrization):
 
 available as exact nome series or as numeric jets.  One-parametric family:
 
-    w_j[q0] = 1/(mu+q0) + 2 d/dmu log th_{j+1}(i mu),   F[q0] = C (mu+q0)^2
+    w_j[q0] = 1/(mu+q0) + A_j,   F[q0] = C (mu+q0)^2
 
-jet mode only (1/(mu+q0) is not a nome series).
+jet mode only (1/(mu+q0) is not a nome series).  Every frame also carries
+
+    A_j = 2 d/dmu log th_{j+1}(i mu)   (th_2, th_3, th_4)
+
+and k = 4 pi^2 Lambda: the frames are self-dual Einstein, so the w_j obey
+the Tod-Halphen system in the A_j and F obeys an Einstein ODE with constant
+k (see :mod:`bianchi9.seeley_terms`).  The one-parametric F satisfies that
+ODE with k = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,15 +79,21 @@ class OneParamPoint:
 
 @dataclass(frozen=True)
 class InstantonFrame:
-    """w_j and F with mu-derivatives.
+    """w_j and F with mu-derivatives, the A_j, and k = 4 pi^2 Lambda.
 
-    mode "series": w[j][k] / F_[k] are PuiseuxSeries for derivative order k.
-    mode "jet": w[j] / F_ are Jet objects (index [k] gives the derivative).
+    mode "series": w[j][k] / F_[k] are PuiseuxSeries for derivative order
+    k <= 2, the depth the term tables read; A[j] are PuiseuxSeries and k is
+    the constant series 4 of grade pi^2 Lambda.
+    mode "jet": w[j] / F_ / A[j] are Jet objects (index [k] gives the
+    derivative), with A of order at least frame.order - 1; k is a number
+    (Lambda set to 1).
     """
 
     mode: str
     w: tuple
     F_: object
+    A: tuple
+    k: object
 
     @property
     def order(self) -> int:
@@ -95,8 +109,15 @@ def _derivative_tower(series: PuiseuxSeries, order: int) -> list[PuiseuxSeries]:
     return tower
 
 
+@functools.lru_cache(maxsize=8)
+def _theta_constants(work: int) -> tuple:
+    """(th2, th3, th4) and (A1, A2, A3), A_j = 2 th_{j+1}' / th_{j+1}, to nome horizon work."""
+    thetas = tuple(theta_series(ThetaSpec(char, 0, False), work) for char in (THETA2, THETA3, THETA4))
+    return thetas, tuple((th.mu_derivative() * th.invert()).scale(2) for th in thetas)
+
+
 def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
-    """Exact series frame to mu-derivative order 4; w_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
+    """Exact series frame to mu-derivative order 2; w_j and A_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
@@ -107,7 +128,7 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     def th(char: Characteristics, q_deriv: bool = False) -> PuiseuxSeries:
         return theta_series(ThetaSpec(char, 0, q_deriv), work)
 
-    th2, th3, th4 = th(THETA2), th(THETA3), th(THETA4)
+    (th2, th3, th4), A = _theta_constants(work)
     tpq = th(Characteristics(p, q))
     dtpq = th(Characteristics(p, q), True)
     inv_tpq = tpq.invert()
@@ -122,12 +143,12 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     for w in (w1, w2, w3):
         assert w.grade == Grade(1, 0)
     assert F.grade == Grade(-3, -1)
-    ws = tuple(_derivative_tower(w, 4) for w in (w1, w2, w3))
-    return InstantonFrame("series", ws, _derivative_tower(F, 4))
+    ws = tuple(_derivative_tower(w, 2) for w in (w1, w2, w3))
+    return InstantonFrame("series", ws, _derivative_tower(F, 2), A, PuiseuxSeries.constant(4, Grade(2, 1)))
 
 
 def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, order: int = 4) -> InstantonFrame:
-    """Numeric frame of w_j, F jets at mu (Lambda set to 1)."""
+    """Numeric frame of w_j, F and A_j jets at mu (Lambda set to 1)."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
@@ -150,7 +171,8 @@ def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, orde
     w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, order, tol) / tpq * (0.5j / e_pip)
     w3 = th2 * th3 * theta_jet(p + half, q, True, mu, order, tol) / tpq * (-0.5)
     F = (tpq / dtpq) ** 2 * (2 / pi)
-    return InstantonFrame("jet", (w1, w2, w3), F)
+    A = tuple(2 * jet_log_derivative(th) for th in (th2, th3, th4))
+    return InstantonFrame("jet", (w1, w2, w3), F, A, 4 * pi**2)
 
 
 def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, order: int = 4) -> InstantonFrame:
@@ -164,13 +186,12 @@ def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, orde
         raise ValueError("mu = -q0 is a pole of the frame")
     shifted = Jet.variable(mu, order) + q0
     pole = 1 / shifted
-    chars = (THETA2, THETA3, THETA4)
-    ws = []
-    for char in chars:
-        # log-derivative loses one order, so start one higher
-        th = theta_jet(char.p, char.q, False, mu, order + 1, tol)
-        ws.append(pole + 2 * jet_log_derivative(th))
+    # log-derivative loses one order, so start one higher
+    A = tuple(
+        2 * jet_log_derivative(theta_jet(char.p, char.q, False, mu, order + 1, tol))
+        for char in (THETA2, THETA3, THETA4)
+    )
     C = float(pt.C)
     f_comps = [C * (mu + q0) ** 2, 2 * C * (mu + q0), 2 * C + 0j] + [0j] * (order - 2)
     F = Jet(f_comps[: order + 1])
-    return InstantonFrame("jet", tuple(ws), F)
+    return InstantonFrame("jet", tuple(pole + a for a in A), F, A, 0)

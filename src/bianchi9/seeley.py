@@ -53,24 +53,29 @@ class CoeffResult:
         return {"order": self.index.order, "series": self.representation.to_json()}
 
 
-def _term_environment(frame: InstantonFrame, max_deriv: int):
-    """Map variable names to series (series mode) or jets (jet mode).
+def _term_environment(frame: InstantonFrame, n: int):
+    """Map the variable names of the a_{2n} table to series (series mode) or jets (jet mode).
 
     In jet mode each derivative variable is the shifted jet, and everything is
-    lowered to the common order frame.order - max_deriv so products line up.
+    lowered to the common order frame.order - 2n so products line up.  a0
+    reads no derivative, A or k; the others read derivatives up to the second.
     """
     if frame.mode == "series":
+        lower = lambda x: x
         deriv = lambda x, k: x[k]
     else:
-        target = frame.order - max_deriv
+        target = frame.order - 2 * n
         if target < 0:
-            raise ValueError(f"frame order {frame.order} too low for derivative depth {max_deriv}")
+            raise ValueError(f"frame order {frame.order} too low for a{2 * n}")
+        lower = lambda x: Jet(x.comps[: target + 1])
         deriv = lambda x, k: Jet(x.comps[k : k + target + 1])
     env = {}
     for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_)):
         env[name] = deriv(x, 0)
-        for k in range(1, max_deriv + 1):
+        for k in range(1, min(2 * n, 2) + 1):
             env[f"{name}d{k}"] = deriv(x, k)
+    if n:
+        env.update({f"A{j}": lower(a) for j, a in enumerate(frame.A, 1)}, k=frame.k)
     return env
 
 
@@ -120,7 +125,7 @@ _TABLES = {0: A0_TERMS, 1: A2_TERMS, 2: A4_TERMS}
 
 def _table_coefficient(frame: InstantonFrame, n: int) -> CoeffResult:
     idx = CoeffIndex(n)
-    result = _eval_terms(_TABLES[n], _term_environment(frame, idx.order))
+    result = _eval_terms(_TABLES[n], _term_environment(frame, n))
     if frame.mode == "series":
         assert result.grade == idx.grade
     return CoeffResult(idx, result)

@@ -2,14 +2,29 @@
 
 Each table is data, not code: a list of rows ``(coefficient, monomial)`` where
 the monomial maps variable names to integer exponents (possibly negative).
-Variables are ``w1 w2 w3 F`` and their mu-derivatives ``w1d1 .. w3d4``,
-``Fd1 .. Fd4``.  The source text below is the canonical form; ``parse_terms``
-builds the rows, ``render_terms`` regenerates the text for auditing, and
-``table_checksum`` fingerprints the canonical rendering so accidental edits
-are caught by the tests.
+The variables are ``w1 w2 w3 F``, their first and second mu-derivatives
+``w1d1 w1d2 .. w3d2 Fd1 Fd2``, ``A1 A2 A3`` with
+``A_j = 2 d/dmu log theta_{j+1}(i mu)`` for theta_2, theta_3, theta_4, and
+``k = 4 pi^2 Lambda``.  The source text below is the canonical form;
+``parse_terms`` builds the rows, ``render_terms`` regenerates the text for
+auditing, and ``table_checksum`` fingerprints the canonical rendering so
+accidental edits are caught by the tests.
 
 a0 = 4 F^2 w1 w2 w3 is the one-row table ``A0_TEXT``, so all three
 coefficients go through the same evaluator.
+
+``A4_TEXT`` holds no derivative but ``Fd1``.  The frames are self-dual
+Einstein, so with (i, j, k) cyclic they obey
+
+    w_i' = -w_j w_k + w_i (A_j + A_k)          (Tod-Halphen)
+    A_i' = -A_j A_k + A_i (A_j + A_k)          (Halphen)
+    F''  = F'^2 / (2 F) - k F^2 w1 w2 w3       (Einstein, R = 4 Lambda)
+
+and substituting these for every derivative of w_j, A_j and F past F' turns
+the 201-row a4 table in w_j, F and their derivatives to order 4 into the 125
+rows below.  The text is canonical: each row lists its variables in
+``VARIABLES`` order, and the rows are sorted by their exponents read in that
+order.
 """
 
 from __future__ import annotations
@@ -42,217 +57,141 @@ A2_TEXT = """
 """
 
 A4_TEXT = """
--1/15 w1^3 w2^3 w3^-5
--1/15 w1^3 w3^3 w2^-5
--1/15 w2^3 w3^3 w1^-5
-+1/15 w1^3 w2 w3^-3
-+1/15 w1 w2^3 w3^-3
-+1/15 w1^3 w3 w2^-3
-+1/15 w2^3 w3 w1^-3
-+1/15 w1 w3^3 w2^-3
-+1/15 w2 w3^3 w1^-3
--1/15 w1 w2 w3^-1
--1/15 w1 w3 w2^-1
--1/15 w2 w3 w1^-1
--1/15 w2 w1d1^2 w1^-1 w3^-3
--1/15 w3 w1d1^2 w1^-1 w2^-3
--1/15 w3 w2d1^2 w1^-3 w2^-1
--1/15 w1 w2d1^2 w2^-1 w3^-3
--1/15 w1 w3d1^2 w2^-3 w3^-1
--1/15 w2 w3d1^2 w1^-3 w3^-1
-+2/15 w1d1^2 w1^-1 w2^-1 w3^-1
-+2/15 w2d1^2 w1^-1 w2^-1 w3^-1
-+2/15 w3d1^2 w1^-1 w2^-1 w3^-1
--1/18 w2 w1d1^2 w1^-3 w3^-1
--1/18 w3 w1d1^2 w1^-3 w2^-1
--1/18 w1 w2d1^2 w2^-3 w3^-1
--1/18 w3 w2d1^2 w1^-1 w2^-3
--1/18 w1 w3d1^2 w2^-1 w3^-3
--1/18 w2 w3d1^2 w1^-1 w3^-3
--1/18 w2 w3 w1d1^2 w1^-5
--1/18 w1 w3 w2d1^2 w2^-5
--1/18 w1 w2 w3d1^2 w3^-5
--31/90 w1d1^4 w1^-5 w2^-1 w3^-1
--31/90 w2d1^4 w1^-1 w2^-5 w3^-1
--31/90 w3d1^4 w1^-1 w2^-1 w3^-5
--7/60 w1d1 w2d1 w3^-3
--7/60 w1d1 w3d1 w2^-3
--7/60 w2d1 w3d1 w1^-3
--1/45 w1d1 w2d1 w1^-2 w3^-1
--1/45 w1d1 w2d1 w2^-2 w3^-1
--1/45 w2d1 w3d1 w1^-1 w3^-2
-+5/36 w3 w1d1 w2d1 w1^-4
-+5/36 w3 w1d1 w2d1 w2^-4
-+5/36 w2 w1d1 w3d1 w1^-4
-+5/36 w2 w1d1 w3d1 w3^-4
-+5/36 w1 w2d1 w3d1 w2^-4
-+5/36 w1 w2d1 w3d1 w3^-4
-+7/90 w3 w1d1 w2d1 w1^-2 w2^-2
-+7/90 w2 w1d1 w3d1 w1^-2 w3^-2
-+7/90 w1 w2d1 w3d1 w2^-2 w3^-2
--41/180 w1d1^3 w2d1 w1^-4 w2^-2 w3^-1
--41/180 w1d1 w2d1^3 w1^-2 w2^-4 w3^-1
--41/180 w1d1^3 w3d1 w1^-4 w2^-1 w3^-2
--41/180 w1d1 w3d1^3 w1^-2 w2^-1 w3^-4
--41/180 w2d1 w3d1^3 w1^-1 w2^-2 w3^-4
--41/180 w2d1^3 w3d1 w1^-1 w2^-4 w3^-2
--23/90 w1d1^2 w2d1^2 w1^-3 w2^-3 w3^-1
--23/90 w1d1^2 w3d1^2 w1^-3 w2^-1 w3^-3
--23/90 w2d1^2 w3d1^2 w1^-1 w2^-3 w3^-3
--1/45 w1d1 w3d1 w1^-2 w2^-1
--1/45 w1d1 w3d1 w2^-1 w3^-2
--1/45 w2d1 w3d1 w1^-1 w2^-2
--91/180 w1d1^2 w2d1 w3d1 w1^-3 w2^-2 w3^-2
--91/180 w1d1 w2d1^2 w3d1 w1^-2 w2^-3 w3^-2
--91/180 w1d1 w2d1 w3d1^2 w1^-2 w2^-2 w3^-3
-+1/24 w2 w1d2 w3^-3
-+1/24 w3 w1d2 w2^-3
-+1/24 w1 w2d2 w3^-3
-+1/24 w3 w2d2 w1^-3
-+1/24 w1 w3d2 w2^-3
-+1/24 w2 w3d2 w1^-3
--1/12 w1d2 w2^-1 w3^-1
--1/12 w2d2 w1^-1 w3^-1
--1/12 w3d2 w1^-1 w2^-1
-+1/36 w2 w1d2 w1^-2 w3^-1
-+1/36 w3 w1d2 w1^-2 w2^-1
-+1/36 w1 w2d2 w2^-2 w3^-1
--5/72 w2 w3 w1d2 w1^-4
--5/72 w1 w3 w2d2 w2^-4
--5/72 w1 w2 w3d2 w3^-4
-+5/8 w1d1^2 w1d2 w1^-4 w2^-1 w3^-1
-+5/8 w2d1^2 w2d2 w1^-1 w2^-4 w3^-1
-+5/8 w3d1^2 w3d2 w1^-1 w2^-1 w3^-4
-+71/180 w1d1 w2d1 w1d2 w1^-3 w2^-2 w3^-1
-+71/180 w1d1 w2d1 w2d2 w1^-2 w2^-3 w3^-1
-+71/180 w1d1 w3d1 w1d2 w1^-3 w2^-1 w3^-2
-+71/180 w1d1 w3d1 w3d2 w1^-2 w2^-1 w3^-3
-+71/180 w2d1 w3d1 w3d2 w1^-1 w2^-2 w3^-3
-+71/180 w2d1 w3d1 w2d2 w1^-1 w2^-3 w3^-2
-+41/360 w2d1^2 w1d2 w1^-2 w2^-3 w3^-1
-+41/360 w3d1^2 w1d2 w1^-2 w2^-1 w3^-3
-+41/360 w2d1^2 w3d2 w1^-1 w2^-3 w3^-2
-+41/360 w3d1^2 w2d2 w1^-1 w2^-2 w3^-3
-+41/360 w1d1^2 w2d2 w1^-3 w2^-2 w3^-1
-+41/360 w1d1^2 w3d2 w1^-3 w2^-1 w3^-2
-+11/36 w2d1 w3d1 w1d2 w1^-2 w2^-2 w3^-2
-+11/36 w1d1 w3d1 w2d2 w1^-2 w2^-2 w3^-2
-+11/36 w1d1 w2d1 w3d2 w1^-2 w2^-2 w3^-2
--1/6 w1d2^2 w1^-3 w2^-1 w3^-1
--1/6 w2d2^2 w1^-1 w2^-3 w3^-1
--1/6 w3d2^2 w1^-1 w2^-1 w3^-3
-+1/36 w3 w2d2 w1^-1 w2^-2
-+1/36 w1 w3d2 w2^-1 w3^-2
-+1/36 w2 w3d2 w1^-1 w3^-2
--1/15 w1d2 w2d2 w1^-2 w2^-2 w3^-1
--1/15 w2d2 w3d2 w1^-1 w2^-2 w3^-2
--1/15 w1d2 w3d2 w1^-2 w2^-1 w3^-2
--1/6 w1d1 w1d3 w1^-3 w2^-1 w3^-1
--1/6 w2d1 w2d3 w1^-1 w2^-3 w3^-1
--1/6 w3d1 w3d3 w1^-1 w2^-1 w3^-3
--1/10 w2d1 w1d3 w1^-2 w2^-2 w3^-1
--1/10 w3d1 w1d3 w1^-2 w2^-1 w3^-2
--1/10 w1d1 w2d3 w1^-2 w2^-2 w3^-1
--1/10 w3d1 w2d3 w1^-1 w2^-2 w3^-2
--1/10 w1d1 w3d3 w1^-2 w2^-1 w3^-2
--1/10 w2d1 w3d3 w1^-1 w2^-2 w3^-2
-+1/30 w1d4 w1^-2 w2^-1 w3^-1
-+1/30 w2d4 w1^-1 w2^-2 w3^-1
-+1/30 w3d4 w1^-1 w2^-1 w3^-2
--1/72 w1 w2 Fd1^2 F^-2 w3^-3
-+1/36 w1 Fd1^2 F^-2 w2^-1 w3^-1
-+1/36 w2 Fd1^2 F^-2 w1^-1 w3^-1
--1/72 w1 w3 Fd1^2 F^-2 w2^-3
-+1/36 w3 Fd1^2 F^-2 w1^-1 w2^-1
--1/72 w2 w3 Fd1^2 F^-2 w1^-3
--13/24 Fd1^4 F^-4 w1^-1 w2^-1 w3^-1
-+1/72 Fd1 w2 w1d1 F^-1 w3^-3
--1/36 Fd1 w1d1 F^-1 w2^-1 w3^-1
-+1/36 Fd1 w2 w1d1 F^-1 w1^-2 w3^-1
-+1/72 Fd1 w3 w1d1 F^-1 w2^-3
-+1/36 Fd1 w3 w1d1 F^-1 w1^-2 w2^-1
--1/24 Fd1 w2 w3 w1d1 F^-1 w1^-4
--41/120 Fd1^3 w1d1 F^-3 w1^-2 w2^-1 w3^-1
--53/360 Fd1^2 w1d1^2 F^-2 w1^-3 w2^-1 w3^-1
-+1/24 Fd1 w1d1^3 F^-1 w1^-4 w2^-1 w3^-1
-+1/72 Fd1 w1 w2d1 F^-1 w3^-3
--1/36 Fd1 w2d1 F^-1 w1^-1 w3^-1
-+1/36 Fd1 w1 w2d1 F^-1 w2^-2 w3^-1
-+1/72 Fd1 w3 w2d1 F^-1 w1^-3
--1/24 Fd1 w1 w3 w2d1 F^-1 w2^-4
-+1/36 Fd1 w3 w2d1 F^-1 w1^-1 w2^-2
--41/120 Fd1^3 w2d1 F^-3 w1^-1 w2^-2 w3^-1
--23/90 Fd1^2 w1d1 w2d1 F^-2 w1^-2 w2^-2 w3^-1
--7/40 Fd1 w1d1^2 w2d1 F^-1 w1^-3 w2^-2 w3^-1
--53/360 Fd1^2 w2d1^2 F^-2 w1^-1 w2^-3 w3^-1
--7/40 Fd1 w1d1 w2d1^2 F^-1 w1^-2 w2^-3 w3^-1
-+1/24 Fd1 w2d1^3 F^-1 w1^-1 w2^-4 w3^-1
-+1/72 Fd1 w1 w3d1 F^-1 w2^-3
--1/36 Fd1 w3d1 F^-1 w1^-1 w2^-1
-+1/72 Fd1 w2 w3d1 F^-1 w1^-3
--1/24 Fd1 w1 w2 w3d1 F^-1 w3^-4
-+1/36 Fd1 w1 w3d1 F^-1 w2^-1 w3^-2
-+1/36 Fd1 w2 w3d1 F^-1 w1^-1 w3^-2
--41/120 Fd1^3 w3d1 F^-3 w1^-1 w2^-1 w3^-2
--23/90 Fd1^2 w1d1 w3d1 F^-2 w1^-2 w2^-1 w3^-2
--7/40 Fd1 w1d1^2 w3d1 F^-1 w1^-3 w2^-1 w3^-2
--23/90 Fd1^2 w2d1 w3d1 F^-2 w1^-1 w2^-2 w3^-2
--17/60 Fd1 w1d1 w2d1 w3d1 F^-1 w1^-2 w2^-2 w3^-2
--7/40 Fd1 w2d1^2 w3d1 F^-1 w1^-1 w2^-3 w3^-2
--53/360 Fd1^2 w3d1^2 F^-2 w1^-1 w2^-1 w3^-3
--7/40 Fd1 w1d1 w3d1^2 F^-1 w1^-2 w2^-1 w3^-3
--7/40 Fd1 w2d1 w3d1^2 F^-1 w1^-1 w2^-2 w3^-3
-+1/24 Fd1 w3d1^3 F^-1 w1^-1 w2^-1 w3^-4
-+1/72 w1 w2 Fd2 F^-1 w3^-3
--1/36 w1 Fd2 F^-1 w2^-1 w3^-1
--1/36 w2 Fd2 F^-1 w1^-1 w3^-1
-+1/72 w1 w3 Fd2 F^-1 w2^-3
--1/36 w3 Fd2 F^-1 w1^-1 w2^-1
-+1/72 w2 w3 Fd2 F^-1 w1^-3
-+137/120 Fd1^2 Fd2 F^-3 w1^-1 w2^-1 w3^-1
-+101/180 Fd1 Fd2 w1d1 F^-2 w1^-2 w2^-1 w3^-1
-+67/360 Fd2 w1d1^2 F^-1 w1^-3 w2^-1 w3^-1
-+101/180 Fd1 Fd2 w2d1 F^-2 w1^-1 w2^-2 w3^-1
-+53/180 w1d1 w2d1 Fd2 F^-1 w1^-2 w2^-2 w3^-1
-+67/360 w2d1^2 Fd2 F^-1 w1^-1 w2^-3 w3^-1
-+101/180 Fd1 Fd2 w3d1 F^-2 w1^-1 w2^-1 w3^-2
-+53/180 w1d1 w3d1 Fd2 F^-1 w1^-2 w2^-1 w3^-2
-+53/180 w2d1 w3d1 Fd2 F^-1 w1^-1 w2^-2 w3^-2
-+67/360 w3d1^2 Fd2 F^-1 w1^-1 w2^-1 w3^-3
--3/10 Fd2^2 F^-2 w1^-1 w2^-1 w3^-1
-+41/360 Fd1^2 w1d2 F^-2 w1^-2 w2^-1 w3^-1
-+7/180 Fd1 w1d1 w1d2 F^-1 w1^-3 w2^-1 w3^-1
-+23/180 Fd1 w2d1 w1d2 F^-1 w1^-2 w2^-2 w3^-1
-+23/180 Fd1 w3d1 w1d2 F^-1 w1^-2 w2^-1 w3^-2
--2/15 Fd2 w1d2 F^-1 w1^-2 w2^-1 w3^-1
-+41/360 Fd1^2 w2d2 F^-2 w1^-1 w2^-2 w3^-1
-+23/180 Fd1 w1d1 w2d2 F^-1 w1^-2 w2^-2 w3^-1
-+7/180 Fd1 w2d1 w2d2 F^-1 w1^-1 w2^-3 w3^-1
-+23/180 Fd1 w3d1 w2d2 F^-1 w1^-1 w2^-2 w3^-2
--2/15 Fd2 w2d2 F^-1 w1^-1 w2^-2 w3^-1
-+41/360 Fd1^2 w3d2 F^-2 w1^-1 w2^-1 w3^-2
-+23/180 Fd1 w1d1 w3d2 F^-1 w1^-2 w2^-1 w3^-2
-+23/180 Fd1 w2d1 w3d2 F^-1 w1^-1 w2^-2 w3^-2
-+7/180 Fd1 w3d1 w3d2 F^-1 w1^-1 w2^-1 w3^-3
--2/15 Fd2 w3d2 F^-1 w1^-1 w2^-1 w3^-2
--2/5 Fd1 Fd3 F^-2 w1^-1 w2^-1 w3^-1
--1/5 w1d1 Fd3 F^-1 w1^-2 w2^-1 w3^-1
--1/5 w2d1 Fd3 F^-1 w1^-1 w2^-2 w3^-1
--1/5 w3d1 Fd3 F^-1 w1^-1 w2^-1 w3^-2
--1/30 Fd1 w1d3 F^-1 w1^-2 w2^-1 w3^-1
--1/30 Fd1 w2d3 F^-1 w1^-1 w2^-2 w3^-1
--1/30 Fd1 w3d3 F^-1 w1^-1 w2^-1 w3^-2
-+1/10 Fd4 F^-1 w1^-1 w2^-1 w3^-1
+-7/15 w1^-5 w2^3 w3^3
++7/15 w1^-4 w2^2 w3^2 A3
++7/15 w1^-4 w2^2 w3^2 A2
+-14/15 w1^-4 w2^2 w3^2 A1
+-11/180 w1^-3 w2 w3 F^-2 Fd1^2
+-11/45 w1^-3 w2 w3 F^-1 Fd1 A1
+-7/45 w1^-3 w2 w3 A3^2
+-7/45 w1^-3 w2 w3 A2 A3
+-7/45 w1^-3 w2 w3 A2^2
++7/15 w1^-3 w2 w3 A1 A3
++7/15 w1^-3 w2 w3 A1 A2
+-32/45 w1^-3 w2 w3 A1^2
++7/15 w1^-3 w2 w3^3
++7/15 w1^-3 w2^3 w3
++11/180 w1^-2 F^-3 Fd1^3
++11/90 w1^-2 F^-2 Fd1^2 A3
++11/90 w1^-2 F^-2 Fd1^2 A2
++11/90 w1^-2 F^-2 Fd1^2 A1
++11/45 w1^-2 F^-1 Fd1 A2 A3
++11/45 w1^-2 F^-1 Fd1 A1 A3
++11/45 w1^-2 F^-1 Fd1 A1 A2
++22/45 w1^-2 A1 A2 A3
+-7/15 w1^-2 w3^2 A3
++7/15 w1^-2 w3^2 A1
+-7/15 w1^-2 w2^2 A2
++7/15 w1^-2 w2^2 A1
+-11/240 w1^-1 w2^-1 w3^-1 F^-4 Fd1^4
+-11/90 w1^-1 w2^-1 w3^-1 F^-3 Fd1^3 A3
+-11/90 w1^-1 w2^-1 w3^-1 F^-3 Fd1^3 A2
+-11/90 w1^-1 w2^-1 w3^-1 F^-3 Fd1^3 A1
+-11/90 w1^-1 w2^-1 w3^-1 F^-2 Fd1^2 A3^2
+-11/45 w1^-1 w2^-1 w3^-1 F^-2 Fd1^2 A2 A3
+-11/90 w1^-1 w2^-1 w3^-1 F^-2 Fd1^2 A2^2
+-11/45 w1^-1 w2^-1 w3^-1 F^-2 Fd1^2 A1 A3
+-11/45 w1^-1 w2^-1 w3^-1 F^-2 Fd1^2 A1 A2
+-11/90 w1^-1 w2^-1 w3^-1 F^-2 Fd1^2 A1^2
+-11/45 w1^-1 w2^-1 w3^-1 F^-1 Fd1 A2 A3^2
+-11/45 w1^-1 w2^-1 w3^-1 F^-1 Fd1 A2^2 A3
+-11/45 w1^-1 w2^-1 w3^-1 F^-1 Fd1 A1 A3^2
+-11/45 w1^-1 w2^-1 w3^-1 F^-1 Fd1 A1 A2^2
+-11/45 w1^-1 w2^-1 w3^-1 F^-1 Fd1 A1^2 A3
+-11/45 w1^-1 w2^-1 w3^-1 F^-1 Fd1 A1^2 A2
+-11/45 w1^-1 w2^-1 w3^-1 A2^2 A3^2
+-11/45 w1^-1 w2^-1 w3^-1 A1^2 A3^2
+-11/45 w1^-1 w2^-1 w3^-1 A1^2 A2^2
++14/45 w1^-1 w2^-1 w3 A3^2
+-14/45 w1^-1 w2^-1 w3 A2 A3
+-14/45 w1^-1 w2^-1 w3 A1 A3
++14/45 w1^-1 w2^-1 w3 A1 A2
+-14/45 w1^-1 w2 w3^-1 A2 A3
++14/45 w1^-1 w2 w3^-1 A2^2
++14/45 w1^-1 w2 w3^-1 A1 A3
+-14/45 w1^-1 w2 w3^-1 A1 A2
+-7/15 w1^-1 w2 w3
++11/180 w1^-1 w2 w3 Fd1 k
++11/90 w1^-1 w2 w3 F A1 k
++11/180 w2^-2 F^-3 Fd1^3
++11/90 w2^-2 F^-2 Fd1^2 A3
++11/90 w2^-2 F^-2 Fd1^2 A2
++11/90 w2^-2 F^-2 Fd1^2 A1
++11/45 w2^-2 F^-1 Fd1 A2 A3
++11/45 w2^-2 F^-1 Fd1 A1 A3
++11/45 w2^-2 F^-1 Fd1 A1 A2
++22/45 w2^-2 A1 A2 A3
+-7/15 w2^-2 w3^2 A3
++7/15 w2^-2 w3^2 A2
++11/180 w3^-2 F^-3 Fd1^3
++11/90 w3^-2 F^-2 Fd1^2 A3
++11/90 w3^-2 F^-2 Fd1^2 A2
++11/90 w3^-2 F^-2 Fd1^2 A1
++11/45 w3^-2 F^-1 Fd1 A2 A3
++11/45 w3^-2 F^-1 Fd1 A1 A3
++11/45 w3^-2 F^-1 Fd1 A1 A2
++22/45 w3^-2 A1 A2 A3
+-11/120 F^-1 Fd1^2 k
+-11/90 Fd1 A3 k
+-11/90 Fd1 A2 k
+-11/90 Fd1 A1 k
+-11/90 F A2 A3 k
+-11/90 F A1 A3 k
+-11/90 F A1 A2 k
++7/15 w2^2 w3^-2 A3
+-7/15 w2^2 w3^-2 A2
+-11/180 w1 w2^-3 w3 F^-2 Fd1^2
+-11/45 w1 w2^-3 w3 F^-1 Fd1 A2
+-7/45 w1 w2^-3 w3 A3^2
++7/15 w1 w2^-3 w3 A2 A3
+-32/45 w1 w2^-3 w3 A2^2
+-7/45 w1 w2^-3 w3 A1 A3
++7/15 w1 w2^-3 w3 A1 A2
+-7/45 w1 w2^-3 w3 A1^2
++7/15 w1 w2^-3 w3^3
++14/45 w1 w2^-1 w3^-1 A2 A3
+-14/45 w1 w2^-1 w3^-1 A1 A3
+-14/45 w1 w2^-1 w3^-1 A1 A2
++14/45 w1 w2^-1 w3^-1 A1^2
+-7/15 w1 w2^-1 w3
++11/180 w1 w2^-1 w3 Fd1 k
++11/90 w1 w2^-1 w3 F A2 k
+-11/180 w1 w2 w3^-3 F^-2 Fd1^2
+-11/45 w1 w2 w3^-3 F^-1 Fd1 A3
+-32/45 w1 w2 w3^-3 A3^2
++7/15 w1 w2 w3^-3 A2 A3
+-7/45 w1 w2 w3^-3 A2^2
++7/15 w1 w2 w3^-3 A1 A3
+-7/45 w1 w2 w3^-3 A1 A2
+-7/45 w1 w2 w3^-3 A1^2
+-7/15 w1 w2 w3^-1
++11/180 w1 w2 w3^-1 Fd1 k
++11/90 w1 w2 w3^-1 F A3 k
++7/15 w1 w2^3 w3^-3
++7/15 w1^2 w2^-4 w3^2 A3
+-14/15 w1^2 w2^-4 w3^2 A2
++7/15 w1^2 w2^-4 w3^2 A1
++7/15 w1^2 w2^-2 A2
+-7/15 w1^2 w2^-2 A1
++7/15 w1^2 w3^-2 A3
+-7/15 w1^2 w3^-2 A1
+-14/15 w1^2 w2^2 w3^-4 A3
++7/15 w1^2 w2^2 w3^-4 A2
++7/15 w1^2 w2^2 w3^-4 A1
+-7/15 w1^3 w2^-5 w3^3
++7/15 w1^3 w2^-3 w3
++7/15 w1^3 w2 w3^-3
+-7/15 w1^3 w2^3 w3^-5
 """
 
 VARIABLES = (
     ["w1", "w2", "w3", "F"]
-    + [f"w{j}d{k}" for j in (1, 2, 3) for k in (1, 2, 3, 4)]
-    + [f"Fd{k}" for k in (1, 2, 3, 4)]
+    + [f"w{j}d{k}" for j in (1, 2, 3) for k in (1, 2)]
+    + ["Fd1", "Fd2", "A1", "A2", "A3", "k"]
 )
 
 
-def parse_terms(text: str) -> list[tuple[Fraction, dict[str, int]]]:
+def parse_terms(text: str, variables=VARIABLES) -> list[tuple[Fraction, dict[str, int]]]:
     rows = []
     for line in text.strip().splitlines():
         parts = line.split()
@@ -265,7 +204,7 @@ def parse_terms(text: str) -> list[tuple[Fraction, dict[str, int]]]:
             else:
                 var = tok
                 mono[var] = mono.get(var, 0) + 1
-            if var not in VARIABLES:
+            if var not in variables:
                 raise ValueError(f"unknown variable {var!r} in term table")
         rows.append((coeff, mono))
     return rows

@@ -1,0 +1,337 @@
+"""The order-4 term table in w_j, F and their mu-derivatives, and its reduction.
+
+``A4_ORACLE_TEXT`` is the a4 table as first transcribed: 201 rows in
+``w1 w2 w3 F`` and their mu-derivatives to order 4.  The library evaluates
+the reduced table ``bianchi9.seeley_terms.A4_TEXT`` instead; the tests keep
+this one as its oracle.  ``reduce_table`` turns the one into the other by a
+derivation on Laurent monomials with ``Fraction`` coefficients: every
+derivative is eliminated with
+
+    w_i' = -w_j w_k + w_i (A_j + A_k)          (Tod-Halphen)
+    A_i' = -A_j A_k + A_i (A_j + A_k)          (Halphen)
+    F''  = F'^2 / (2 F) - k F^2 w1 w2 w3       (Einstein, k = 4 pi^2 Lambda)
+
+for (i, j, k) cyclic.  Negative exponents fall only on w_j and F, so the
+substitution stays polynomial.  ``oracle_environment`` gives the derivative
+variables the oracle reads, so ``seeley._eval_terms`` can evaluate it on a
+frame.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from bianchi9.jets import Jet
+from bianchi9.seeley_terms import VARIABLES, parse_terms
+
+ORACLE_VARIABLES = (
+    ["w1", "w2", "w3", "F"]
+    + [f"w{j}d{k}" for j in (1, 2, 3) for k in (1, 2, 3, 4)]
+    + [f"Fd{k}" for k in (1, 2, 3, 4)]
+)
+
+A4_ORACLE_TEXT = """
+-1/15 w1^3 w2^3 w3^-5
+-1/15 w1^3 w3^3 w2^-5
+-1/15 w2^3 w3^3 w1^-5
++1/15 w1^3 w2 w3^-3
++1/15 w1 w2^3 w3^-3
++1/15 w1^3 w3 w2^-3
++1/15 w2^3 w3 w1^-3
++1/15 w1 w3^3 w2^-3
++1/15 w2 w3^3 w1^-3
+-1/15 w1 w2 w3^-1
+-1/15 w1 w3 w2^-1
+-1/15 w2 w3 w1^-1
+-1/15 w2 w1d1^2 w1^-1 w3^-3
+-1/15 w3 w1d1^2 w1^-1 w2^-3
+-1/15 w3 w2d1^2 w1^-3 w2^-1
+-1/15 w1 w2d1^2 w2^-1 w3^-3
+-1/15 w1 w3d1^2 w2^-3 w3^-1
+-1/15 w2 w3d1^2 w1^-3 w3^-1
++2/15 w1d1^2 w1^-1 w2^-1 w3^-1
++2/15 w2d1^2 w1^-1 w2^-1 w3^-1
++2/15 w3d1^2 w1^-1 w2^-1 w3^-1
+-1/18 w2 w1d1^2 w1^-3 w3^-1
+-1/18 w3 w1d1^2 w1^-3 w2^-1
+-1/18 w1 w2d1^2 w2^-3 w3^-1
+-1/18 w3 w2d1^2 w1^-1 w2^-3
+-1/18 w1 w3d1^2 w2^-1 w3^-3
+-1/18 w2 w3d1^2 w1^-1 w3^-3
+-1/18 w2 w3 w1d1^2 w1^-5
+-1/18 w1 w3 w2d1^2 w2^-5
+-1/18 w1 w2 w3d1^2 w3^-5
+-31/90 w1d1^4 w1^-5 w2^-1 w3^-1
+-31/90 w2d1^4 w1^-1 w2^-5 w3^-1
+-31/90 w3d1^4 w1^-1 w2^-1 w3^-5
+-7/60 w1d1 w2d1 w3^-3
+-7/60 w1d1 w3d1 w2^-3
+-7/60 w2d1 w3d1 w1^-3
+-1/45 w1d1 w2d1 w1^-2 w3^-1
+-1/45 w1d1 w2d1 w2^-2 w3^-1
+-1/45 w2d1 w3d1 w1^-1 w3^-2
++5/36 w3 w1d1 w2d1 w1^-4
++5/36 w3 w1d1 w2d1 w2^-4
++5/36 w2 w1d1 w3d1 w1^-4
++5/36 w2 w1d1 w3d1 w3^-4
++5/36 w1 w2d1 w3d1 w2^-4
++5/36 w1 w2d1 w3d1 w3^-4
++7/90 w3 w1d1 w2d1 w1^-2 w2^-2
++7/90 w2 w1d1 w3d1 w1^-2 w3^-2
++7/90 w1 w2d1 w3d1 w2^-2 w3^-2
+-41/180 w1d1^3 w2d1 w1^-4 w2^-2 w3^-1
+-41/180 w1d1 w2d1^3 w1^-2 w2^-4 w3^-1
+-41/180 w1d1^3 w3d1 w1^-4 w2^-1 w3^-2
+-41/180 w1d1 w3d1^3 w1^-2 w2^-1 w3^-4
+-41/180 w2d1 w3d1^3 w1^-1 w2^-2 w3^-4
+-41/180 w2d1^3 w3d1 w1^-1 w2^-4 w3^-2
+-23/90 w1d1^2 w2d1^2 w1^-3 w2^-3 w3^-1
+-23/90 w1d1^2 w3d1^2 w1^-3 w2^-1 w3^-3
+-23/90 w2d1^2 w3d1^2 w1^-1 w2^-3 w3^-3
+-1/45 w1d1 w3d1 w1^-2 w2^-1
+-1/45 w1d1 w3d1 w2^-1 w3^-2
+-1/45 w2d1 w3d1 w1^-1 w2^-2
+-91/180 w1d1^2 w2d1 w3d1 w1^-3 w2^-2 w3^-2
+-91/180 w1d1 w2d1^2 w3d1 w1^-2 w2^-3 w3^-2
+-91/180 w1d1 w2d1 w3d1^2 w1^-2 w2^-2 w3^-3
++1/24 w2 w1d2 w3^-3
++1/24 w3 w1d2 w2^-3
++1/24 w1 w2d2 w3^-3
++1/24 w3 w2d2 w1^-3
++1/24 w1 w3d2 w2^-3
++1/24 w2 w3d2 w1^-3
+-1/12 w1d2 w2^-1 w3^-1
+-1/12 w2d2 w1^-1 w3^-1
+-1/12 w3d2 w1^-1 w2^-1
++1/36 w2 w1d2 w1^-2 w3^-1
++1/36 w3 w1d2 w1^-2 w2^-1
++1/36 w1 w2d2 w2^-2 w3^-1
+-5/72 w2 w3 w1d2 w1^-4
+-5/72 w1 w3 w2d2 w2^-4
+-5/72 w1 w2 w3d2 w3^-4
++5/8 w1d1^2 w1d2 w1^-4 w2^-1 w3^-1
++5/8 w2d1^2 w2d2 w1^-1 w2^-4 w3^-1
++5/8 w3d1^2 w3d2 w1^-1 w2^-1 w3^-4
++71/180 w1d1 w2d1 w1d2 w1^-3 w2^-2 w3^-1
++71/180 w1d1 w2d1 w2d2 w1^-2 w2^-3 w3^-1
++71/180 w1d1 w3d1 w1d2 w1^-3 w2^-1 w3^-2
++71/180 w1d1 w3d1 w3d2 w1^-2 w2^-1 w3^-3
++71/180 w2d1 w3d1 w3d2 w1^-1 w2^-2 w3^-3
++71/180 w2d1 w3d1 w2d2 w1^-1 w2^-3 w3^-2
++41/360 w2d1^2 w1d2 w1^-2 w2^-3 w3^-1
++41/360 w3d1^2 w1d2 w1^-2 w2^-1 w3^-3
++41/360 w2d1^2 w3d2 w1^-1 w2^-3 w3^-2
++41/360 w3d1^2 w2d2 w1^-1 w2^-2 w3^-3
++41/360 w1d1^2 w2d2 w1^-3 w2^-2 w3^-1
++41/360 w1d1^2 w3d2 w1^-3 w2^-1 w3^-2
++11/36 w2d1 w3d1 w1d2 w1^-2 w2^-2 w3^-2
++11/36 w1d1 w3d1 w2d2 w1^-2 w2^-2 w3^-2
++11/36 w1d1 w2d1 w3d2 w1^-2 w2^-2 w3^-2
+-1/6 w1d2^2 w1^-3 w2^-1 w3^-1
+-1/6 w2d2^2 w1^-1 w2^-3 w3^-1
+-1/6 w3d2^2 w1^-1 w2^-1 w3^-3
++1/36 w3 w2d2 w1^-1 w2^-2
++1/36 w1 w3d2 w2^-1 w3^-2
++1/36 w2 w3d2 w1^-1 w3^-2
+-1/15 w1d2 w2d2 w1^-2 w2^-2 w3^-1
+-1/15 w2d2 w3d2 w1^-1 w2^-2 w3^-2
+-1/15 w1d2 w3d2 w1^-2 w2^-1 w3^-2
+-1/6 w1d1 w1d3 w1^-3 w2^-1 w3^-1
+-1/6 w2d1 w2d3 w1^-1 w2^-3 w3^-1
+-1/6 w3d1 w3d3 w1^-1 w2^-1 w3^-3
+-1/10 w2d1 w1d3 w1^-2 w2^-2 w3^-1
+-1/10 w3d1 w1d3 w1^-2 w2^-1 w3^-2
+-1/10 w1d1 w2d3 w1^-2 w2^-2 w3^-1
+-1/10 w3d1 w2d3 w1^-1 w2^-2 w3^-2
+-1/10 w1d1 w3d3 w1^-2 w2^-1 w3^-2
+-1/10 w2d1 w3d3 w1^-1 w2^-2 w3^-2
++1/30 w1d4 w1^-2 w2^-1 w3^-1
++1/30 w2d4 w1^-1 w2^-2 w3^-1
++1/30 w3d4 w1^-1 w2^-1 w3^-2
+-1/72 w1 w2 Fd1^2 F^-2 w3^-3
++1/36 w1 Fd1^2 F^-2 w2^-1 w3^-1
++1/36 w2 Fd1^2 F^-2 w1^-1 w3^-1
+-1/72 w1 w3 Fd1^2 F^-2 w2^-3
++1/36 w3 Fd1^2 F^-2 w1^-1 w2^-1
+-1/72 w2 w3 Fd1^2 F^-2 w1^-3
+-13/24 Fd1^4 F^-4 w1^-1 w2^-1 w3^-1
++1/72 Fd1 w2 w1d1 F^-1 w3^-3
+-1/36 Fd1 w1d1 F^-1 w2^-1 w3^-1
++1/36 Fd1 w2 w1d1 F^-1 w1^-2 w3^-1
++1/72 Fd1 w3 w1d1 F^-1 w2^-3
++1/36 Fd1 w3 w1d1 F^-1 w1^-2 w2^-1
+-1/24 Fd1 w2 w3 w1d1 F^-1 w1^-4
+-41/120 Fd1^3 w1d1 F^-3 w1^-2 w2^-1 w3^-1
+-53/360 Fd1^2 w1d1^2 F^-2 w1^-3 w2^-1 w3^-1
++1/24 Fd1 w1d1^3 F^-1 w1^-4 w2^-1 w3^-1
++1/72 Fd1 w1 w2d1 F^-1 w3^-3
+-1/36 Fd1 w2d1 F^-1 w1^-1 w3^-1
++1/36 Fd1 w1 w2d1 F^-1 w2^-2 w3^-1
++1/72 Fd1 w3 w2d1 F^-1 w1^-3
+-1/24 Fd1 w1 w3 w2d1 F^-1 w2^-4
++1/36 Fd1 w3 w2d1 F^-1 w1^-1 w2^-2
+-41/120 Fd1^3 w2d1 F^-3 w1^-1 w2^-2 w3^-1
+-23/90 Fd1^2 w1d1 w2d1 F^-2 w1^-2 w2^-2 w3^-1
+-7/40 Fd1 w1d1^2 w2d1 F^-1 w1^-3 w2^-2 w3^-1
+-53/360 Fd1^2 w2d1^2 F^-2 w1^-1 w2^-3 w3^-1
+-7/40 Fd1 w1d1 w2d1^2 F^-1 w1^-2 w2^-3 w3^-1
++1/24 Fd1 w2d1^3 F^-1 w1^-1 w2^-4 w3^-1
++1/72 Fd1 w1 w3d1 F^-1 w2^-3
+-1/36 Fd1 w3d1 F^-1 w1^-1 w2^-1
++1/72 Fd1 w2 w3d1 F^-1 w1^-3
+-1/24 Fd1 w1 w2 w3d1 F^-1 w3^-4
++1/36 Fd1 w1 w3d1 F^-1 w2^-1 w3^-2
++1/36 Fd1 w2 w3d1 F^-1 w1^-1 w3^-2
+-41/120 Fd1^3 w3d1 F^-3 w1^-1 w2^-1 w3^-2
+-23/90 Fd1^2 w1d1 w3d1 F^-2 w1^-2 w2^-1 w3^-2
+-7/40 Fd1 w1d1^2 w3d1 F^-1 w1^-3 w2^-1 w3^-2
+-23/90 Fd1^2 w2d1 w3d1 F^-2 w1^-1 w2^-2 w3^-2
+-17/60 Fd1 w1d1 w2d1 w3d1 F^-1 w1^-2 w2^-2 w3^-2
+-7/40 Fd1 w2d1^2 w3d1 F^-1 w1^-1 w2^-3 w3^-2
+-53/360 Fd1^2 w3d1^2 F^-2 w1^-1 w2^-1 w3^-3
+-7/40 Fd1 w1d1 w3d1^2 F^-1 w1^-2 w2^-1 w3^-3
+-7/40 Fd1 w2d1 w3d1^2 F^-1 w1^-1 w2^-2 w3^-3
++1/24 Fd1 w3d1^3 F^-1 w1^-1 w2^-1 w3^-4
++1/72 w1 w2 Fd2 F^-1 w3^-3
+-1/36 w1 Fd2 F^-1 w2^-1 w3^-1
+-1/36 w2 Fd2 F^-1 w1^-1 w3^-1
++1/72 w1 w3 Fd2 F^-1 w2^-3
+-1/36 w3 Fd2 F^-1 w1^-1 w2^-1
++1/72 w2 w3 Fd2 F^-1 w1^-3
++137/120 Fd1^2 Fd2 F^-3 w1^-1 w2^-1 w3^-1
++101/180 Fd1 Fd2 w1d1 F^-2 w1^-2 w2^-1 w3^-1
++67/360 Fd2 w1d1^2 F^-1 w1^-3 w2^-1 w3^-1
++101/180 Fd1 Fd2 w2d1 F^-2 w1^-1 w2^-2 w3^-1
++53/180 w1d1 w2d1 Fd2 F^-1 w1^-2 w2^-2 w3^-1
++67/360 w2d1^2 Fd2 F^-1 w1^-1 w2^-3 w3^-1
++101/180 Fd1 Fd2 w3d1 F^-2 w1^-1 w2^-1 w3^-2
++53/180 w1d1 w3d1 Fd2 F^-1 w1^-2 w2^-1 w3^-2
++53/180 w2d1 w3d1 Fd2 F^-1 w1^-1 w2^-2 w3^-2
++67/360 w3d1^2 Fd2 F^-1 w1^-1 w2^-1 w3^-3
+-3/10 Fd2^2 F^-2 w1^-1 w2^-1 w3^-1
++41/360 Fd1^2 w1d2 F^-2 w1^-2 w2^-1 w3^-1
++7/180 Fd1 w1d1 w1d2 F^-1 w1^-3 w2^-1 w3^-1
++23/180 Fd1 w2d1 w1d2 F^-1 w1^-2 w2^-2 w3^-1
++23/180 Fd1 w3d1 w1d2 F^-1 w1^-2 w2^-1 w3^-2
+-2/15 Fd2 w1d2 F^-1 w1^-2 w2^-1 w3^-1
++41/360 Fd1^2 w2d2 F^-2 w1^-1 w2^-2 w3^-1
++23/180 Fd1 w1d1 w2d2 F^-1 w1^-2 w2^-2 w3^-1
++7/180 Fd1 w2d1 w2d2 F^-1 w1^-1 w2^-3 w3^-1
++23/180 Fd1 w3d1 w2d2 F^-1 w1^-1 w2^-2 w3^-2
+-2/15 Fd2 w2d2 F^-1 w1^-1 w2^-2 w3^-1
++41/360 Fd1^2 w3d2 F^-2 w1^-1 w2^-1 w3^-2
++23/180 Fd1 w1d1 w3d2 F^-1 w1^-2 w2^-1 w3^-2
++23/180 Fd1 w2d1 w3d2 F^-1 w1^-1 w2^-2 w3^-2
++7/180 Fd1 w3d1 w3d2 F^-1 w1^-1 w2^-1 w3^-3
+-2/15 Fd2 w3d2 F^-1 w1^-1 w2^-1 w3^-2
+-2/5 Fd1 Fd3 F^-2 w1^-1 w2^-1 w3^-1
+-1/5 w1d1 Fd3 F^-1 w1^-2 w2^-1 w3^-1
+-1/5 w2d1 Fd3 F^-1 w1^-1 w2^-2 w3^-1
+-1/5 w3d1 Fd3 F^-1 w1^-1 w2^-1 w3^-2
+-1/30 Fd1 w1d3 F^-1 w1^-2 w2^-1 w3^-1
+-1/30 Fd1 w2d3 F^-1 w1^-1 w2^-2 w3^-1
+-1/30 Fd1 w3d3 F^-1 w1^-1 w2^-1 w3^-2
++1/10 Fd4 F^-1 w1^-1 w2^-1 w3^-1
+"""
+
+A4_ORACLE_TERMS = parse_terms(A4_ORACLE_TEXT, ORACLE_VARIABLES)
+A4_ORACLE_CHECKSUM = "37cd33440b372448f9d6eea41d6dec2b269f3bf2d439fb804f976d5f0a0ec5bc"
+
+# the variables left after the reduction, in VARIABLES order
+BASE = tuple(v for v in VARIABLES if v in ("w1", "w2", "w3", "F", "Fd1", "A1", "A2", "A3", "k"))
+
+
+def _collect(pairs):
+    out: dict[tuple, Fraction] = {}
+    for mono, c in pairs:
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _mono(c=1, **exps):
+    return {tuple(exps.get(v, 0) for v in BASE): Fraction(c)}
+
+
+def _add(*polys):
+    return _collect(pair for p in polys for pair in p.items())
+
+
+def _mul(a, b):
+    return _collect(
+        (tuple(x + y for x, y in zip(ma, mb)), ca * cb) for ma, ca in a.items() for mb, cb in b.items()
+    )
+
+
+# d/dmu of each variable left after the reduction
+_D = {
+    "F": _mono(Fd1=1),
+    "Fd1": _add(_mono(Fraction(1, 2), F=-1, Fd1=2), _mono(-1, w1=1, w2=1, w3=1, F=2, k=1)),
+    "k": {},
+}
+for _i, _j, _k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+    for _x in "wA":
+        _D[f"{_x}{_i}"] = _add(
+            _mono(-1, **{f"{_x}{_j}": 1, f"{_x}{_k}": 1}),
+            _mono(**{f"{_x}{_i}": 1, f"A{_j}": 1}),
+            _mono(**{f"{_x}{_i}": 1, f"A{_k}": 1}),
+        )
+
+
+def derive(p):
+    """d/dmu of a Laurent polynomial in BASE, by the Leibniz rule."""
+    pairs = []
+    for mono, c in p.items():
+        for pos, e in enumerate(mono):
+            if e:
+                lowered = mono[:pos] + (e - 1,) + mono[pos + 1 :]
+                pairs += _mul({lowered: c * e}, _D[BASE[pos]]).items()
+    return _collect(pairs)
+
+
+def _substitute(var):
+    """An oracle variable in BASE: w_jdn and Fdn are the n-th derivatives of w_j and F."""
+    name, _, n = var.partition("d")
+    p = _mono(**{name: 1})
+    for _ in range(int(n or 0)):
+        p = derive(p)
+    return p
+
+
+def _power(p, e):
+    if e < 0:  # only w_j and F carry negative exponents, and they are monomials
+        ((mono, c),) = p.items()
+        return {tuple(x * e for x in mono): c**e}
+    out = _mono()
+    for _ in range(e):
+        out = _mul(out, p)
+    return out
+
+
+def reduce_table(rows):
+    """The rows with every derivative eliminated, in the canonical order of
+    ``bianchi9.seeley_terms``: variables and rows sorted by their exponents
+    read in VARIABLES order."""
+    total = {}
+    for c, mono in rows:
+        term = _mono(c)
+        for var, e in mono.items():
+            term = _mul(term, _power(_substitute(var), e))
+        total = _add(total, term)
+    return [(c, {v: e for v, e in zip(BASE, mono) if e}) for mono, c in sorted(total.items())]
+
+
+def oracle_environment(frame):
+    """w_j, F and their mu-derivatives to order 4, as ``seeley._eval_terms``
+    takes them; jets are lowered to order frame.order - 4."""
+    env = {}
+    for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_)):
+        if frame.mode == "series":
+            tower = [x[0]]
+            for _ in range(4):
+                tower.append(tower[-1].mu_derivative())
+        else:
+            target = frame.order - 4
+            tower = [Jet(x.comps[k : k + target + 1]) for k in range(5)]
+        for k, value in enumerate(tower):
+            env[f"{name}d{k}" if k else name] = value
+    return env

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -85,7 +86,7 @@ def test_symbol_constant_part_traceless(frame):
 
 def test_unit_frame_constant_part():
     ws = tuple(Jet.constant(1.0, 4) for _ in range(3))
-    fr = InstantonFrame("jet", ws, Jet.constant(1.0, 4))
+    fr = InstantonFrame("jet", ws, Jet.constant(1.0, 4), tuple(Jet.constant(0.0, 4) for _ in range(3)), 0.0)
     sym = sigma_D((1.0, 1.2, 0.5, 1.7), fr)
     assert np.abs(sym.b.value + 0.75 * GAMMA123).max() < 1e-14
 
@@ -132,7 +133,7 @@ def test_p2_mu_component(frame):
 
 def test_conformal_factor_one_degenerates(frame):
     flat_F = Jet.constant(1.0, 4)
-    fr1 = InstantonFrame("jet", frame.w, flat_F)
+    fr1 = dataclasses.replace(frame, F_=flat_F)
     base = sigma_D((1.05, 1.1, 0.3, 2.0), fr1)
     tilde = sigma_Dtilde((1.05, 1.1, 0.3, 2.0), fr1)
     for k in range(4):
@@ -142,7 +143,7 @@ def test_conformal_factor_one_degenerates(frame):
 
 def test_conformal_scaling_of_p2(frame):
     x = (1.05, 1.3, 0.9, 0.4)
-    scaled = InstantonFrame("jet", frame.w, 4 * frame.F_)
+    scaled = dataclasses.replace(frame, F_=4 * frame.F_)
     p2_base = sigma_Dtilde_sq(x, frame).p2
     p2_scaled = sigma_Dtilde_sq(x, scaled).p2
     assert np.abs(p2_scaled - p2_base / 4).max() < 1e-12 * np.abs(p2_base).max()

@@ -1,0 +1,160 @@
+"""The Einstein structure of the frames and the reduced a4 table built on it.
+
+Every frame obeys Tod-Halphen, Halphen and the Einstein ODE for F (see
+:mod:`bianchi9.seeley_terms`).  The library's a4 table is the 201-row oracle
+of ``seeley_oracle`` with those identities substituted, so the two must give
+the same series, horizon included, and the same jets to rounding.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from seeley_oracle import A4_ORACLE_CHECKSUM, A4_ORACLE_TERMS, oracle_environment, reduce_table
+
+from bianchi9.instanton import (
+    OneParamPoint,
+    TwoParamPoint,
+    frame_one_param_jet,
+    frame_two_param_jet,
+    frame_two_param_series,
+)
+from bianchi9.jets import Jet
+from bianchi9.seeley import _eval_terms, a0, a2, a4
+from bianchi9.seeley_terms import A4_CHECKSUM, A4_TERMS, table_checksum
+
+F = Fraction
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+JET_POINTS = ((F(1, 6), F(5, 6)), (F(0), F(1, 3)), (F(1, 3), F(1, 5)), (F(1, 2), F(1, 6)))
+MP_MU = mpmath.mpc(1.03, 0.02)
+
+
+def test_oracle_is_frozen():
+    assert len(A4_ORACLE_TERMS) == 201
+    assert table_checksum(A4_ORACLE_TERMS) == A4_ORACLE_CHECKSUM
+
+
+def test_reducing_the_oracle_gives_the_table():
+    reduced = reduce_table(A4_ORACLE_TERMS)
+    assert table_checksum(reduced) == A4_CHECKSUM
+    assert reduced == A4_TERMS
+
+
+def _identities(fr):
+    """(lhs, rhs) of Tod-Halphen and Halphen for each i, then of the F ODE.
+
+    Jets are lowered to order frame.order - 2, where F'' and A' are known.
+    """
+    if fr.mode == "series":
+        w = [x[:2] for x in fr.w]
+        A = [(a, a.mu_derivative()) for a in fr.A]
+        F0, F1, F2 = fr.F_
+    else:
+        m = fr.order - 2
+        shifts = lambda x, n: [Jet(x.comps[d : d + m + 1]) for d in range(n)]
+        w = [shifts(x, 2) for x in fr.w]
+        A = [shifts(a, 2) for a in fr.A]
+        F0, F1, F2 = shifts(fr.F_, 3)
+    pairs = []
+    for i, j, k in CYCLIC:
+        pairs.append((w[i][1], -w[j][0] * w[k][0] + w[i][0] * (A[j][0] + A[k][0])))
+        pairs.append((A[i][1], -A[j][0] * A[k][0] + A[i][0] * (A[j][0] + A[k][0])))
+    pairs.append((F2, F1 * F1 / F0 / 2 - fr.k * F0 * F0 * w[0][0] * w[1][0] * w[2][0]))
+    return pairs
+
+
+def _zero_below_horizon(lhs, diff):
+    """diff vanishes below its horizon, and lhs has a term there, so the check is not empty."""
+    assert diff.is_zero()
+    assert F(lhs.valuation, lhs.exp_den) < diff.trunc_frac()
+
+
+def _close(x, y, tol):
+    return all(abs(a - b) <= tol * max(abs(a), abs(b), 1) for a, b in zip(x.comps, y.comps, strict=True))
+
+
+_SMALL_POINTS = st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(1, 6), st.integers(0, 5))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_SMALL_POINTS, st.integers(1, 3))
+def test_frames_obey_the_einstein_identities(pq, trunc):
+    """Tod-Halphen, Halphen and the F ODE: exact on series below the common
+    horizon, and to 1e-35 on 40-digit jets."""
+    dp, a, dq, b = pq
+    pt = TwoParamPoint(F(a % dp, dp), F(b % dq, dq))
+    assume(not pt.is_degenerate())
+    for lhs, rhs in _identities(frame_two_param_series(pt, trunc)):
+        _zero_below_horizon(lhs, lhs - rhs)
+    with mpmath.workdps(40):
+        for lhs, rhs in _identities(frame_two_param_jet(pt, MP_MU, tol=1e-35)):
+            assert _close(lhs, rhs, 1e-35)
+
+
+@pytest.mark.parametrize(
+    ("p", "q", "trunc"), [(F(1, 6), F(5, 6), 3), (F(0), F(1, 3), 3), (F(1, 2), F(1, 6), 3), (F(1, 3), F(1, 5), 1)]
+)
+def test_table_is_the_oracle_on_series(p, q, trunc):
+    fr = frame_two_param_series(TwoParamPoint(p, q), trunc)
+    oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))
+    assert a4(fr).representation.to_json() == oracle.to_json()
+
+
+def test_table_is_the_oracle_on_jets():
+    """1e-12 relative in float64, 1e-37 at 40 digits.
+
+    At (1/2, 1/6), where a4 is 0.245, the float64 oracle itself is off by
+    2.5e-12 against the 40-digit value; there the table is held to that
+    value instead.  The table is held to it at every point, to 1e-13.
+    """
+    for p, q in JET_POINTS:
+        pt = TwoParamPoint(p, q)
+        with mpmath.workdps(40):
+            fr = frame_two_param_jet(pt, MP_MU, tol=1e-35)
+            assert _close(a4(fr).representation, _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr)), 1e-37)
+            exact = complex(a4(frame_two_param_jet(pt, mpmath.mpc(1.1), tol=1e-35)).representation[0])
+        fr = frame_two_param_jet(pt, 1.1, 1e-14)
+        got = a4(fr).representation[0]
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+        if (p, q) != (F(1, 2), F(1, 6)):
+            oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))[0]
+            assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("q0", [F(1, 3), complex(0.5, 0.2)])
+def test_table_is_the_oracle_on_one_param_jets(q0):
+    """F = C (mu + q0)^2 obeys the F ODE with k = 0."""
+    for mu in (1.1, complex(0.9, 0.3)):
+        fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, 1e-15, order=5)
+        got = a4(fr).representation
+        oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))
+        assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(got.comps, oracle.comps))
+
+
+def _a2_and_minus_pi_squared_a0(fr, pi):
+    """a2 and -pi^2 a0 (Lambda = 1) of a jet frame, at the order of a2."""
+    lhs = a2(fr).representation
+    return lhs, Jet(a0(fr).representation.comps[: lhs.order + 1]) * -(pi**2)
+
+
+@pytest.mark.parametrize(("p", "q"), JET_POINTS[:3])
+def test_a2_is_minus_pi_squared_lambda_a0(p, q):
+    """a2 + pi^2 Lambda a0 = 0: exact on series below the common horizon, to rounding on jets."""
+    pt = TwoParamPoint(p, q)
+    fr = frame_two_param_series(pt, 3)
+    lhs = a2(fr).representation
+    _zero_below_horizon(lhs, lhs + a0(fr).representation.scale(1, dpi=2, dlam=1))
+    assert _close(*_a2_and_minus_pi_squared_a0(frame_two_param_jet(pt, 1.1, 1e-14), math.pi), 1e-12)
+    with mpmath.workdps(40):
+        assert _close(*_a2_and_minus_pi_squared_a0(frame_two_param_jet(pt, MP_MU, tol=1e-35), mpmath.pi), 1e-35)
+
+
+def test_a2_is_minus_pi_squared_lambda_a0_on_orbit_sums(orbit_sums):
+    for orb in ("third", "sixth"):
+        lhs = orbit_sums[orb, 2][0].representation
+        _zero_below_horizon(lhs, lhs + orbit_sums[orb, 0][0].representation.scale(1, dpi=2, dlam=1))

@@ -74,14 +74,25 @@ def test_series_and_jet_agree(p, q):
     fr_s = frame_two_param_series(TwoParamPoint(p, q), trunc)
     fr_j = frame_two_param_jet(TwoParamPoint(p, q), mu, 1e-15)
     for j in (1, 2, 3):
+        x = fr_s.w[j - 1][0]
         for k in range(5):
+            if k < len(fr_s.w[j - 1]):
+                assert fr_s.w[j - 1][k] == x
             want = fr_j.w[j - 1][k]
-            got = fr_s.w[j - 1][k].evaluate_mu(mu)
-            assert abs(got - want) < 1e-7 * (1 + abs(want))
+            assert abs(x.evaluate_mu(mu) - want) < 1e-7 * (1 + abs(want))
+            x = x.mu_derivative()
+        a = fr_s.A[j - 1]
+        for k in range(4):
+            want = fr_j.A[j - 1][k]
+            assert abs(a.evaluate_mu(mu) - want) < 1e-7 * (1 + abs(want))
+            a = a.mu_derivative()
+    x = fr_s.F_[0]
     for k in range(5):
+        if k < len(fr_s.F_):
+            assert fr_s.F_[k] == x
         want = fr_j.F_[k]
-        got = fr_s.F_[k].evaluate_mu(mu)
-        assert abs(got - want) < 1e-6 * (1 + abs(want))
+        assert abs(x.evaluate_mu(mu) - want) < 1e-6 * (1 + abs(want))
+        x = x.mu_derivative()
 
 
 @pytest.mark.parametrize("p,q", SAMPLE_POINTS)

@@ -29,7 +29,7 @@ F = Fraction
 
 def _constant_frame(w1, w2, w3, f=1.0, order=4) -> InstantonFrame:
     ws = tuple(Jet.constant(w, order) for w in (w1, w2, w3))
-    return InstantonFrame("jet", ws, Jet.constant(f, order))
+    return InstantonFrame("jet", ws, Jet.constant(f, order), (Jet.constant(0.0, order),) * 3, 0.0)
 
 
 def test_coeff_index_validation():
@@ -43,11 +43,11 @@ def test_coeff_index_validation():
 
 def test_term_tables_are_frozen():
     assert len(A2_TERMS) == 17
-    assert len(A4_TERMS) == 201
+    assert len(A4_TERMS) == 125
     assert table_checksum(A2_TERMS) == A2_CHECKSUM
     assert table_checksum(A4_TERMS) == A4_CHECKSUM
     assert A2_CHECKSUM == "8255a69302b8f867bc6458c84d81b5db487780f14b00e11f81a6ed65c2a8d016"
-    assert A4_CHECKSUM == "37cd33440b372448f9d6eea41d6dec2b269f3bf2d439fb804f976d5f0a0ec5bc"
+    assert A4_CHECKSUM == "f99d19526a1e2c5473b2ff322ef35ec11ca3420bd740ca828a1ee7cb8d5e6b64"
 
 
 def test_render_parse_round_trip():
@@ -68,12 +68,13 @@ def test_a2_isotropic_constant_frame():
 
 
 def test_tables_symmetric_under_w_permutations():
+    """Permuting w permutes A with it: Tod-Halphen and Halphen are symmetric under that."""
     fr = frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), 1.2, 1e-15)
     perms = [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0)]
     for idx in (a2, a4):
         base = idx(fr).representation[0]
         for perm in perms:
-            swapped = InstantonFrame("jet", tuple(fr.w[j] for j in perm), fr.F_)
+            swapped = InstantonFrame("jet", tuple(fr.w[j] for j in perm), fr.F_, tuple(fr.A[j] for j in perm), fr.k)
             assert abs(idx(swapped).representation[0] - base) < 1e-9 * (1 + abs(base))
 
 
