@@ -42,6 +42,8 @@ from .theta import (
     theta_series,
 )
 
+DEPTH = 2  # mu-derivatives of the frames: the term tables read w'' and F'', check dirac F''
+
 DEGENERATE = {
     (Fraction(0), Fraction(0)),
     (Fraction(0), Fraction(1, 2)),
@@ -82,11 +84,11 @@ class InstantonFrame:
     """w_j and F with mu-derivatives, the A_j, and k = 4 pi^2 Lambda.
 
     mode "series": w[j][k] / F_[k] are PuiseuxSeries for derivative order
-    k <= 2, the depth the term tables read; A[j] are PuiseuxSeries and k is
-    the constant series 4 of grade pi^2 Lambda.
+    k <= DEPTH; A[j] are PuiseuxSeries and k is the constant series 4 of
+    grade pi^2 Lambda.
     mode "jet": w[j] / F_ / A[j] are Jet objects (index [k] gives the
-    derivative), with A of order at least frame.order - 1; k is a number
-    (Lambda set to 1).
+    derivative) of order DEPTH unless the caller asks for more, with A of
+    order at least frame.order - 1; k is a number (Lambda set to 1).
     """
 
     mode: str
@@ -117,7 +119,7 @@ def _theta_constants(work: int) -> tuple:
 
 
 def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
-    """Exact series frame to mu-derivative order 2; w_j and A_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
+    """Exact series frame to mu-derivative order DEPTH; w_j and A_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
@@ -143,11 +145,11 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     for w in (w1, w2, w3):
         assert w.grade == Grade(1, 0)
     assert F.grade == Grade(-3, -1)
-    ws = tuple(_derivative_tower(w, 2) for w in (w1, w2, w3))
-    return InstantonFrame("series", ws, _derivative_tower(F, 2), A, PuiseuxSeries.constant(4, Grade(2, 1)))
+    ws = tuple(_derivative_tower(w, DEPTH) for w in (w1, w2, w3))
+    return InstantonFrame("series", ws, _derivative_tower(F, DEPTH), A, PuiseuxSeries.constant(4, Grade(2, 1)))
 
 
-def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, order: int = 4) -> InstantonFrame:
+def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, order: int = DEPTH) -> InstantonFrame:
     """Numeric frame of w_j, F and A_j jets at mu (Lambda set to 1)."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
@@ -175,7 +177,7 @@ def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, orde
     return InstantonFrame("jet", (w1, w2, w3), F, A, 4 * pi**2)
 
 
-def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, order: int = 4) -> InstantonFrame:
+def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, order: int = DEPTH) -> InstantonFrame:
     """Numeric frame of the one-parametric family at mu."""
     if isinstance(mu, (int, float)):
         mu = complex(mu)

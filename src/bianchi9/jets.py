@@ -28,11 +28,11 @@ class Jet:
         self.comps = comps
 
     @classmethod
-    def constant(cls, value, order: int = 4) -> "Jet":
+    def constant(cls, value, order: int) -> "Jet":
         return cls((value,) + (0j,) * order)
 
     @classmethod
-    def variable(cls, mu, order: int = 4) -> "Jet":
+    def variable(cls, mu, order: int) -> "Jet":
         """The coordinate function mu itself."""
         comps = [mu, 1.0 + 0j] + [0j] * (order - 1)
         return cls(comps[: order + 1])

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instanton import InstantonFrame, TwoParamPoint, frame_two_param_series
+from .instanton import DEPTH, InstantonFrame, TwoParamPoint, frame_two_param_series
 from .jets import Jet
 from .series import Grade, PuiseuxSeries
 from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS
@@ -53,29 +53,27 @@ class CoeffResult:
         return {"order": self.index.order, "series": self.representation.to_json()}
 
 
-def _term_environment(frame: InstantonFrame, n: int):
-    """Map the variable names of the a_{2n} table to series (series mode) or jets (jet mode).
+def _term_environment(frame: InstantonFrame):
+    """Map the variable names of the term tables to series (series mode) or jets (jet mode).
 
-    In jet mode each derivative variable is the shifted jet, and everything is
-    lowered to the common order frame.order - 2n so products line up.  a0
-    reads no derivative, A or k; the others read derivatives up to the second.
+    Every table reads derivatives up to DEPTH.  In jet mode each derivative
+    variable is the shifted jet, and everything is lowered to the common order
+    frame.order - DEPTH so products line up: 0 for a frame of the default order.
     """
     if frame.mode == "series":
         lower = lambda x: x
         deriv = lambda x, k: x[k]
     else:
-        target = frame.order - 2 * n
+        target = frame.order - DEPTH
         if target < 0:
-            raise ValueError(f"frame order {frame.order} too low for a{2 * n}")
+            raise ValueError(f"frame order {frame.order} below the derivative depth {DEPTH}")
         lower = lambda x: Jet(x.comps[: target + 1])
         deriv = lambda x, k: Jet(x.comps[k : k + target + 1])
-    env = {}
+    env = dict(zip(("A1", "A2", "A3"), map(lower, frame.A)), k=frame.k)
     for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_)):
         env[name] = deriv(x, 0)
-        for k in range(1, min(2 * n, 2) + 1):
+        for k in range(1, DEPTH + 1):
             env[f"{name}d{k}"] = deriv(x, k)
-    if n:
-        env.update({f"A{j}": lower(a) for j, a in enumerate(frame.A, 1)}, k=frame.k)
     return env
 
 
@@ -125,7 +123,7 @@ _TABLES = {0: A0_TERMS, 1: A2_TERMS, 2: A4_TERMS}
 
 def _table_coefficient(frame: InstantonFrame, n: int) -> CoeffResult:
     idx = CoeffIndex(n)
-    result = _eval_terms(_TABLES[n], _term_environment(frame, n))
+    result = _eval_terms(_TABLES[n], _term_environment(frame))
     if frame.mode == "series":
         assert result.grade == idx.grade
     return CoeffResult(idx, result)

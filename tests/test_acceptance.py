@@ -444,8 +444,9 @@ def test_criterion_9_first_derivatives_vs_finite_differences():
                 jet = complex(f_mid.comps[1])
                 worst = max(worst, abs(jet - fd) / max(abs(fd), 1.0))
 
-    # order-5 frames so the order-4 coefficient still carries a derivative slot
+    # order-3 frames: one order above the derivative depth, so every
+    # coefficient still carries a derivative slot
     for mu in sample_mu(5, seed=0):
-        check(lambda m: frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), m, 1e-15, order=5), mu)
-        check(lambda m: frame_one_param_jet(OneParamPoint(F(1, 3)), m, 1e-15, order=5), mu)
+        check(lambda m: frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), m, 1e-15, order=3), mu)
+        check(lambda m: frame_one_param_jet(OneParamPoint(F(1, 3)), m, 1e-15, order=3), mu)
     _report(9, worst <= 1e-6, f"jet first derivatives vs central differences, max {worst:.2e}")

@@ -92,7 +92,7 @@ def test_frames_obey_the_einstein_identities(pq, trunc):
     for lhs, rhs in _identities(frame_two_param_series(pt, trunc)):
         _zero_below_horizon(lhs, lhs - rhs)
     with mpmath.workdps(40):
-        for lhs, rhs in _identities(frame_two_param_jet(pt, MP_MU, tol=1e-35)):
+        for lhs, rhs in _identities(frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)):
             assert _close(lhs, rhs, 1e-35)
 
 
@@ -115,10 +115,11 @@ def test_table_is_the_oracle_on_jets():
     for p, q in JET_POINTS:
         pt = TwoParamPoint(p, q)
         with mpmath.workdps(40):
-            fr = frame_two_param_jet(pt, MP_MU, tol=1e-35)
-            assert _close(a4(fr).representation, _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr)), 1e-37)
+            deep = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)  # the oracle reads fourth derivatives
+            oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(deep))
+            assert _close(a4(frame_two_param_jet(pt, MP_MU, tol=1e-35)).representation, oracle, 1e-37)
             exact = complex(a4(frame_two_param_jet(pt, mpmath.mpc(1.1), tol=1e-35)).representation[0])
-        fr = frame_two_param_jet(pt, 1.1, 1e-14)
+        fr = frame_two_param_jet(pt, 1.1, 1e-14, order=4)
         got = a4(fr).representation[0]
         assert abs(got - exact) <= 1e-13 * abs(exact)
         if (p, q) != (F(1, 2), F(1, 6)):
@@ -149,9 +150,10 @@ def test_a2_is_minus_pi_squared_lambda_a0(p, q):
     fr = frame_two_param_series(pt, 3)
     lhs = a2(fr).representation
     _zero_below_horizon(lhs, lhs + a0(fr).representation.scale(1, dpi=2, dlam=1))
-    assert _close(*_a2_and_minus_pi_squared_a0(frame_two_param_jet(pt, 1.1, 1e-14), math.pi), 1e-12)
+    assert _close(*_a2_and_minus_pi_squared_a0(frame_two_param_jet(pt, 1.1, 1e-14, order=4), math.pi), 1e-12)
     with mpmath.workdps(40):
-        assert _close(*_a2_and_minus_pi_squared_a0(frame_two_param_jet(pt, MP_MU, tol=1e-35), mpmath.pi), 1e-35)
+        fr = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)
+        assert _close(*_a2_and_minus_pi_squared_a0(fr, mpmath.pi), 1e-35)
 
 
 def test_a2_is_minus_pi_squared_lambda_a0_on_orbit_sums(orbit_sums):

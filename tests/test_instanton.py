@@ -72,7 +72,7 @@ def test_series_and_jet_agree(p, q):
     mu = 1.3
     trunc = 12
     fr_s = frame_two_param_series(TwoParamPoint(p, q), trunc)
-    fr_j = frame_two_param_jet(TwoParamPoint(p, q), mu, 1e-15)
+    fr_j = frame_two_param_jet(TwoParamPoint(p, q), mu, 1e-15, order=4)
     for j in (1, 2, 3):
         x = fr_s.w[j - 1][0]
         for k in range(5):
@@ -105,8 +105,8 @@ def test_two_param_shift_law(p, q):
     dropped; the law is tested with that reduction sign made explicit.
     """
     mu = 1.17
-    fr = frame_two_param_jet(TwoParamPoint(p, q), complex(mu, -1), 1e-16)
-    fr_t = frame_two_param_jet(TwoParamPoint(p, (q + p + F(1, 2)) % 1), mu, 1e-16)
+    fr = frame_two_param_jet(TwoParamPoint(p, q), complex(mu, -1), 1e-16, order=4)
+    fr_t = frame_two_param_jet(TwoParamPoint(p, (q + p + F(1, 2)) % 1), mu, 1e-16, order=4)
     tsign = (-1) ** math.floor(p + q + F(1, 2))
     scale = max(abs(fr_t.w[j][n]) for j in range(3) for n in range(5))
     for n in range(5):
@@ -126,8 +126,8 @@ def test_two_param_inversion_law(p, q):
     reduced frame whenever q is nonzero, hence the extra sign below.
     """
     mu = 1.17
-    fr = frame_two_param_jet(TwoParamPoint(p, q), 1 / mu, 1e-16)
-    fr_s = frame_two_param_jet(TwoParamPoint((-q) % 1, p), mu, 1e-16)
+    fr = frame_two_param_jet(TwoParamPoint(p, q), 1 / mu, 1e-16, order=4)
+    fr_s = frame_two_param_jet(TwoParamPoint((-q) % 1, p), mu, 1e-16, order=4)
     ssign = -1 if q % 1 != 0 else 1
     scale = max(abs(fr_s.w[j][n]) for j in range(3) for n in range(5))
     for n in range(5):
@@ -151,7 +151,7 @@ def test_two_param_inversion_law(p, q):
 
 def test_one_param_frame_components():
     q0, mu = F(1, 3), 1.4
-    fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu)
+    fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, order=4)
     # F = C (mu + q0)^2 exactly
     base = mu + float(q0)
     assert abs(fr.F_[0] - 2 * base**2) < 1e-14
@@ -168,8 +168,8 @@ def test_one_param_frame_components():
 
 def test_one_param_shift_law():
     q0, mu = 0.7, 1.17
-    fr = frame_one_param_jet(OneParamPoint(q0), complex(mu, -1), 1e-16)
-    fr_t = frame_one_param_jet(OneParamPoint(complex(q0, -1)), mu, 1e-16)
+    fr = frame_one_param_jet(OneParamPoint(q0), complex(mu, -1), 1e-16, order=4)
+    fr_t = frame_one_param_jet(OneParamPoint(complex(q0, -1)), mu, 1e-16, order=4)
     for n in range(5):
         assert abs(fr.w[0][n] - fr_t.w[0][n]) < 1e-11
         assert abs(fr.w[1][n] - fr_t.w[2][n]) < 1e-11
@@ -180,8 +180,8 @@ def test_one_param_shift_law():
 
 def test_one_param_inversion_law():
     q0, mu = 0.7, 1.17
-    fr = frame_one_param_jet(OneParamPoint(q0), 1 / mu, 1e-16)
-    fr_s = frame_one_param_jet(OneParamPoint(1 / q0), mu, 1e-16)
+    fr = frame_one_param_jet(OneParamPoint(q0), 1 / mu, 1e-16, order=4)
+    fr_s = frame_one_param_jet(OneParamPoint(1 / q0), mu, 1e-16, order=4)
     # w1(i/mu) = -mu^2 w3[1/q0], w2 -> -w2, w3 -> -w1, with the cascade
     for n in range(5):
         assert abs(fr.w[0][n] - _cascade(fr_s.w[2], n, -1, mu)) < 1e-9

@@ -4,12 +4,20 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bianchi9 import seeley
-from bianchi9.instanton import InstantonFrame, TwoParamPoint, frame_two_param_jet, frame_two_param_series
+from bianchi9.instanton import (
+    InstantonFrame,
+    OneParamPoint,
+    TwoParamPoint,
+    frame_one_param_jet,
+    frame_two_param_jet,
+    frame_two_param_series,
+)
 from bianchi9.jets import Jet
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.seeley_terms import (
@@ -97,9 +105,31 @@ def test_series_coefficients_carry_expected_grades():
 
 
 def test_jet_frame_too_shallow_raises():
-    fr = frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), 1.2, order=2)
-    with pytest.raises(ValueError):
-        a4(fr)
+    """Every table reads second derivatives, so an order-1 frame serves none."""
+    fr = frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), 1.2, order=1)
+    for idx in (a0, a2, a4):
+        with pytest.raises(ValueError, match="derivative depth"):
+            idx(fr)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_default_depth_frame_gives_the_values_of_a_deeper_frame(n):
+    """The value of a coefficient reads components 0 only, so a frame of the
+    default depth gives it bit for bit as an order-4 frame does, as an
+    order-0 jet."""
+    idx = CoeffIndex(n)
+    pt = TwoParamPoint(F(1, 6), F(5, 6))
+    makers = [
+        lambda **kw: frame_two_param_jet(pt, 1.1, 1e-14, **kw),
+        lambda **kw: frame_two_param_jet(pt, complex(1.05, 0.2), 1e-14, **kw),
+        lambda **kw: frame_two_param_jet(pt, mpmath.mpc(1.03, 0.02), tol=1e-35, **kw),
+        lambda **kw: frame_one_param_jet(OneParamPoint(complex(0.5, 0.2), C=2.0), complex(0.9, 0.3), 1e-15, **kw),
+    ]
+    with mpmath.workdps(40):
+        for make in makers:
+            shallow = coefficient(make(), idx).representation
+            assert shallow.order == 0
+            assert shallow[0] == coefficient(make(order=4), idx).representation[0]
 
 
 def _pointwise(points, n, trunc, cache):

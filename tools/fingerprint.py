@@ -7,8 +7,10 @@ orbits (trunc 3 at orders 0/2/4, the trunc-6 8-point order-4 sum and the
 three trunc-12 sums) and their values at mu = 1.02, 1.05, 1.1 (the float
 bits that ``check crossval`` prints), every q-derivative theta series with
 characteristics a/b (b <= 6, 0 <= a < 2b) and mu-order 0..2 at trunc 3,
-float64 and 40-digit jets at four points with one key per coefficient
-order, and the stdout bytes and exit codes of a fixed list of CLI requests.
+the float64 and 40-digit values of a0/a2/a4 at four points (the value is
+all that the CLI and the reports read) with the frame jets w, F, A at
+order 4 there, the same for the one-parameter family at two q0, and the
+stdout bytes and exit codes of a fixed list of CLI requests.
 Run it on two trees and compare the outputs to show that a change moves no
 value.  It imports the package from the ``src/`` beside it.
 """
@@ -29,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import mpmath  # noqa: E402
 
 from bianchi9 import cli, modular  # noqa: E402
-from bianchi9.instanton import TwoParamPoint, frame_two_param_jet  # noqa: E402
+from bianchi9.instanton import OneParamPoint, TwoParamPoint, frame_one_param_jet, frame_two_param_jet  # noqa: E402
 from bianchi9.seeley import CoeffIndex, coefficient, orbit_sum  # noqa: E402
 from bianchi9.theta import Characteristics, ThetaSpec, theta_series  # noqa: E402
 
@@ -38,6 +40,7 @@ SUMS = [(orb, order, 3) for orb in ORBITS for order in (0, 2, 4)]
 SUMS += [("o8", 4, 6), ("o8", 0, 12), ("o8", 2, 12), ("o24", 0, 12)]
 SUM_MUS = (1.02, 1.05, 1.1)
 JET_POINTS = ((F(1, 6), F(5, 6)), (F(0), F(1, 3)), (F(1, 3), F(1, 5)), (F(1, 2), F(1, 6)))
+ONE_PARAM_Q0 = (F(1, 3), complex(0.5, 0.2))
 CLI_REQUESTS = [
     ["coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3"],
     ["coeff", "--p", "1/6", "--q", "5/6", "--order", "2", "--trunc", "3"],
@@ -55,6 +58,8 @@ CLI_REQUESTS = [
     ["check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"],
     ["check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "2", "--trunc", "3", "--mu-re", "1.1"],
     ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "1"],
+    ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "2", "--samples", "1", "--seed", "3"],
+    ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "4", "--samples", "1", "--seed", "5"],
     ["check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "1.05"],
     ["check", "dirac", "--p", "0", "--q", "1/3", "--mu-re", "1.05", "--mu-im", "0.001"],
     ["check", "dirac", "--p", "1/6", "--q", "1/2"],
@@ -91,17 +96,33 @@ def thetas() -> dict:
     return {f"theta series x{len(docs)}": sha(canonical(docs))}
 
 
+def _frame_jets(frame) -> str:
+    return sha(repr([x.comps for x in (*frame.w, frame.F_, *frame.A)]))
+
+
 def jets() -> dict:
+    """Coefficient values from frames of the default depth, and the frame jets
+    at an explicit order 4, so the derivative data stays covered."""
     out = {}
     for p, q in JET_POINTS:
         pt = TwoParamPoint(p, q)
         frame = frame_two_param_jet(pt, 1.1, 1e-14)
         for n in range(3):
-            out[f"float jets a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation.comps))
+            out[f"float a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation[0]))
+        out[f"float frame jets ({p},{q})"] = _frame_jets(frame_two_param_jet(pt, 1.1, 1e-14, order=4))
         with mpmath.workdps(40):
-            frame = frame_two_param_jet(pt, mpmath.mpc(1.03, 0.02), tol=1e-35)
+            mu = mpmath.mpc(1.03, 0.02)
+            frame = frame_two_param_jet(pt, mu, tol=1e-35)
             for n in range(3):
-                out[f"mp40 jets a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation.comps))
+                out[f"mp40 a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation[0]))
+            out[f"mp40 frame jets ({p},{q})"] = _frame_jets(frame_two_param_jet(pt, mu, tol=1e-35, order=4))
+    for q0 in ONE_PARAM_Q0:
+        pt = OneParamPoint(q0, C=2.0)
+        for mu in (1.1, complex(0.9, 0.3)):
+            frame = frame_one_param_jet(pt, mu, 1e-15)
+            values = [coefficient(frame, CoeffIndex(n)).representation[0] for n in range(3)]
+            out[f"one-param a0/a2/a4 ({q0}) at {mu}"] = sha(repr(values))
+            out[f"one-param frame jets ({q0}) at {mu}"] = _frame_jets(frame_one_param_jet(pt, mu, 1e-15, order=4))
     return out
 
 
