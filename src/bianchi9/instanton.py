@@ -42,7 +42,7 @@ from .theta import (
     theta_series,
 )
 
-DEPTH = 2  # mu-derivatives of the frames: the term tables read w'' and F'', check dirac F''
+DEPTH = 2  # mu-derivatives of F in every frame, of w in jet frames: a2 reads F'', check dirac w'' and F''
 
 DEGENERATE = {
     (Fraction(0), Fraction(0)),
@@ -83,9 +83,9 @@ class OneParamPoint:
 class InstantonFrame:
     """w_j and F with mu-derivatives, the A_j, and k = 4 pi^2 Lambda.
 
-    mode "series": w[j][k] / F_[k] are PuiseuxSeries for derivative order
-    k <= DEPTH; A[j] are PuiseuxSeries and k is the constant series 4 of
-    grade pi^2 Lambda.
+    mode "series": w[j] and A[j] are PuiseuxSeries, F_[k] is the PuiseuxSeries
+    of the k-th derivative of F for k <= DEPTH (no table reads a derivative
+    of w), and k is the constant series 4 of grade pi^2 Lambda.
     mode "jet": w[j] / F_ / A[j] are Jet objects (index [k] gives the
     derivative) of order DEPTH unless the caller asks for more, with A of
     order at least frame.order - 1; k is a number (Lambda set to 1).
@@ -104,13 +104,6 @@ class InstantonFrame:
         return self.F_.order
 
 
-def _derivative_tower(series: PuiseuxSeries, order: int) -> list[PuiseuxSeries]:
-    tower = [series]
-    for _ in range(order):
-        tower.append(tower[-1].mu_derivative())
-    return tower
-
-
 @functools.lru_cache(maxsize=8)
 def _theta_constants(work: int) -> tuple:
     """(th2, th3, th4) and (A1, A2, A3), A_j = 2 th_{j+1}' / th_{j+1}, to nome horizon work."""
@@ -119,7 +112,7 @@ def _theta_constants(work: int) -> tuple:
 
 
 def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
-    """Exact series frame to mu-derivative order DEPTH; w_j and A_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
+    """Exact series frame, F to mu-derivative order DEPTH; w_j and A_j carry grade pi^1, F carries pi^-3 Lambda^-1."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
@@ -145,8 +138,10 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     for w in (w1, w2, w3):
         assert w.grade == Grade(1, 0)
     assert F.grade == Grade(-3, -1)
-    ws = tuple(_derivative_tower(w, DEPTH) for w in (w1, w2, w3))
-    return InstantonFrame("series", ws, _derivative_tower(F, DEPTH), A, PuiseuxSeries.constant(4, Grade(2, 1)))
+    tower = [F]
+    for _ in range(DEPTH):
+        tower.append(tower[-1].mu_derivative())
+    return InstantonFrame("series", (w1, w2, w3), tower, A, PuiseuxSeries.constant(4, Grade(2, 1)))
 
 
 def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, order: int = DEPTH) -> InstantonFrame:

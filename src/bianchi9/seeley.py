@@ -56,9 +56,10 @@ class CoeffResult:
 def _term_environment(frame: InstantonFrame):
     """Map the variable names of the term tables to series (series mode) or jets (jet mode).
 
-    Every table reads derivatives up to DEPTH.  In jet mode each derivative
-    variable is the shifted jet, and everything is lowered to the common order
-    frame.order - DEPTH so products line up: 0 for a frame of the default order.
+    The tables read w_j, A_j and k as they are, and F with its derivatives
+    up to DEPTH.  In jet mode each derivative variable is the shifted jet,
+    and everything is lowered to the common order frame.order - DEPTH so
+    products line up: 0 for a frame of the default order.
     """
     if frame.mode == "series":
         lower = lambda x: x
@@ -69,11 +70,9 @@ def _term_environment(frame: InstantonFrame):
             raise ValueError(f"frame order {frame.order} below the derivative depth {DEPTH}")
         lower = lambda x: Jet(x.comps[: target + 1])
         deriv = lambda x, k: Jet(x.comps[k : k + target + 1])
-    env = dict(zip(("A1", "A2", "A3"), map(lower, frame.A)), k=frame.k)
-    for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_)):
-        env[name] = deriv(x, 0)
-        for k in range(1, DEPTH + 1):
-            env[f"{name}d{k}"] = deriv(x, k)
+    env = dict(zip(("w1", "w2", "w3", "A1", "A2", "A3"), map(lower, (*frame.w, *frame.A))), k=frame.k)
+    for k in range(DEPTH + 1):
+        env[f"Fd{k}" if k else "F"] = deriv(frame.F_, k)
     return env
 
 

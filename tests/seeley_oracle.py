@@ -1,20 +1,22 @@
-"""The order-4 term table in w_j, F and their mu-derivatives, and its reduction.
+"""The a2 and a4 term tables in w_j, F and their mu-derivatives, and their reduction.
 
-``A4_ORACLE_TEXT`` is the a4 table as first transcribed: 201 rows in
-``w1 w2 w3 F`` and their mu-derivatives to order 4.  The library evaluates
-the reduced table ``bianchi9.seeley_terms.A4_TEXT`` instead; the tests keep
-this one as its oracle.  ``reduce_table`` turns the one into the other by a
-derivation on Laurent monomials with ``Fraction`` coefficients: every
-derivative is eliminated with
+``A2_ORACLE_TEXT`` and ``A4_ORACLE_TEXT`` are the tables as first
+transcribed: 17 rows in ``w1 w2 w3 F`` and their mu-derivatives to order 2,
+and 201 rows with derivatives to order 4.  The library evaluates the reduced
+tables ``bianchi9.seeley_terms.A2_TEXT`` and ``A4_TEXT`` instead; the tests
+keep these as their oracles.  ``reduce_table`` eliminates every derivative
+past F' by a derivation on Laurent monomials with ``Fraction``
+coefficients, using
 
     w_i' = -w_j w_k + w_i (A_j + A_k)          (Tod-Halphen)
     A_i' = -A_j A_k + A_i (A_j + A_k)          (Halphen)
     F''  = F'^2 / (2 F) - k F^2 w1 w2 w3       (Einstein, k = 4 pi^2 Lambda)
 
-for (i, j, k) cyclic.  Negative exponents fall only on w_j and F, so the
-substitution stays polynomial.  ``oracle_environment`` gives the derivative
-variables the oracle reads, so ``seeley._eval_terms`` can evaluate it on a
-frame.
+for (i, j, k) cyclic.  It turns the a4 oracle into the library's a4 table,
+and both a2 tables into -k F^2 w1 w2 w3.  Negative exponents fall only on
+w_j and F, so the substitution stays polynomial.  ``oracle_environment``
+gives the derivative variables the oracles read, so ``seeley._eval_terms``
+can evaluate them on a frame.
 """
 
 from __future__ import annotations
@@ -29,6 +31,29 @@ ORACLE_VARIABLES = (
     + [f"w{j}d{k}" for j in (1, 2, 3) for k in (1, 2, 3, 4)]
     + [f"Fd{k}" for k in (1, 2, 3, 4)]
 )
+
+A2_ORACLE_TEXT = """
+-1/3 F w1^2
+-1/3 F w2^2
+-1/3 F w3^2
++1/6 F w1^2 w2^2 w3^-2
+-1/6 F w3d1^2 w3^-2
++1/6 F w1^2 w3^2 w2^-2
+-1/6 F w2d1^2 w2^-2
++1/6 F w2^2 w3^2 w1^-2
+-1/6 F w1d1^2 w1^-2
+-1/3 F w1d1 w2d1 w1^-1 w2^-1
+-1/3 F w1d1 w3d1 w1^-1 w3^-1
+-1/3 F w2d1 w3d1 w2^-1 w3^-1
++1/3 F w1d2 w1^-1
++1/3 F w2d2 w2^-1
++1/3 F w3d2 w3^-1
+-1/2 Fd1^2 F^-1
++1 Fd2
+"""
+
+A2_ORACLE_TERMS = parse_terms(A2_ORACLE_TEXT, ORACLE_VARIABLES)
+A2_ORACLE_CHECKSUM = "8255a69302b8f867bc6458c84d81b5db487780f14b00e11f81a6ed65c2a8d016"
 
 A4_ORACLE_TEXT = """
 -1/15 w1^3 w2^3 w3^-5
@@ -324,9 +349,10 @@ def oracle_environment(frame):
     """w_j, F and their mu-derivatives to order 4, as ``seeley._eval_terms``
     takes them; jets are lowered to order frame.order - 4."""
     env = {}
-    for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_)):
-        if frame.mode == "series":
-            tower = [x[0]]
+    series = frame.mode == "series"
+    for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_[0] if series else frame.F_)):
+        if series:
+            tower = [x]
             for _ in range(4):
                 tower.append(tower[-1].mu_derivative())
         else:

@@ -1,9 +1,12 @@
-"""The Einstein structure of the frames and the reduced a4 table built on it.
+"""The Einstein structure of the frames and the reduced tables built on it.
 
 Every frame obeys Tod-Halphen, Halphen and the Einstein ODE for F (see
-:mod:`bianchi9.seeley_terms`).  The library's a4 table is the 201-row oracle
-of ``seeley_oracle`` with those identities substituted, so the two must give
-the same series, horizon included, and the same jets to rounding.
+:mod:`bianchi9.seeley_terms`), three first integrals and a relation between
+w and A.  The library's a4 table is the 201-row oracle of ``seeley_oracle``
+with the first three substituted, so the two must give the same series,
+horizon included, and the same jets to rounding.  Its a2 table is the
+17-row oracle with Tod-Halphen and Halphen substituted: the same series
+below the oracle's horizon, and the same jets to rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from seeley_oracle import A4_ORACLE_CHECKSUM, A4_ORACLE_TERMS, oracle_environment, reduce_table
+from seeley_oracle import (
+    A2_ORACLE_CHECKSUM,
+    A2_ORACLE_TERMS,
+    A4_ORACLE_CHECKSUM,
+    A4_ORACLE_TERMS,
+    oracle_environment,
+    reduce_table,
+)
 
 from bianchi9.instanton import (
     OneParamPoint,
@@ -26,7 +36,7 @@ from bianchi9.instanton import (
 )
 from bianchi9.jets import Jet
 from bianchi9.seeley import _eval_terms, a0, a2, a4
-from bianchi9.seeley_terms import A4_CHECKSUM, A4_TERMS, table_checksum
+from bianchi9.seeley_terms import A2_TERMS, A4_CHECKSUM, A4_TERMS, table_checksum
 
 F = Fraction
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -35,6 +45,8 @@ MP_MU = mpmath.mpc(1.03, 0.02)
 
 
 def test_oracle_is_frozen():
+    assert len(A2_ORACLE_TERMS) == 17
+    assert table_checksum(A2_ORACLE_TERMS) == A2_ORACLE_CHECKSUM
     assert len(A4_ORACLE_TERMS) == 201
     assert table_checksum(A4_ORACLE_TERMS) == A4_ORACLE_CHECKSUM
 
@@ -45,13 +57,23 @@ def test_reducing_the_oracle_gives_the_table():
     assert reduced == A4_TERMS
 
 
-def _identities(fr):
-    """(lhs, rhs) of Tod-Halphen and Halphen for each i, then of the F ODE.
+def test_reducing_either_a2_table_gives_minus_k_over_4_a0():
+    """With the F ODE as well, a2 = -k F^2 w1 w2 w3, which is -(k/4) a0."""
+    row = [(F(-1), {"w1": 1, "w2": 1, "w3": 1, "F": 2, "k": 1})]
+    assert reduce_table(A2_ORACLE_TERMS) == reduce_table(A2_TERMS) == row
 
+
+def _identities(fr):
+    """(lhs, rhs) of Tod-Halphen, Halphen and the first integral for each i,
+    then of the F ODE and of the w-A relation.
+
+    With B_i = A_i + F'/(2F) the first integrals read
+    B_j B_k + (k/4) F w1 w2 w3 = B_i w_j w_k / w_i, and the w-A relation
+    (A1-A2)(A2-A3)(A3-A1) = A1 (w2^2-w3^2) + A2 (w3^2-w1^2) + A3 (w1^2-w2^2).
     Jets are lowered to order frame.order - 2, where F'' and A' are known.
     """
     if fr.mode == "series":
-        w = [x[:2] for x in fr.w]
+        w = [(x, x.mu_derivative()) for x in fr.w]
         A = [(a, a.mu_derivative()) for a in fr.A]
         F0, F1, F2 = fr.F_
     else:
@@ -60,11 +82,17 @@ def _identities(fr):
         w = [shifts(x, 2) for x in fr.w]
         A = [shifts(a, 2) for a in fr.A]
         F0, F1, F2 = shifts(fr.F_, 3)
+    W = w[0][0] * w[1][0] * w[2][0]
+    B = [a[0] + F1 / F0 / 2 for a in A]
     pairs = []
     for i, j, k in CYCLIC:
         pairs.append((w[i][1], -w[j][0] * w[k][0] + w[i][0] * (A[j][0] + A[k][0])))
         pairs.append((A[i][1], -A[j][0] * A[k][0] + A[i][0] * (A[j][0] + A[k][0])))
-    pairs.append((F2, F1 * F1 / F0 / 2 - fr.k * F0 * F0 * w[0][0] * w[1][0] * w[2][0]))
+        pairs.append((B[j] * B[k] + fr.k / 4 * F0 * W, B[i] * w[j][0] * w[k][0] / w[i][0]))
+    pairs.append((F2, F1 * F1 / F0 / 2 - fr.k * F0 * F0 * W))
+    a, sq = [x[0] for x in A], [x[0] * x[0] for x in w]
+    terms = [a[i] * (sq[j] - sq[k]) for i, j, k in CYCLIC]
+    pairs.append(((a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0]), terms[0] + terms[1] + terms[2]))
     return pairs
 
 
@@ -84,8 +112,9 @@ _SMALL_POINTS = st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(1, 6
 @settings(max_examples=10, deadline=None)
 @given(_SMALL_POINTS, st.integers(1, 3))
 def test_frames_obey_the_einstein_identities(pq, trunc):
-    """Tod-Halphen, Halphen and the F ODE: exact on series below the common
-    horizon, and to 1e-35 on 40-digit jets."""
+    """Tod-Halphen, Halphen, the F ODE, the first integrals and the w-A
+    relation: exact on series below the common horizon, and to 1e-35 on
+    40-digit jets."""
     dp, a, dq, b = pq
     pt = TwoParamPoint(F(a % dp, dp), F(b % dq, dq))
     assume(not pt.is_degenerate())
@@ -96,9 +125,10 @@ def test_frames_obey_the_einstein_identities(pq, trunc):
             assert _close(lhs, rhs, 1e-35)
 
 
-@pytest.mark.parametrize(
-    ("p", "q", "trunc"), [(F(1, 6), F(5, 6), 3), (F(0), F(1, 3), 3), (F(1, 2), F(1, 6), 3), (F(1, 3), F(1, 5), 1)]
-)
+SERIES_CASES = [(F(1, 6), F(5, 6), 3), (F(0), F(1, 3), 3), (F(1, 2), F(1, 6), 3), (F(1, 3), F(1, 5), 1)]
+
+
+@pytest.mark.parametrize(("p", "q", "trunc"), SERIES_CASES)
 def test_table_is_the_oracle_on_series(p, q, trunc):
     fr = frame_two_param_series(TwoParamPoint(p, q), trunc)
     oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))
@@ -135,6 +165,41 @@ def test_table_is_the_oracle_on_one_param_jets(q0):
         got = a4(fr).representation
         oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))
         assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(got.comps, oracle.comps))
+
+
+@pytest.mark.parametrize(("p", "q", "trunc"), SERIES_CASES)
+def test_a2_table_is_the_oracle_on_series(p, q, trunc):
+    """Equal below the oracle's horizon, and the table's own horizon is not shorter."""
+    fr = frame_two_param_series(TwoParamPoint(p, q), trunc)
+    got = a2(fr).representation
+    oracle = _eval_terms(A2_ORACLE_TERMS, oracle_environment(fr))
+    assert got.grade == oracle.grade
+    _zero_below_horizon(oracle, got - oracle)
+    assert got.trunc_frac() >= oracle.trunc_frac()
+
+
+def test_a2_table_is_the_oracle_on_jets():
+    """1e-37 at 40 digits, 1e-12 relative in float64."""
+    for p, q in JET_POINTS:
+        pt = TwoParamPoint(p, q)
+        with mpmath.workdps(40):
+            deep = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)  # oracle_environment reads order 4
+            oracle = _eval_terms(A2_ORACLE_TERMS, oracle_environment(deep))
+            assert _close(a2(frame_two_param_jet(pt, MP_MU, tol=1e-35)).representation, oracle, 1e-37)
+        fr = frame_two_param_jet(pt, 1.1, 1e-14, order=4)
+        got = a2(fr).representation[0]
+        oracle = _eval_terms(A2_ORACLE_TERMS, oracle_environment(fr))[0]
+        assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("q0", [F(1, 3), complex(0.5, 0.2)])
+def test_a2_vanishes_on_one_param_jets(q0):
+    """k = 0, and F = C (mu + q0)^2 has F'' = F'^2 / (2F): a2 = 0 in the table and in the oracle."""
+    for mu in (1.1, complex(0.9, 0.3)):
+        fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, 1e-15, order=4)
+        scale = abs(a0(fr).representation[0])
+        for value in (a2(fr).representation[0], _eval_terms(A2_ORACLE_TERMS, oracle_environment(fr))[0]):
+            assert abs(value) <= 1e-13 * scale
 
 
 def _a2_and_minus_pi_squared_a0(fr, pi):
