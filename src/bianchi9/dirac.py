@@ -128,11 +128,11 @@ def _trig_fields(x):
 
 
 def _sigma_D(x, frame: InstantonFrame):
-    """The symbol of D at x = (mu, eta, phi, psi), the root rW it takes, and the fields F, F'."""
+    """The symbol of D at x = (mu, eta, phi, psi), the root rW it takes, and the fields it read."""
     if abs(cmath.sin(complex(x[1]))) < 1e-12:
         raise ValueError("eta at a coordinate singularity (csc/cot pole)")
-    w, dw, F, dF = _frame_fields(frame)
-    sin_eta, cos_eta, sin_psi, cos_psi = _trig_fields(x)
+    fields = w, dw, F, dF = _frame_fields(frame)
+    trig = sin_eta, cos_eta, sin_psi, cos_psi = _trig_fields(x)
     csc_eta = 1 / sin_eta
     cot_eta = cos_eta / sin_eta
     rW = (w[0] * w[1] * w[2]).sqrt()
@@ -145,7 +145,7 @@ def _sigma_D(x, frame: InstantonFrame):
     sum_dlog = dw[0] / w[0] + dw[1] / w[1] + dw[2] / w[2]
     sum_isq = 1 / (w[0] * w[0]) + 1 / (w[1] * w[1]) + 1 / (w[2] * w[2])
     b = inv_rW * sum_dlog * 0.25 * GAMMA0 + rW * sum_isq * (-0.25) * GAMMA123
-    return Symbol1(a, b), rW, F, dF
+    return Symbol1(a, b), rW, fields, trig
 
 
 def sigma_D(x, frame: InstantonFrame) -> Symbol1:
@@ -153,11 +153,13 @@ def sigma_D(x, frame: InstantonFrame) -> Symbol1:
     return _sigma_D(x, frame)[0]
 
 
-def sigma_Dtilde(x, frame: InstantonFrame) -> Symbol1:
+def _sigma_Dtilde(x, frame: InstantonFrame):
+    """The symbol of Dtilde at x, and what ``_sigma_D`` returned for D."""
     Fv = complex(frame.F_[0])
     if Fv == 0 or (Fv.real <= 0 and abs(Fv.imag) < 1e-14 * abs(Fv.real)):
         raise ValueError("F on the branch cut of the principal square root")
-    base, rW, F, dF = _sigma_D(x, frame)
+    d = _sigma_D(x, frame)
+    base, rW, (_, _, F, dF), _ = d
     sF = F.sqrt()
     inv_sF = 1 / sF
     # conformal zero-order term 3F'/(4 F^{3/2} sqrt(w1 w2 w3)) gamma^0: the
@@ -165,7 +167,11 @@ def sigma_Dtilde(x, frame: InstantonFrame) -> Symbol1:
     # (it is a_mu times 3F'/(4F^{3/2})) and is the one consistent with the
     # displayed first-order mu-term of the squared operator
     extra = dF * 3 / (F * sF * rW * 4)
-    return Symbol1([inv_sF * m for m in base.a], inv_sF * base.b + extra * GAMMA0)
+    return Symbol1([inv_sF * m for m in base.a], inv_sF * base.b + extra * GAMMA0), d
+
+
+def sigma_Dtilde(x, frame: InstantonFrame) -> Symbol1:
+    return _sigma_Dtilde(x, frame)[0]
 
 
 def compose_square(sym: Symbol1) -> SymbolQuadratic:
@@ -194,11 +200,9 @@ def dtilde_sq_crosscheck(x, frame: InstantonFrame, tol: float = 1e-10) -> dict:
     conformal correction terms; the first-order corrections here replace each
     d/dx_k by i xi_k.
     """
-    w, dw, F, dF = _frame_fields(frame)
-    sin_eta, cos_eta, sin_psi, cos_psi = _trig_fields(x)
-    composed = sigma_Dtilde_sq(x, frame)
-
-    d_sq = compose_square(sigma_D(x, frame))
+    tilde, (base, _, (w, dw, F, dF), trig) = _sigma_Dtilde(x, frame)
+    composed = compose_square(tilde)
+    d_sq = compose_square(base)
     invF = (1 / F).value
     p2 = d_sq.p2 * invF
     p1 = d_sq.p1 * invF
@@ -207,7 +211,7 @@ def dtilde_sq_crosscheck(x, frame: InstantonFrame, tol: float = 1e-10) -> dict:
     w1, w2, w3 = (c.value for c in w)
     W = w1 * w2 * w3
     Fv, dFv = F.value, dF.value
-    se, ce, sp, cp = (f.value for f in (sin_eta, cos_eta, sin_psi, cos_psi))
+    se, ce, sp, cp = (f.value for f in trig)
     g01, g02, g03 = GAMMA0 @ GAMMA1, GAMMA0 @ GAMMA2, GAMMA0 @ GAMMA3
 
     # first- and zero-order conformal corrections as displayed, with three

@@ -24,7 +24,6 @@ ODE with k = 0.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +36,7 @@ from .theta import (
     THETA4,
     Characteristics,
     ThetaSpec,
+    arithmetic,
     cyclotomic_order,
     theta_jet,
     theta_series,
@@ -87,8 +87,8 @@ class InstantonFrame:
     of the k-th derivative of F for k <= DEPTH (no table reads a derivative
     of w), and k is the constant series 4 of grade pi^2 Lambda.
     mode "jet": w[j] / F_ / A[j] are Jet objects (index [k] gives the
-    derivative) of order DEPTH unless the caller asks for more, with A of
-    order at least frame.order - 1; k is a number (Lambda set to 1).
+    derivative), all of the frame's order, DEPTH unless the caller asks for
+    more; k is a number (Lambda set to 1).
     """
 
     mode: str
@@ -109,6 +109,15 @@ def _theta_constants(work: int) -> tuple:
     """(th2, th3, th4) and (A1, A2, A3), A_j = 2 th_{j+1}' / th_{j+1}, to nome horizon work."""
     thetas = tuple(theta_series(ThetaSpec(char, 0, False), work) for char in (THETA2, THETA3, THETA4))
     return thetas, tuple((th.mu_derivative() * th.invert()).scale(2) for th in thetas)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _theta_constant_jets(mu, order: int, tol: float, prec) -> tuple:
+    """(th2, th3, th4) and (A1, A2, A3) as jets of order ``order`` at mu, one lattice pass
+    per theta at order + 1 (the log-derivative costs one).  The key is typed and holds
+    the ``arithmetic`` precision: an mpmath mu equals, and hashes like, its complex."""
+    thetas = tuple(theta_jet(c.p, c.q, False, mu, order + 1, tol) for c in (THETA2, THETA3, THETA4))
+    return tuple(Jet(th.comps[:-1]) for th in thetas), tuple(2 * jet_log_derivative(th) for th in thetas)
 
 
 def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
@@ -150,32 +159,21 @@ def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, orde
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
     half = Fraction(1, 2)
-    if isinstance(mu, (int, float, complex)):
-        pi = math.pi
-        e_pip = complex(math.cos(math.pi * p), math.sin(math.pi * p))
-    else:
-        # arbitrary-precision mu: keep the constants at matching precision
-        import mpmath
-
-        pi = +mpmath.pi
-        e_pip = mpmath.exp(1j * pi * mpmath.mpmathify(p))
-    th2 = theta_jet(half, 0, False, mu, order, tol)
-    th3 = theta_jet(0, 0, False, mu, order, tol)
-    th4 = theta_jet(0, half, False, mu, order, tol)
+    mu, pi, exp, num, prec = arithmetic(mu)
+    e_pip = exp(1j * pi * num(p))
+    (th2, th3, th4), A = _theta_constant_jets(mu, order, tol, prec)
     tpq = theta_jet(p, q, False, mu, order, tol)
     dtpq = theta_jet(p, q, True, mu, order, tol)
     w1 = th3 * th4 * theta_jet(p, q + half, True, mu, order, tol) / tpq * (-0.5j / e_pip)
     w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, order, tol) / tpq * (0.5j / e_pip)
     w3 = th2 * th3 * theta_jet(p + half, q, True, mu, order, tol) / tpq * (-0.5)
     F = (tpq / dtpq) ** 2 * (2 / pi)
-    A = tuple(2 * jet_log_derivative(th) for th in (th2, th3, th4))
     return InstantonFrame("jet", (w1, w2, w3), F, A, 4 * pi**2)
 
 
 def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, order: int = DEPTH) -> InstantonFrame:
     """Numeric frame of the one-parametric family at mu."""
-    if isinstance(mu, (int, float)):
-        mu = complex(mu)
+    mu, _, _, _, prec = arithmetic(mu)
     if complex(mu).real <= 0:
         raise ValueError("Re(mu) must be positive")
     q0 = complex(pt.q0)
@@ -183,11 +181,7 @@ def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, orde
         raise ValueError("mu = -q0 is a pole of the frame")
     shifted = Jet.variable(mu, order) + q0
     pole = 1 / shifted
-    # log-derivative loses one order, so start one higher
-    A = tuple(
-        2 * jet_log_derivative(theta_jet(char.p, char.q, False, mu, order + 1, tol))
-        for char in (THETA2, THETA3, THETA4)
-    )
+    A = _theta_constant_jets(mu, order, tol, prec)[1]
     C = float(pt.C)
     f_comps = [C * (mu + q0) ** 2, 2 * C * (mu + q0), 2 * C + 0j] + [0j] * (order - 2)
     F = Jet(f_comps[: order + 1])

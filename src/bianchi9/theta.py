@@ -11,6 +11,9 @@ phase e^{2 pi i p} inside the lattice sum.  Two representations:
 * numeric: direct partial summation with a Gaussian tail bound, one lattice
   pass for the whole jet of mu-derivatives 0..order (theta_jet, from which
   both instanton frames are assembled; theta_eval reads one component).
+
+One rule picks the numeric arithmetic, ``arithmetic(mu)``: a Python number
+means machine floats, an mpmath number means mpmath at its working precision.
 """
 
 from __future__ import annotations
@@ -103,41 +106,39 @@ def _eval_range(p: float, mu: complex, tol: float) -> int:
     return math.ceil(abs(p) + math.sqrt(inner)) + 2
 
 
+def arithmetic(mu):
+    """(mu, pi, exp, number type, precision) of the arithmetic mu selects: machine
+    floats for a Python number (precision None), else mpmath at mpmath.mp.prec."""
+    if isinstance(mu, (int, float, complex)):
+        return complex(mu), math.pi, cmath.exp, complex, None
+    import mpmath
+
+    return mu, +mpmath.pi, mpmath.exp, mpmath.mpmathify, mpmath.mp.prec
+
+
 def _theta_eval_raw(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> list:
     """Mu-derivatives 0..order of (d_q) theta[p,q](i mu) from one lattice pass.
 
     Each lattice term takes one exp and is scaled by (-pi (m+p)^2)^j for
-    order j.  An arbitrary-precision complex ``mu`` (mpmath) switches the
-    whole sum to that precision; plain complex input stays in machine floats.
+    order j, and for d_q by its factor 2 pi i (m+p), computed once per term.
+    The sum runs in the arithmetic that ``arithmetic(mu)`` selects.
     """
-    if isinstance(mu, (int, float)):
-        mu = complex(mu)
-    high = not isinstance(mu, complex)
+    mu, pi, exp, num, _ = arithmetic(mu)
     if complex(mu).real <= 0:
         raise ValueError("Re(mu) must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     m_max = _eval_range(float(abs(complex(p))), complex(mu), tol)
-    if high:
-        import mpmath
-
-        pi = +mpmath.pi
-        exp = mpmath.exp
-        p_num, q_num = mpmath.mpmathify(p), mpmath.mpmathify(q)
-        acc = [mpmath.mpc(0)] * (order + 1)
-    else:
-        pi, exp = math.pi, cmath.exp
-        p_num, q_num = complex(p), complex(q)
-        acc = [0j] * (order + 1)
+    p_num, q_num = num(p), num(q)
+    acc = [num(0j)] * (order + 1)
     for m in range(-m_max, m_max + 1):
         mp = m + p_num
         gauss = -pi * mp * mp
         base = exp(gauss * mu + 2j * pi * mp * q_num)
+        dq = 2j * pi * mp if q_deriv else None
         for j in range(order + 1):
             term = base * gauss**j
-            if q_deriv:
-                term *= 2j * pi * mp
-            acc[j] += term
+            acc[j] += term * dq if q_deriv else term
     return acc
 
 

@@ -3,11 +3,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from bianchi9 import modular, theta
 from bianchi9.instanton import (
     OneParamPoint,
     TwoParamPoint,
+    _theta_constant_jets,
     frame_one_param_jet,
     frame_two_param_jet,
     frame_two_param_series,
@@ -80,7 +83,7 @@ def test_series_and_jet_agree(p, q):
             assert abs(x.evaluate_mu(mu) - want) < 1e-7 * (1 + abs(want))
             x = x.mu_derivative()
         a = fr_s.A[j - 1]
-        for k in range(4):
+        for k in range(5):
             want = fr_j.A[j - 1][k]
             assert abs(a.evaluate_mu(mu) - want) < 1e-7 * (1 + abs(want))
             a = a.mu_derivative()
@@ -189,3 +192,52 @@ def test_one_param_inversion_law():
     assert abs(fr.F_[0] - q0**2 / mu**2 * fr_s.F_[0]) < 1e-12
     assert abs(fr.F_[1] - q0 / mu * fr_s.F_[1]) < 1e-12
     assert fr.F_[3] == 0 and fr.F_[4] == 0
+
+
+def _comps(jets):
+    return [x.comps for x in jets]
+
+
+def test_jet_frames_at_one_mu_sum_the_theta_constants_once(monkeypatch):
+    """8 frames at one mu: five lattice sums each, plus one for each of th2, th3, th4."""
+    calls = []
+    raw = theta._theta_eval_raw
+
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(theta, "_theta_eval_raw", counting)
+    _theta_constant_jets.cache_clear()
+    points = modular.orbit(F(1, 6), F(5, 6)).points
+    assert len(points) == 8
+    for pt in points:
+        frame_two_param_jet(pt, 1.07, 1e-14)
+    assert len(calls) == 8 * 5 + 3
+
+
+def test_theta_constant_cache_keys_on_type_and_precision():
+    """complex(1.1) and mpc(1.1) are equal and hash alike; 40 and 50 digits too."""
+    pt = TwoParamPoint(F(1, 6), F(5, 6))
+    builds = [(complex(1.1), 15), (mpmath.mpc(1.1), 40), (mpmath.mpc(1.1), 50)]
+    warm = []
+    for mu, dps in builds:
+        with mpmath.workdps(dps):
+            warm.append(frame_two_param_jet(pt, mu, 1e-35).A)
+    for (mu, dps), A in zip(builds, warm):
+        _theta_constant_jets.cache_clear()
+        with mpmath.workdps(dps):
+            assert _comps(A) == _comps(frame_two_param_jet(pt, mu, 1e-35).A)
+    assert _comps(warm[1]) != _comps(warm[2])
+
+
+@pytest.mark.parametrize("mu", [1.2, complex(0.9, 0.3), mpmath.mpc(1.03, 0.02)])
+def test_both_families_carry_the_same_A(mu):
+    for order in (2, 4):
+        _theta_constant_jets.cache_clear()
+        with mpmath.workdps(40):
+            two = frame_two_param_jet(TwoParamPoint(F(1, 3), F(1, 5)), mu, 1e-30, order=order)
+            _theta_constant_jets.cache_clear()
+            one = frame_one_param_jet(OneParamPoint(F(1, 3)), mu, 1e-30, order=order)
+        assert all(a.order == order for a in two.A)
+        assert _comps(one.A) == _comps(two.A)

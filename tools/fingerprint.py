@@ -9,9 +9,9 @@ order-4 sum and the three trunc-12 sums) and their values at mu = 1.02,
 q-derivative theta series with characteristics a/b (b <= 6, 0 <= a < 2b)
 and mu-order 0..2 at trunc 3, the float64 and 40-digit values of a0/a2/a4
 at four points (the value is all that the CLI and the reports read) with
-the frame jets w, F, A at order 4 there, the same for the one-parameter
-family at two q0, and the stdout bytes and exit codes of a fixed list of
-CLI requests.
+the frame jets at order 4 there, w, F and A each under its own key, the
+same for the one-parameter family at two q0, and the stdout bytes and exit
+codes of a fixed list of CLI requests.
 Run it on two trees and compare the outputs to show that a change moves no
 value.  It imports the package from the ``src/`` beside it.
 """
@@ -97,8 +97,9 @@ def thetas() -> dict:
     return {f"theta series x{len(docs)}": sha(canonical(docs))}
 
 
-def _frame_jets(frame) -> str:
-    return sha(repr([x.comps for x in (*frame.w, frame.F_, *frame.A)]))
+def _frame_jets(label: str, frame) -> dict:
+    parts = {"w": frame.w, "F": (frame.F_,), "A": frame.A}
+    return {f"{label} frame jets {name}": sha(repr([x.comps for x in jets])) for name, jets in parts.items()}
 
 
 def jets() -> dict:
@@ -110,20 +111,20 @@ def jets() -> dict:
         frame = frame_two_param_jet(pt, 1.1, 1e-14)
         for n in range(3):
             out[f"float a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation[0]))
-        out[f"float frame jets ({p},{q})"] = _frame_jets(frame_two_param_jet(pt, 1.1, 1e-14, order=4))
+        out.update(_frame_jets(f"float ({p},{q})", frame_two_param_jet(pt, 1.1, 1e-14, order=4)))
         with mpmath.workdps(40):
             mu = mpmath.mpc(1.03, 0.02)
             frame = frame_two_param_jet(pt, mu, tol=1e-35)
             for n in range(3):
                 out[f"mp40 a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation[0]))
-            out[f"mp40 frame jets ({p},{q})"] = _frame_jets(frame_two_param_jet(pt, mu, tol=1e-35, order=4))
+            out.update(_frame_jets(f"mp40 ({p},{q})", frame_two_param_jet(pt, mu, tol=1e-35, order=4)))
     for q0 in ONE_PARAM_Q0:
         pt = OneParamPoint(q0, C=2.0)
         for mu in (1.1, complex(0.9, 0.3)):
             frame = frame_one_param_jet(pt, mu, 1e-15)
             values = [coefficient(frame, CoeffIndex(n)).representation[0] for n in range(3)]
             out[f"one-param a0/a2/a4 ({q0}) at {mu}"] = sha(repr(values))
-            out[f"one-param frame jets ({q0}) at {mu}"] = _frame_jets(frame_one_param_jet(pt, mu, 1e-15, order=4))
+            out.update(_frame_jets(f"one-param ({q0}) at {mu}", frame_one_param_jet(pt, mu, 1e-15, order=4)))
     return out
 
 
