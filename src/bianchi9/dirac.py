@@ -148,11 +148,6 @@ def _sigma_D(x, frame: InstantonFrame):
     return Symbol1(a, b), rW, fields, trig
 
 
-def sigma_D(x, frame: InstantonFrame) -> Symbol1:
-    """First-order symbol of D at x = (mu, eta, phi, psi)."""
-    return _sigma_D(x, frame)[0]
-
-
 def _sigma_Dtilde(x, frame: InstantonFrame):
     """The symbol of Dtilde at x, and what ``_sigma_D`` returned for D."""
     Fv = complex(frame.F_[0])
@@ -170,10 +165,6 @@ def _sigma_Dtilde(x, frame: InstantonFrame):
     return Symbol1([inv_sF * m for m in base.a], inv_sF * base.b + extra * GAMMA0), d
 
 
-def sigma_Dtilde(x, frame: InstantonFrame) -> Symbol1:
-    return _sigma_Dtilde(x, frame)[0]
-
-
 def compose_square(sym: Symbol1) -> SymbolQuadratic:
     """sigma(P P) for a first-order P via the finite composition sum."""
     a = [m.value for m in sym.a]
@@ -187,10 +178,6 @@ def compose_square(sym: Symbol1) -> SymbolQuadratic:
             p1[l] += 1j * (a[j] @ sym.a[l].grad[j])
         p0 += a[j] @ sym.b.grad[j]
     return SymbolQuadratic(p2, p1, p0)
-
-
-def sigma_Dtilde_sq(x, frame: InstantonFrame) -> SymbolQuadratic:
-    return compose_square(sigma_Dtilde(x, frame))
 
 
 def dtilde_sq_crosscheck(x, frame: InstantonFrame, tol: float = 1e-10) -> dict:

@@ -1,9 +1,11 @@
 """Heat-trace coefficients a0, a2, a4 of the conformally rescaled Dirac square.
 
-All three are evaluated from the machine-readable term tables in
-:mod:`bianchi9.seeley_terms` (a0 = 4 F^2 w1 w2 w3 is a one-row table).  Both
-representations of an InstantonFrame are supported: exact nome series (with
-grade bookkeeping pi^{2n-3} Lambda^{n-2}) and numeric jets (Lambda set to 1).
+Each term table of :mod:`bianchi9.seeley_terms` is compiled once, on first
+use, into a straight-line program: rows grouped by their w monomial, then by
+their (F, F', F'', k) monomial, leave polynomials in A, so a group costs one
+product, and every monomial is built once from shared power and prefix chains
+with one inverse per variable.  The same program runs on exact nome series
+(grade pi^{2n-3} Lambda^{n-2}) and on float and mpmath jets (Lambda set to 1).
 
 Orbit sums collapse the cyclotomic phases: summed over a full PSL2(Z) orbit
 of parameter points the series has rational coefficients at integer powers of
@@ -21,7 +23,7 @@ from fractions import Fraction
 from .instanton import DEPTH, InstantonFrame, TwoParamPoint, frame_two_param_series
 from .jets import Jet
 from .series import Grade, PuiseuxSeries
-from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS
+from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS, VARIABLES
 from .theta import Characteristics, cyclotomic_order
 
 
@@ -76,53 +78,64 @@ def _term_environment(frame: InstantonFrame):
     return env
 
 
-def _eval_terms(rows, env):
-    """Sum the table rows with a per-variable power cache."""
-    cache: dict[tuple[str, int], object] = {}
+def _compile(rows) -> tuple:
+    """The table as straight-line (step, registers freed after it) pairs.  Register
+    j < len(VARIABLES) holds VARIABLES[j] and each step appends one: an int step
+    inverts that register, a tuple step sums its terms c x_a x_b (None: no factor)."""
+    tree: dict = {}
+    levels = (("w1", "w2", "w3"), ("F", "Fd1", "Fd2", "k"), ("A1", "A2", "A3"))
+    for c, mono in rows:
+        w, f, a = (tuple((v, mono[v]) for v in level if v in mono) for level in levels)
+        tree.setdefault(w, {}).setdefault(f, {})[a] = c
+    steps: dict = {}  # step -> its register
+    emit = lambda step: steps.setdefault(step, len(VARIABLES) + len(steps))  # noqa: E731
+    mul = lambda a, b: a if b is None else emit(((1, a, b),))  # noqa: E731
+    monomial = lambda key: mul(power(*key[-1]), monomial(key[:-1])) if key else None  # noqa: E731
 
-    def power(var, n):
-        key = (var, n)
-        if key not in cache:
-            if n >= 2:
-                cache[key] = power(var, n - 1) * env[var]
-            elif n <= -2:
-                cache[key] = power(var, n + 1) * power(var, -1)
-            else:
-                cache[key] = env[var] ** n
-        return cache[key]
+    def power(v, e):
+        base = VARIABLES.index(v) if e > 0 else emit(VARIABLES.index(v))
+        return base if e in (1, -1) else mul(power(v, e - e // abs(e)), base)
 
-    parts = []
-    for coeff, mono in rows:
-        cur = None
-        for var, n in mono.items():
-            p = power(var, n)
-            cur = p if cur is None else cur * p
-        # a Fraction scalar gives the same bits as complex() or mpmathify()
-        parts.append(cur * coeff)
-    if isinstance(parts[0], PuiseuxSeries) or not isinstance(parts[0].comps[0], complex):
-        total = parts[0]
-        for cur in parts[1:]:
-            total = total + cur
-        return total
-    # float jet mode: the monomials cancel massively (sums ~1e3 x the result),
-    # so an exactly rounded final summation per component buys several digits
-    order = parts[0].order
-    comps = tuple(
-        complex(
-            math.fsum(p.comps[k].real for p in parts),
-            math.fsum(p.comps[k].imag for p in parts),
-        )
-        for k in range(order + 1)
-    )
-    return Jet(comps)
+    def terms(node):
+        out = []
+        for key, sub in sorted(node.items()):
+            inner = terms(sub) if isinstance(sub, dict) else [(sub, None, None)]
+            if (mono := monomial(key)) is not None:
+                ((c, a, b),) = inner if len(inner) == 1 else [(1, emit(tuple(inner)), None)]
+                inner = [(c, mono, mul(a, b))]
+            out += inner
+        return out
+
+    emit(tuple(terms(tree)))
+    last = {}
+    for n, step in enumerate(steps):
+        for r in [step] if isinstance(step, int) else [x for _, *ab in step for x in ab if x is not None]:
+            last[r] = n
+    return tuple((step, tuple(r for r in last if last[r] == n)) for n, step in enumerate(steps))
 
 
-_TABLES = {0: A0_TERMS, 1: A2_TERMS, 2: A4_TERMS}
+def _eval_terms(program, env):
+    """Run a compiled table on series or jets: the value is the last register."""
+    regs = [env[v] for v in VARIABLES]
+    for step, frees in program:
+        if isinstance(step, int):
+            regs.append(regs[step] ** -1)
+        else:
+            parts = ((1, c) if a is None else (c, regs[a] if b is None else regs[a] * regs[b]) for c, a, b in step)
+            parts = (t if c == 1 else t * c for c, t in parts)
+            regs.append(sum(parts, next(parts)))  # in step order, each term dropped once added
+        for r in frees:
+            regs[r] = None
+    return regs[-1]
+
+
+_TABLES: dict = {}  # n -> compiled table of a_{2n}, built on first use: a CLI run evaluating none compiles none
 
 
 def _table_coefficient(frame: InstantonFrame, n: int) -> CoeffResult:
     idx = CoeffIndex(n)
-    result = _eval_terms(_TABLES[n], _term_environment(frame))
+    program = _TABLES.get(n) or _TABLES.setdefault(n, _compile((A0_TERMS, A2_TERMS, A4_TERMS)[n]))
+    result = _eval_terms(program, _term_environment(frame))
     if frame.mode == "series":
         assert result.grade == idx.grade
     return CoeffResult(idx, result)

@@ -10,8 +10,8 @@ below is the canonical form; ``parse_terms`` builds the rows,
 fingerprints the canonical rendering so accidental edits are caught by the
 tests.
 
-a0 = 4 F^2 w1 w2 w3 is the one-row table ``A0_TEXT``, so all three
-coefficients go through the same evaluator.
+a0 = 4 F^2 w1 w2 w3 is the one-row table ``A0_TEXT``.  :mod:`bianchi9.seeley`
+compiles each table once, on first use, into a straight-line program.
 
 No table reads a derivative of w_j.  The frames are self-dual Einstein, so
 with (i, j, k) cyclic they obey

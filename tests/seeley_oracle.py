@@ -15,15 +15,17 @@ coefficients, using
 for (i, j, k) cyclic.  It turns the a4 oracle into the library's a4 table,
 and both a2 tables into -k F^2 w1 w2 w3.  Negative exponents fall only on
 w_j and F, so the substitution stays polynomial.  ``oracle_environment``
-gives the derivative variables the oracles read, so ``seeley._eval_terms``
-can evaluate them on a frame.
+gives the derivative variables the oracles read, and ``eval_rows`` sums the
+rows of any table on a frame one at a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from bianchi9.jets import Jet
+from bianchi9.series import PuiseuxSeries
 from bianchi9.seeley_terms import VARIABLES, parse_terms
 
 ORACLE_VARIABLES = (
@@ -346,8 +348,8 @@ def reduce_table(rows):
 
 
 def oracle_environment(frame):
-    """w_j, F and their mu-derivatives to order 4, as ``seeley._eval_terms``
-    takes them; jets are lowered to order frame.order - 4."""
+    """w_j, F and their mu-derivatives to order 4, as ``eval_rows`` takes
+    them; jets are lowered to order frame.order - 4."""
     env = {}
     series = frame.mode == "series"
     for name, x in zip(("w1", "w2", "w3", "F"), (*frame.w, frame.F_[0] if series else frame.F_)):
@@ -361,3 +363,48 @@ def oracle_environment(frame):
         for k, value in enumerate(tower):
             env[f"{name}d{k}" if k else name] = value
     return env
+
+
+def eval_rows(rows, env):
+    """Sum the table rows one at a time, with a per-variable power cache.
+
+    This is the evaluator the compiled programs of ``bianchi9.seeley`` are
+    checked against.  Float jets are summed by ``math.fsum`` per component:
+    the monomials cancel massively (sums ~1e3 x the result), and an exactly
+    rounded final summation buys several digits.
+    """
+    cache: dict[tuple[str, int], object] = {}
+
+    def power(var, n):
+        key = (var, n)
+        if key not in cache:
+            if n >= 2:
+                cache[key] = power(var, n - 1) * env[var]
+            elif n <= -2:
+                cache[key] = power(var, n + 1) * power(var, -1)
+            else:
+                cache[key] = env[var] ** n
+        return cache[key]
+
+    parts = []
+    for coeff, mono in rows:
+        cur = None
+        for var, n in mono.items():
+            p = power(var, n)
+            cur = p if cur is None else cur * p
+        # a Fraction scalar gives the same bits as complex() or mpmathify()
+        parts.append(cur * coeff)
+    if isinstance(parts[0], PuiseuxSeries) or not isinstance(parts[0].comps[0], complex):
+        total = parts[0]
+        for cur in parts[1:]:
+            total = total + cur
+        return total
+    order = parts[0].order
+    comps = tuple(
+        complex(
+            math.fsum(p.comps[k].real for p in parts),
+            math.fsum(p.comps[k].imag for p in parts),
+        )
+        for k in range(order + 1)
+    )
+    return Jet(comps)

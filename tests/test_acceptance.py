@@ -393,7 +393,7 @@ def test_criterion_7_cross_validation_8_point_orbit(orbit_sixth, orbit_sums):
 def test_criterion_8_dirac_structure():
     import random
 
-    from bianchi9.dirac import GAMMAS, IDENT, dtilde_sq_crosscheck, sigma_Dtilde_sq
+    from bianchi9.dirac import GAMMAS, IDENT, _sigma_Dtilde, compose_square, dtilde_sq_crosscheck
     from test_dirac import metric_matrix  # the inverse-metric oracle lives with the Dirac tests
 
     ok = all(
@@ -409,7 +409,7 @@ def test_criterion_8_dirac_structure():
     worst_p2 = 0.0
     for _ in range(20):
         x = (1.05, 0.4 + 2.2 * rng.random(), 6.28 * rng.random(), 6.28 * rng.random())
-        sq = sigma_Dtilde_sq(x, frame)
+        sq = compose_square(_sigma_Dtilde(x, frame)[0])
         ginv = np.linalg.inv(metric_matrix(x, frame))
         xi = np.array([rng.gauss(0, 1) for _ in range(4)])
         want = xi @ ginv @ xi

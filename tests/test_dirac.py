@@ -16,11 +16,10 @@ from bianchi9.dirac import (
     IDENT,
     SField,
     Symbol1,
+    _sigma_D,
+    _sigma_Dtilde,
     compose_square,
     dtilde_sq_crosscheck,
-    sigma_D,
-    sigma_Dtilde,
-    sigma_Dtilde_sq,
 )
 from bianchi9.instanton import InstantonFrame, TwoParamPoint, frame_two_param_jet
 from bianchi9.jets import Jet
@@ -73,27 +72,27 @@ def test_sfield_arithmetic():
 
 def test_symbol_leading_part(frame):
     x = (1.05, 1.1, 0.3, 2.0)
-    sym = sigma_D(x, frame)
+    sym = _sigma_D(x, frame)[0]
     W = np.prod([complex(frame.w[j][0]) for j in range(3)])
     got = sym.a[0].value
     assert np.abs(got - GAMMA0 / cmath.sqrt(W)).max() < 1e-12
 
 
 def test_symbol_constant_part_traceless(frame):
-    sym = sigma_D((1.05, 1.1, 0.3, 2.0), frame)
+    sym = _sigma_D((1.05, 1.1, 0.3, 2.0), frame)[0]
     assert abs(np.trace(sym.b.value)) < 1e-12
 
 
 def test_unit_frame_constant_part():
     ws = tuple(Jet.constant(1.0, 4) for _ in range(3))
     fr = InstantonFrame("jet", ws, Jet.constant(1.0, 4), tuple(Jet.constant(0.0, 4) for _ in range(3)), 0.0)
-    sym = sigma_D((1.0, 1.2, 0.5, 1.7), fr)
+    sym = _sigma_D((1.0, 1.2, 0.5, 1.7), fr)[0]
     assert np.abs(sym.b.value + 0.75 * GAMMA123).max() < 1e-14
 
 
 def test_coordinate_singularity_rejected(frame):
     with pytest.raises(ValueError):
-        sigma_D((1.05, 0.0, 0.3, 2.0), frame)
+        _sigma_D((1.05, 0.0, 0.3, 2.0), frame)
 
 
 def test_series_frame_rejected():
@@ -101,7 +100,7 @@ def test_series_frame_rejected():
 
     fr = frame_two_param_series(TwoParamPoint(F(1, 6), F(5, 6)), 4)
     with pytest.raises(ValueError):
-        sigma_D((1.0, 1.2, 0.5, 1.7), fr)
+        _sigma_D((1.0, 1.2, 0.5, 1.7), fr)
 
 
 def test_principal_symbol_is_inverse_metric(frame):
@@ -109,7 +108,7 @@ def test_principal_symbol_is_inverse_metric(frame):
     sq = None
     for _ in range(20):
         x = _random_x(rng)
-        sq = sigma_Dtilde_sq(x, frame)
+        sq = compose_square(_sigma_Dtilde(x, frame)[0])
         ginv = np.linalg.inv(metric_matrix(x, frame))
         xi = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)])
         want = xi @ ginv @ xi
@@ -125,7 +124,7 @@ def test_principal_symbol_is_inverse_metric(frame):
 
 def test_p2_mu_component(frame):
     x = (1.05, 1.1, 0.3, 2.0)
-    sq = sigma_Dtilde_sq(x, frame)
+    sq = compose_square(_sigma_Dtilde(x, frame)[0])
     W = np.prod([complex(frame.w[j][0]) for j in range(3)])
     Fv = complex(frame.F_[0])
     assert np.abs(sq.p2[0, 0] - IDENT / (Fv * W)).max() < 1e-12
@@ -134,8 +133,8 @@ def test_p2_mu_component(frame):
 def test_conformal_factor_one_degenerates(frame):
     flat_F = Jet.constant(1.0, 4)
     fr1 = dataclasses.replace(frame, F_=flat_F)
-    base = sigma_D((1.05, 1.1, 0.3, 2.0), fr1)
-    tilde = sigma_Dtilde((1.05, 1.1, 0.3, 2.0), fr1)
+    base = _sigma_D((1.05, 1.1, 0.3, 2.0), fr1)[0]
+    tilde = _sigma_Dtilde((1.05, 1.1, 0.3, 2.0), fr1)[0]
     for k in range(4):
         assert np.abs(tilde.a[k].value - base.a[k].value).max() == 0
     assert np.abs(tilde.b.value - base.b.value).max() == 0
@@ -144,8 +143,8 @@ def test_conformal_factor_one_degenerates(frame):
 def test_conformal_scaling_of_p2(frame):
     x = (1.05, 1.3, 0.9, 0.4)
     scaled = dataclasses.replace(frame, F_=4 * frame.F_)
-    p2_base = sigma_Dtilde_sq(x, frame).p2
-    p2_scaled = sigma_Dtilde_sq(x, scaled).p2
+    p2_base = compose_square(_sigma_Dtilde(x, frame)[0]).p2
+    p2_scaled = compose_square(_sigma_Dtilde(x, scaled)[0]).p2
     assert np.abs(p2_scaled - p2_base / 4).max() < 1e-12 * np.abs(p2_base).max()
 
 

@@ -23,6 +23,7 @@ from seeley_oracle import (
     A2_ORACLE_TERMS,
     A4_ORACLE_CHECKSUM,
     A4_ORACLE_TERMS,
+    eval_rows,
     oracle_environment,
     reduce_table,
 )
@@ -35,7 +36,7 @@ from bianchi9.instanton import (
     frame_two_param_series,
 )
 from bianchi9.jets import Jet
-from bianchi9.seeley import _eval_terms, a0, a2, a4
+from bianchi9.seeley import a0, a2, a4
 from bianchi9.seeley_terms import A2_TERMS, A4_CHECKSUM, A4_TERMS, table_checksum
 
 F = Fraction
@@ -131,7 +132,7 @@ SERIES_CASES = [(F(1, 6), F(5, 6), 3), (F(0), F(1, 3), 3), (F(1, 2), F(1, 6), 3)
 @pytest.mark.parametrize(("p", "q", "trunc"), SERIES_CASES)
 def test_table_is_the_oracle_on_series(p, q, trunc):
     fr = frame_two_param_series(TwoParamPoint(p, q), trunc)
-    oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))
+    oracle = eval_rows(A4_ORACLE_TERMS, oracle_environment(fr))
     assert a4(fr).representation.to_json() == oracle.to_json()
 
 
@@ -146,14 +147,14 @@ def test_table_is_the_oracle_on_jets():
         pt = TwoParamPoint(p, q)
         with mpmath.workdps(40):
             deep = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)  # the oracle reads fourth derivatives
-            oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(deep))
+            oracle = eval_rows(A4_ORACLE_TERMS, oracle_environment(deep))
             assert _close(a4(frame_two_param_jet(pt, MP_MU, tol=1e-35)).representation, oracle, 1e-37)
             exact = complex(a4(frame_two_param_jet(pt, mpmath.mpc(1.1), tol=1e-35)).representation[0])
         fr = frame_two_param_jet(pt, 1.1, 1e-14, order=4)
         got = a4(fr).representation[0]
         assert abs(got - exact) <= 1e-13 * abs(exact)
         if (p, q) != (F(1, 2), F(1, 6)):
-            oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))[0]
+            oracle = eval_rows(A4_ORACLE_TERMS, oracle_environment(fr))[0]
             assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
 
@@ -163,7 +164,7 @@ def test_table_is_the_oracle_on_one_param_jets(q0):
     for mu in (1.1, complex(0.9, 0.3)):
         fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, 1e-15, order=5)
         got = a4(fr).representation
-        oracle = _eval_terms(A4_ORACLE_TERMS, oracle_environment(fr))
+        oracle = eval_rows(A4_ORACLE_TERMS, oracle_environment(fr))
         assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(got.comps, oracle.comps))
 
 
@@ -172,7 +173,7 @@ def test_a2_table_is_the_oracle_on_series(p, q, trunc):
     """Equal below the oracle's horizon, and the table's own horizon is not shorter."""
     fr = frame_two_param_series(TwoParamPoint(p, q), trunc)
     got = a2(fr).representation
-    oracle = _eval_terms(A2_ORACLE_TERMS, oracle_environment(fr))
+    oracle = eval_rows(A2_ORACLE_TERMS, oracle_environment(fr))
     assert got.grade == oracle.grade
     _zero_below_horizon(oracle, got - oracle)
     assert got.trunc_frac() >= oracle.trunc_frac()
@@ -184,11 +185,11 @@ def test_a2_table_is_the_oracle_on_jets():
         pt = TwoParamPoint(p, q)
         with mpmath.workdps(40):
             deep = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)  # oracle_environment reads order 4
-            oracle = _eval_terms(A2_ORACLE_TERMS, oracle_environment(deep))
+            oracle = eval_rows(A2_ORACLE_TERMS, oracle_environment(deep))
             assert _close(a2(frame_two_param_jet(pt, MP_MU, tol=1e-35)).representation, oracle, 1e-37)
         fr = frame_two_param_jet(pt, 1.1, 1e-14, order=4)
         got = a2(fr).representation[0]
-        oracle = _eval_terms(A2_ORACLE_TERMS, oracle_environment(fr))[0]
+        oracle = eval_rows(A2_ORACLE_TERMS, oracle_environment(fr))[0]
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
 
@@ -198,7 +199,7 @@ def test_a2_vanishes_on_one_param_jets(q0):
     for mu in (1.1, complex(0.9, 0.3)):
         fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, 1e-15, order=4)
         scale = abs(a0(fr).representation[0])
-        for value in (a2(fr).representation[0], _eval_terms(A2_ORACLE_TERMS, oracle_environment(fr))[0]):
+        for value in (a2(fr).representation[0], eval_rows(A2_ORACLE_TERMS, oracle_environment(fr))[0]):
             assert abs(value) <= 1e-13 * scale
 
 

@@ -8,9 +8,9 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from seeley_oracle import A2_ORACLE_TERMS, oracle_environment
+from seeley_oracle import A2_ORACLE_TERMS, eval_rows, oracle_environment
 
-from bianchi9 import seeley
+from bianchi9 import seeley, series
 from bianchi9.instanton import (
     InstantonFrame,
     OneParamPoint,
@@ -20,8 +20,9 @@ from bianchi9.instanton import (
     frame_two_param_series,
 )
 from bianchi9.jets import Jet
-from bianchi9.seeley import CoeffIndex, _eval_terms, a0, a2, a4, coefficient, orbit_sum
+from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.seeley_terms import (
+    A0_TERMS,
     A2_CHECKSUM,
     A2_TERMS,
     A4_CHECKSUM,
@@ -70,7 +71,7 @@ def test_a0_constant_frame():
 
 
 def _a2_oracle(fr):
-    return _eval_terms(A2_ORACLE_TERMS, oracle_environment(fr))[0]
+    return eval_rows(A2_ORACLE_TERMS, oracle_environment(fr))[0]
 
 
 def test_a2_isotropic_constant_frame():
@@ -168,7 +169,8 @@ def test_orbit_sum_matches_pointwise_sum(orbit_sixth, orbit_third):
     for orb, n, trunc in cases:
         cache = {}
         lists = _lists(list(orb.points))
-        for points in lists[:1] if n == 2 else lists:  # a4 costs about a second per point even at trunc 1
+        # a4 is the costly order (0.03-0.15 s a point at trunc 1 on a 2-core VM): one list
+        for points in lists[:1] if n == 2 else lists:
             summed = orbit_sum(points, CoeffIndex(n), trunc).representation
             assert (summed.as_q_expansion(), summed.trunc, summed.grade) == _pointwise(points, n, trunc, cache)
 
@@ -191,15 +193,60 @@ def test_orbit_sum_builds_one_frame_per_class(monkeypatch, orbit_sixth, orbit_th
 
 
 _SMALL_POINTS = st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(1, 6), st.integers(0, 5))
+_ROWS = {0: A0_TERMS, 1: A2_TERMS, 2: A4_TERMS}
+
+
+def _small_point(pq) -> TwoParamPoint:
+    dp, a, dq, b = pq
+    pt = TwoParamPoint(F(a % dp, dp), F(b % dq, dq))
+    assume(not pt.is_degenerate())
+    return pt
+
+
+@settings(max_examples=8, deadline=None)
+@given(_SMALL_POINTS, st.integers(0, 3))
+def test_program_is_the_rows_on_series(pq, trunc):
+    """Each compiled table gives the series of its rows summed one at a time, horizon included."""
+    fr = frame_two_param_series(_small_point(pq), trunc)
+    env = seeley._term_environment(fr)
+    for n, rows in _ROWS.items():
+        assert coefficient(fr, CoeffIndex(n)).representation.to_json() == eval_rows(rows, env).to_json()
+
+
+@settings(max_examples=10, deadline=None)
+@given(_SMALL_POINTS, st.floats(0.9, 1.3), st.floats(-0.2, 0.2))
+def test_program_is_the_rows_on_jets(pq, re, im):
+    """The values agree to 1e-13 in float64 and to 1e-37 at 40 digits, relative to max(|value|, 1)."""
+    pt, mu = _small_point(pq), complex(re, im)
+    with mpmath.workdps(40):
+        frames = (frame_two_param_jet(pt, mu, 1e-14), 1e-13), (frame_two_param_jet(pt, mpmath.mpc(mu), 1e-35), 1e-37)
+        for fr, tol in frames:
+            env = seeley._term_environment(fr)
+            for n, rows in _ROWS.items():
+                x, y = coefficient(fr, CoeffIndex(n)).representation[0], eval_rows(rows, env)[0]
+                assert abs(x - y) <= tol * max(abs(x), abs(y), 1)
+
+
+def test_a4_shares_its_monomials(monkeypatch):
+    """a4 at (1/6, 5/6), trunc 6, in at most 200 series products; row by row it takes 503."""
+    fr = frame_two_param_series(TwoParamPoint(F(1, 6), F(5, 6)), 6)
+    calls = []
+    mul = series.series_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(series, "series_mul", counting)
+    a4(fr)
+    assert 0 < len(calls) <= 200
 
 
 @settings(max_examples=12, deadline=None)
 @given(_SMALL_POINTS, st.integers(0, 10**6), st.sampled_from((0, 1)), st.integers(0, 2))
 def test_galois_image_is_the_series_at_k_q(pq, pick, n, trunc):
     """sigma_k maps a_2n[p, q] to a_2n[p, k q] for every unit k mod N."""
-    dp, a, dq, b = pq
-    pt = TwoParamPoint(F(a % dp, dp), F(b % dq, dq))
-    assume(not pt.is_degenerate())
+    pt = _small_point(pq)
     big_n = cyclotomic_order(Characteristics(pt.p, pt.q))
     units = [k for k in range(1, big_n) if math.gcd(k, big_n) == 1]
     k = units[pick % len(units)]
