@@ -288,8 +288,8 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
         return coefficient(frame, index).representation[0]
 
     worst = {"T": 0.0, "S": 0.0}
-    # the identities cancel catastrophically at order 4 (monomials ~1e7 times
-    # the result), so evaluate at 40 digits and let float64 sampling pick mu
+    # the a4 rows cancel heavily (one row reaches 2e6 times the value on the
+    # 8- and 24-point orbits), so evaluate at 40 digits; float64 samples pick mu
     with mpmath.workdps(40):
         mus = [mpmath.mpc(m) for m in sample_mu(samples, seed)]
         for mu in mus:

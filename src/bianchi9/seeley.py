@@ -1,11 +1,12 @@
 """Heat-trace coefficients a0, a2, a4 of the conformally rescaled Dirac square.
 
 Each term table of :mod:`bianchi9.seeley_terms` is compiled once, on first
-use, into a straight-line program: rows grouped by their w monomial, then by
-their (F, F', F'', k) monomial, leave polynomials in A, so a group costs one
-product, and every monomial is built once from shared power and prefix chains
-with one inverse per variable.  The same program runs on exact nome series
-(grade pi^{2n-3} Lambda^{n-2}) and on float and mpmath jets (Lambda set to 1).
+use, into a straight-line program: rows grouped by their A monomial (10 in a4,
+against 28 w monomials), then by their (F, F', F'', k) monomial, leave
+polynomials in w, so a group costs one product, and every monomial is built
+once from shared power and prefix chains with one inverse per variable.  It
+runs on exact nome series (grade pi^{2n-3} Lambda^{n-2}) and on float and
+mpmath jets (Lambda set to 1).
 
 Orbit sums collapse the cyclotomic phases: summed over a full PSL2(Z) orbit
 of parameter points the series has rational coefficients at integer powers of
@@ -83,10 +84,10 @@ def _compile(rows) -> tuple:
     j < len(VARIABLES) holds VARIABLES[j] and each step appends one: an int step
     inverts that register, a tuple step sums its terms c x_a x_b (None: no factor)."""
     tree: dict = {}
-    levels = (("w1", "w2", "w3"), ("F", "Fd1", "Fd2", "k"), ("A1", "A2", "A3"))
+    levels = (("A1", "A2", "A3"), ("F", "Fd1", "Fd2", "k"), ("w1", "w2", "w3"))
     for c, mono in rows:
-        w, f, a = (tuple((v, mono[v]) for v in level if v in mono) for level in levels)
-        tree.setdefault(w, {}).setdefault(f, {})[a] = c
+        a, f, w = (tuple((v, mono[v]) for v in level if v in mono) for level in levels)
+        tree.setdefault(a, {}).setdefault(f, {})[w] = c
     steps: dict = {}  # step -> its register
     emit = lambda step: steps.setdefault(step, len(VARIABLES) + len(steps))  # noqa: E731
     mul = lambda a, b: a if b is None else emit(((1, a, b),))  # noqa: E731
@@ -142,7 +143,7 @@ def _table_coefficient(frame: InstantonFrame, n: int) -> CoeffResult:
 
 
 def a0(frame: InstantonFrame) -> CoeffResult:
-    """a0 = 4 F^2 w1 w2 w3."""
+    """a0 = 4 w1 w2 w3 F^2."""
     return _table_coefficient(frame, 0)
 
 

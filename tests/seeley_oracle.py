@@ -1,22 +1,29 @@
-"""The a2 and a4 term tables in w_j, F and their mu-derivatives, and their reduction.
+"""The a2 and a4 term tables in w_j, F and their mu-derivatives, their reduction, and the Weyl form of a4.
 
 ``A2_ORACLE_TEXT`` and ``A4_ORACLE_TEXT`` are the tables as first
 transcribed: 17 rows in ``w1 w2 w3 F`` and their mu-derivatives to order 2,
-and 201 rows with derivatives to order 4.  The library evaluates the reduced
-tables ``bianchi9.seeley_terms.A2_TEXT`` and ``A4_TEXT`` instead; the tests
-keep these as their oracles.  ``reduce_table`` eliminates every derivative
-past F' by a derivation on Laurent monomials with ``Fraction``
-coefficients, using
+and 201 rows with derivatives to order 4.  The library evaluates
+``bianchi9.seeley_terms.A2_TEXT`` and ``A4_TEXT`` instead; the tests keep
+these as their oracles.  ``reduce_table`` eliminates every derivative past
+F' by a derivation on Laurent monomials with ``Fraction`` coefficients,
+using
 
     w_i' = -w_j w_k + w_i (A_j + A_k)          (Tod-Halphen)
     A_i' = -A_j A_k + A_i (A_j + A_k)          (Halphen)
     F''  = F'^2 / (2 F) - k F^2 w1 w2 w3       (Einstein, k = 4 pi^2 Lambda)
 
-for (i, j, k) cyclic.  It turns the a4 oracle into the library's a4 table,
-and both a2 tables into -k F^2 w1 w2 w3.  Negative exponents fall only on
-w_j and F, so the substitution stays polynomial.  ``oracle_environment``
-gives the derivative variables the oracles read, and ``eval_rows`` sums the
-rows of any table on a frame one at a time.
+for (i, j, k) cyclic.  It turns the a4 oracle into 125 rows in
+``w, A, F, F', k``, whose checksum the tests freeze, and both a2 tables
+into -k F^2 w1 w2 w3.  Negative exponents fall only on w_j and F, so the
+substitution stays polynomial.
+
+``weyl_table`` expands the library's a4 table from ``P1_TEXT``, the first
+of the three forms P_i with C^2 sqrt(g) = 4 (P1^2 + P2^2 + P3^2) / (w1 w2 w3)^5
+(see :mod:`bianchi9.seeley_terms`).  The 125 rows and the 64 differ as
+polynomials and agree on every frame; the tests hold the 64 to the 201-row
+oracle on series and jets.  ``oracle_environment`` gives the derivative
+variables the oracles read, and ``eval_rows`` sums the rows of any table on
+a frame one at a time.
 """
 
 from __future__ import annotations
@@ -344,7 +351,56 @@ def reduce_table(rows):
         for var, e in mono.items():
             term = _mul(term, _power(_substitute(var), e))
         total = _add(total, term)
-    return [(c, {v: e for v, e in zip(BASE, mono) if e}) for mono, c in sorted(total.items())]
+    return _rows(total)
+
+
+def _poly(rows):
+    return _add(*(_mono(c, **mono) for c, mono in rows))
+
+
+def _rows(poly):
+    return [(c, {v: e for v, e in zip(BASE, mono) if e}) for mono, c in sorted(poly.items())]
+
+
+def collect_rows(rows):
+    """The rows with like monomials merged and zeros dropped, in canonical order."""
+    return _rows(_poly(rows))
+
+
+# P1 of the self-dual Weyl tensor; P2 and P3 are its images under 1 -> 2 -> 3
+P1_TEXT = """
+-2 w2^4 w3^4
++1 w1 w2^3 w3^3 A3
++1 w1 w2^3 w3^3 A2
+-2 w1 w2^3 w3^3 A1
++1 w1^2 w2^2 w3^4
++1 w1^2 w2^4 w3^2
+-1 w1^3 w2 w3^3 A3
++1 w1^3 w2 w3^3 A2
++1 w1^3 w2^3 w3 A3
+-1 w1^3 w2^3 w3 A2
++1 w1^4 w3^4
+-2 w1^4 w2^2 w3^2
++1 w1^4 w2^4
+"""
+
+_CYCLE = {"w1": "w2", "w2": "w3", "w3": "w1", "A1": "A2", "A2": "A3", "A3": "A1"}
+
+
+def weyl_forms():
+    """P1, P2, P3 as row tables."""
+    forms = [collect_rows(parse_terms(P1_TEXT))]
+    for _ in range(2):
+        forms.append(collect_rows([(c, {_CYCLE.get(v, v): e for v, e in mono.items()}) for c, mono in forms[-1]]))
+    return forms
+
+
+def weyl_table():
+    """-(7/90) (P1^2 + P2^2 + P3^2) (w1 w2 w3)^-5 + (11/240) k^2 F^2 w1 w2 w3, expanded."""
+    total = _mono(Fraction(11, 240), w1=1, w2=1, w3=1, F=2, k=2)
+    for form in map(_poly, weyl_forms()):
+        total = _add(total, _mul(_mul(form, form), _mono(Fraction(-7, 90), w1=-5, w2=-5, w3=-5)))
+    return _rows(total)
 
 
 def oracle_environment(frame):

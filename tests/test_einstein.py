@@ -2,11 +2,11 @@
 
 Every frame obeys Tod-Halphen, Halphen and the Einstein ODE for F (see
 :mod:`bianchi9.seeley_terms`), three first integrals and a relation between
-w and A.  The library's a4 table is the 201-row oracle of ``seeley_oracle``
-with the first three substituted, so the two must give the same series,
-horizon included, and the same jets to rounding.  Its a2 table is the
-17-row oracle with Tod-Halphen and Halphen substituted: the same series
-below the oracle's horizon, and the same jets to rounding.
+w and A.  The library's a4 table is the Weyl square plus (11/960) k^2 a0,
+which on these frames is the 201-row oracle of ``seeley_oracle``: the two
+must give the same series, horizon included, and the same jets to rounding.
+Its a2 table is the 17-row oracle with Tod-Halphen and Halphen substituted:
+the same series below the oracle's horizon, and the same jets to rounding.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from seeley_oracle import (
     A2_ORACLE_TERMS,
     A4_ORACLE_CHECKSUM,
     A4_ORACLE_TERMS,
+    collect_rows,
     eval_rows,
     oracle_environment,
     reduce_table,
+    weyl_forms,
+    weyl_table,
 )
 
 from bianchi9.instanton import (
@@ -36,8 +39,8 @@ from bianchi9.instanton import (
     frame_two_param_series,
 )
 from bianchi9.jets import Jet
-from bianchi9.seeley import a0, a2, a4
-from bianchi9.seeley_terms import A2_TERMS, A4_CHECKSUM, A4_TERMS, table_checksum
+from bianchi9.seeley import _term_environment, a0, a2, a4
+from bianchi9.seeley_terms import A2_TERMS, A4_TERMS, table_checksum
 
 F = Fraction
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -53,9 +56,47 @@ def test_oracle_is_frozen():
 
 
 def test_reducing_the_oracle_gives_the_table():
+    """The 201 rows with every derivative past F' substituted: 125 rows in
+    w, A, F, F', k, frozen by their checksum."""
     reduced = reduce_table(A4_ORACLE_TERMS)
-    assert table_checksum(reduced) == A4_CHECKSUM
-    assert reduced == A4_TERMS
+    assert len(reduced) == 125
+    assert table_checksum(reduced) == "f99d19526a1e2c5473b2ff322ef35ec11ca3420bd740ca828a1ee7cb8d5e6b64"
+
+
+def test_weyl_forms_sum_to_zero():
+    """P1 + P2 + P3 = 0 as polynomials, not only on frames."""
+    p1, p2, p3 = weyl_forms()
+    assert len(p1) == 13
+    assert collect_rows(p1 + p2 + p3) == []
+
+
+def test_table_is_the_weyl_square_plus_a_multiple_of_a0():
+    """-(7/90) (P1^2 + P2^2 + P3^2) (w1 w2 w3)^-5 + (11/240) k^2 F^2 w1 w2 w3, row for row."""
+    assert weyl_table() == A4_TERMS
+
+
+def test_weyl_forms_vanish_on_the_8_point_orbit():
+    """W+ = 0 there: every P_i is zero below the horizon on exact frames at
+    (1/6, 5/6) and (1/2, 1/6), and to 1e-35 on 40-digit jets at (1/6, 1/6).
+    At (0, 1/3), on the 24-point orbit, they are not."""
+    forms = weyl_forms()
+    for p, q in ((F(1, 6), F(5, 6)), (F(1, 2), F(1, 6))):
+        env = _term_environment(frame_two_param_series(TwoParamPoint(p, q), 4))
+        for rows in forms:
+            _zero_below_horizon(eval_rows(rows[:1], env), eval_rows(rows, env))
+    env = _term_environment(frame_two_param_series(TwoParamPoint(F(0), F(1, 3)), 4))
+    assert not any(eval_rows(rows, env).is_zero() for rows in forms)
+    with mpmath.workdps(40):
+        env = _term_environment(frame_two_param_jet(TwoParamPoint(F(1, 6), F(1, 6)), MP_MU, tol=1e-35))
+        for rows in forms:
+            assert abs(eval_rows(rows, env)[0]) <= 1e-35
+
+
+def test_a4_orbit_sum_is_11_60_of_a0_on_the_8_point_orbit(orbit_sums):
+    """With W+ = 0, a4 = (11/960) k^2 a0 = (11/60) pi^4 Lambda^2 a0 at every point,
+    so the trunc-6 orbit sums agree below their common horizon."""
+    lhs = orbit_sums["sixth", 4][0].representation
+    _zero_below_horizon(lhs, lhs - orbit_sums["sixth", 0][0].representation.scale(F(11, 60), dpi=4, dlam=2))
 
 
 def test_reducing_either_a2_table_gives_minus_k_over_4_a0():

@@ -22,11 +22,16 @@ from bianchi9.instanton import (
 from bianchi9.jets import Jet
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.seeley_terms import (
+    A0_CHECKSUM,
     A0_TERMS,
+    A0_TEXT,
     A2_CHECKSUM,
     A2_TERMS,
+    A2_TEXT,
     A4_CHECKSUM,
     A4_TERMS,
+    A4_TEXT,
+    VARIABLES,
     parse_terms,
     render_terms,
     table_checksum,
@@ -52,17 +57,30 @@ def test_coeff_index_validation():
 
 
 def test_term_tables_are_frozen():
+    assert len(A0_TERMS) == 1
     assert len(A2_TERMS) == 2
-    assert len(A4_TERMS) == 125
+    assert len(A4_TERMS) == 64
+    assert not any("Fd1" in mono or "Fd2" in mono for _, mono in A4_TERMS)
+    assert table_checksum(A0_TERMS) == A0_CHECKSUM
     assert table_checksum(A2_TERMS) == A2_CHECKSUM
     assert table_checksum(A4_TERMS) == A4_CHECKSUM
+    assert A0_CHECKSUM == "04c0ed0acafcd993ff85f2100804d175f5a6ff4690c3d3238d9102574224f0f0"
     assert A2_CHECKSUM == "2e6944afbf974b66fe0496810bcd6729001ff5d28f1fcde0d8396a10a4b33dd7"
-    assert A4_CHECKSUM == "f99d19526a1e2c5473b2ff322ef35ec11ca3420bd740ca828a1ee7cb8d5e6b64"
+    assert A4_CHECKSUM == "a098ff572e670cf45b40c9b5e268338ff4971e3591bac2b2235f9d94413b2aca"
 
 
 def test_render_parse_round_trip():
-    assert parse_terms(render_terms(A2_TERMS)) == A2_TERMS
-    assert parse_terms(render_terms(A4_TERMS)) == A4_TERMS
+    for rows in (A0_TERMS, A2_TERMS, A4_TERMS):
+        assert parse_terms(render_terms(rows)) == rows
+
+
+def test_tables_are_canonical():
+    """Each text is its canonical render: every row lists its variables in
+    VARIABLES order, and the rows are sorted by their exponents read in that order."""
+    for text in (A0_TEXT, A2_TEXT, A4_TEXT):
+        rows = sorted(parse_terms(text), key=lambda row: [row[1].get(v, 0) for v in VARIABLES])
+        canonical = [(c, {v: mono[v] for v in VARIABLES if v in mono}) for c, mono in rows]
+        assert render_terms(canonical) == text.lstrip("\n")
 
 
 def test_a0_constant_frame():
@@ -228,7 +246,7 @@ def test_program_is_the_rows_on_jets(pq, re, im):
 
 
 def test_a4_shares_its_monomials(monkeypatch):
-    """a4 at (1/6, 5/6), trunc 6, in at most 200 series products; row by row it takes 503."""
+    """a4 at (1/6, 5/6), trunc 6, in at most 115 series products; its 64 rows one at a time take 244."""
     fr = frame_two_param_series(TwoParamPoint(F(1, 6), F(5, 6)), 6)
     calls = []
     mul = series.series_mul
@@ -239,7 +257,7 @@ def test_a4_shares_its_monomials(monkeypatch):
 
     monkeypatch.setattr(series, "series_mul", counting)
     a4(fr)
-    assert 0 < len(calls) <= 200
+    assert 0 < len(calls) <= 115
 
 
 @settings(max_examples=12, deadline=None)
