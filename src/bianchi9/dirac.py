@@ -11,7 +11,8 @@ and its square is formed with the pseudo-differential composition rule
 sigma(P1 P2) = sum_alpha (-i)^{|alpha|}/alpha! d_xi^alpha sigma(P1)
 d_x^alpha sigma(P2), which terminates at |alpha| <= 1 for first-order symbols.
 Spatial derivatives of coefficients are carried analytically by first-order
-multivariate jets (trig in eta, psi; the mu-jet components of the frame).
+multivariate jets: trig in eta and psi; in mu, F' and F'' from the frame's
+tower, and w', w'' from Tod-Halphen and Halphen on the frame's values.
 
 Two square roots are taken, each once: rW = sqrt(w1 w2 w3), with
 sqrt(w_j / (w_k w_l)) = w_j / rW, and sqrt(F).  Every coefficient of D is odd
@@ -107,15 +108,20 @@ class SymbolQuadratic:
 
 
 def _frame_fields(frame: InstantonFrame):
+    """w_j, w_j', F and F' as fields carrying their mu-derivatives, in the frame's
+    arithmetic: F' and F'' from its tower, w' = -w_j w_k + w_i (A_j + A_k)
+    (Tod-Halphen) and w'' its derivative with A_i' = -A_j A_k + A_i (A_j + A_k)
+    (Halphen), (i, j, k) cyclic."""
     if frame.mode != "jet":
-        raise ValueError("symbol construction needs a jet-mode frame")
-
-    def field(jet, k):
-        return SField(complex(jet[k]), (complex(jet[k + 1]), 0, 0, 0))
-
-    w = [field(frame.w[j], 0) for j in range(3)]
-    dw = [field(frame.w[j], 1) for j in range(3)]
-    return w, dw, field(frame.F_, 0), field(frame.F_, 1)
+        raise ValueError("symbol construction needs a numeric frame")
+    w, A = [x[0] for x in frame.w], [a[0] for a in frame.A]
+    F0, F1, F2 = (f[0] for f in frame.F_)
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    dA = [-A[j] * A[k] + A[i] * (A[j] + A[k]) for i, j, k in cyclic]
+    dw = [-w[j] * w[k] + w[i] * (A[j] + A[k]) for i, j, k in cyclic]
+    ddw = [-dw[j] * w[k] - w[j] * dw[k] + dw[i] * (A[j] + A[k]) + w[i] * (dA[j] + dA[k]) for i, j, k in cyclic]
+    field = lambda value, deriv: SField(value, (deriv, 0, 0, 0))  # noqa: E731
+    return list(map(field, w, dw)), list(map(field, dw, ddw)), field(F0, F1), field(F1, F2)
 
 
 def _trig_fields(x):
@@ -150,7 +156,7 @@ def _sigma_D(x, frame: InstantonFrame):
 
 def _sigma_Dtilde(x, frame: InstantonFrame):
     """The symbol of Dtilde at x, and what ``_sigma_D`` returned for D."""
-    Fv = complex(frame.F_[0])
+    Fv = complex(frame.F_[0][0])
     if Fv == 0 or (Fv.real <= 0 and abs(Fv.imag) < 1e-14 * abs(Fv.real)):
         raise ValueError("F on the branch cut of the principal square root")
     d = _sigma_D(x, frame)
@@ -210,7 +216,7 @@ def dtilde_sq_crosscheck(x, frame: InstantonFrame, tol: float = 1e-10) -> dict:
     p1[2] += 1j * (-coeff / se) * (w1 * g01 * cp + w2 * g02 * sp)
     p1[3] += 1j * (coeff * ce / se) * (w1 * g01 * cp + w2 * g02 * sp - w3 * g03 * se / ce)
     p1[0] += 1j * (-dFv / (Fv**2 * W)) * IDENT
-    ddFv = complex(frame.F_[2])
+    ddFv = dF.grad[0]
     p0 = p0 + (
         -3 * ddFv / (4 * Fv**2 * W)
         + 9 * dFv**2 / (16 * Fv**3 * W)

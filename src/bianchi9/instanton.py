@@ -7,11 +7,11 @@ Two-parametric family (theta-quotient parametrization):
     w3[p,q] = -(1/2) th2 th3 d_q th[p+1/2, q] / th[p,q]
     F[p,q]  = (2/(pi Lambda)) (th[p,q] / d_q th[p,q])^2
 
-available as exact nome series or as numeric jets.  One-parametric family:
+available as exact nome series or as numeric values at mu.  One-parametric family:
 
     w_j[q0] = 1/(mu+q0) + A_j,   F[q0] = C (mu+q0)^2
 
-jet mode only (1/(mu+q0) is not a nome series).  Every frame also carries
+numeric only (1/(mu+q0) is not a nome series).  Every frame also carries
 
     A_j = 2 d/dmu log th_{j+1}(i mu)   (th_2, th_3, th_4)
 
@@ -42,7 +42,7 @@ from .theta import (
     theta_series,
 )
 
-DEPTH = 2  # mu-derivatives of F in every frame, of w in jet frames: a2 reads F'', check dirac w'' and F''
+DEPTH = 2  # mu-derivatives of F in every frame, the only derivatives a frame carries: a2 and check dirac read F''
 
 DEGENERATE = {
     (Fraction(0), Fraction(0)),
@@ -81,27 +81,20 @@ class OneParamPoint:
 
 @dataclass(frozen=True)
 class InstantonFrame:
-    """w_j and F with mu-derivatives, the A_j, and k = 4 pi^2 Lambda.
+    """w_j, the A_j, F with its mu-derivatives to DEPTH, and k = 4 pi^2 Lambda.
 
-    mode "series": w[j] and A[j] are PuiseuxSeries, F_[k] is the PuiseuxSeries
-    of the k-th derivative of F for k <= DEPTH (no table reads a derivative
-    of w), and k is the constant series 4 of grade pi^2 Lambda.
-    mode "jet": w[j] / F_ / A[j] are Jet objects (index [k] gives the
-    derivative), all of the frame's order, DEPTH unless the caller asks for
-    more; k is a number (Lambda set to 1).
+    Both modes have one shape: w and A are 3-tuples, F_ is the tower
+    (F, F', ..., F^(DEPTH)), and no table reads a derivative of w or A.
+    mode "series": every entry is a PuiseuxSeries, k the constant series 4 of
+    grade pi^2 Lambda.  mode "jet": every entry is the value at mu as an
+    order-0 Jet (Lambda set to 1), k a number.
     """
 
     mode: str
     w: tuple
-    F_: object
+    F_: tuple
     A: tuple
     k: object
-
-    @property
-    def order(self) -> int:
-        if self.mode == "series":
-            return len(self.F_) - 1
-        return self.F_.order
 
 
 @functools.lru_cache(maxsize=8)
@@ -112,12 +105,12 @@ def _theta_constants(work: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def _theta_constant_jets(mu, order: int, tol: float, prec) -> tuple:
-    """(th2, th3, th4) and (A1, A2, A3) as jets of order ``order`` at mu, one lattice pass
-    per theta at order + 1 (the log-derivative costs one).  The key is typed and holds
-    the ``arithmetic`` precision: an mpmath mu equals, and hashes like, its complex."""
-    thetas = tuple(theta_jet(c.p, c.q, False, mu, order + 1, tol) for c in (THETA2, THETA3, THETA4))
-    return tuple(Jet(th.comps[:-1]) for th in thetas), tuple(2 * jet_log_derivative(th) for th in thetas)
+def _theta_constant_jets(mu, tol: float, prec) -> tuple:
+    """(th2, th3, th4) and (A1, A2, A3) as values (order-0 jets) at mu, from one
+    order-1 lattice pass per theta.  The key is typed and holds the ``arithmetic``
+    precision: an mpmath mu equals, and hashes like, its complex."""
+    thetas = tuple(theta_jet(c.p, c.q, False, mu, 1, tol) for c in (THETA2, THETA3, THETA4))
+    return tuple(Jet(th.comps[:1]) for th in thetas), tuple(2 * jet_log_derivative(th) for th in thetas)
 
 
 def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
@@ -150,39 +143,39 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     tower = [F]
     for _ in range(DEPTH):
         tower.append(tower[-1].mu_derivative())
-    return InstantonFrame("series", (w1, w2, w3), tower, A, PuiseuxSeries.constant(4, Grade(2, 1)))
+    return InstantonFrame("series", (w1, w2, w3), tuple(tower), A, PuiseuxSeries.constant(4, Grade(2, 1)))
 
 
-def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12, order: int = DEPTH) -> InstantonFrame:
-    """Numeric frame of w_j, F and A_j jets at mu (Lambda set to 1)."""
+def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:
+    """Numeric frame at mu (Lambda set to 1): w_j from values of theta, A_j from
+    the theta constants to first order, F's tower from theta jets of order DEPTH."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
     half = Fraction(1, 2)
     mu, pi, exp, num, prec = arithmetic(mu)
     e_pip = exp(1j * pi * num(p))
-    (th2, th3, th4), A = _theta_constant_jets(mu, order, tol, prec)
-    tpq = theta_jet(p, q, False, mu, order, tol)
-    dtpq = theta_jet(p, q, True, mu, order, tol)
-    w1 = th3 * th4 * theta_jet(p, q + half, True, mu, order, tol) / tpq * (-0.5j / e_pip)
-    w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, order, tol) / tpq * (0.5j / e_pip)
-    w3 = th2 * th3 * theta_jet(p + half, q, True, mu, order, tol) / tpq * (-0.5)
+    (th2, th3, th4), A = _theta_constant_jets(mu, tol, prec)
+    tpq = theta_jet(p, q, False, mu, DEPTH, tol)
+    dtpq = theta_jet(p, q, True, mu, DEPTH, tol)
+    t0 = Jet(tpq.comps[:1])
+    w1 = th3 * th4 * theta_jet(p, q + half, True, mu, 0, tol) / t0 * (-0.5j / e_pip)
+    w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, 0, tol) / t0 * (0.5j / e_pip)
+    w3 = th2 * th3 * theta_jet(p + half, q, True, mu, 0, tol) / t0 * (-0.5)
     F = (tpq / dtpq) ** 2 * (2 / pi)
-    return InstantonFrame("jet", (w1, w2, w3), F, A, 4 * pi**2)
+    return InstantonFrame("jet", (w1, w2, w3), tuple(Jet((f,)) for f in F.comps), A, 4 * pi**2)
 
 
-def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12, order: int = DEPTH) -> InstantonFrame:
-    """Numeric frame of the one-parametric family at mu."""
+def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:
+    """Numeric frame of the one-parametric family at mu; F's tower is (C s^2, 2 C s, 2 C), s = mu + q0."""
     mu, _, _, _, prec = arithmetic(mu)
     if complex(mu).real <= 0:
         raise ValueError("Re(mu) must be positive")
-    q0 = complex(pt.q0)
-    if complex(mu + q0) == 0:
+    s = mu + complex(pt.q0)
+    if complex(s) == 0:
         raise ValueError("mu = -q0 is a pole of the frame")
-    shifted = Jet.variable(mu, order) + q0
-    pole = 1 / shifted
-    A = _theta_constant_jets(mu, order, tol, prec)[1]
+    pole = 1 / Jet((s,))
+    A = _theta_constant_jets(mu, tol, prec)[1]
     C = float(pt.C)
-    f_comps = [C * (mu + q0) ** 2, 2 * C * (mu + q0), 2 * C + 0j] + [0j] * (order - 2)
-    F = Jet(f_comps[: order + 1])
-    return InstantonFrame("jet", tuple(pole + a for a in A), F, A, 0)
+    tower = (C * s**2, 2 * C * s, 2 * C + 0j)
+    return InstantonFrame("jet", tuple(pole + a for a in A), tuple(Jet((f,)) for f in tower), A, 0)

@@ -1,9 +1,10 @@
 """Fixed-order truncated Taylor jets over the complex numbers.
 
 A Jet stores the value and the first k mu-derivatives of a function at a
-point.  Arithmetic propagates derivatives by the Leibniz and quotient rules;
-this is how numeric evaluation of w_j, F and the heat-trace coefficients
-carries their mu-derivatives along.
+point.  Arithmetic propagates derivatives by the Leibniz and quotient rules:
+one lattice pass gives a theta function as a jet, F's derivative tower is a
+quotient of theta jets, and A_j a log-derivative.  A numeric frame holds
+values, order-0 jets, and the coefficient tables run on those.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ class Jet:
     @classmethod
     def constant(cls, value, order: int) -> "Jet":
         return cls((value,) + (0j,) * order)
-
-    @classmethod
-    def variable(cls, mu, order: int) -> "Jet":
-        """The coordinate function mu itself."""
-        comps = [mu, 1.0 + 0j] + [0j] * (order - 1)
-        return cls(comps[: order + 1])
 
     def __getitem__(self, j: int) -> complex:
         return self.comps[j]

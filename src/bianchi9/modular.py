@@ -275,7 +275,7 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
     For each orbit point and each generator:
       T: a[p,q](i mu + 1) = a[T(p,q)](i mu)    (argument mu - i)
       S: a[p,q](i/mu)     = -mu^2 a[S(p,q)](i mu)
-    evaluated by jets at seeded sample mu; both right-hand sides read the one
+    evaluated on numeric frames at seeded sample mu; both right-hand sides read the one
     value a[pt](i mu) of each orbit point.  Returns per-generator maxima.
     """
     import mpmath

@@ -5,8 +5,9 @@ use, into a straight-line program: rows grouped by their A monomial (10 in a4,
 against 28 w monomials), then by their (F, F', F'', k) monomial, leave
 polynomials in w, so a group costs one product, and every monomial is built
 once from shared power and prefix chains with one inverse per variable.  It
-runs on exact nome series (grade pi^{2n-3} Lambda^{n-2}) and on float and
-mpmath jets (Lambda set to 1).
+runs on the variables of a frame as they are: exact nome series (grade
+pi^{2n-3} Lambda^{n-2}), or float and mpmath values at mu as order-0 jets
+(Lambda set to 1).
 
 Orbit sums collapse the cyclotomic phases: summed over a full PSL2(Z) orbit
 of parameter points the series has rational coefficients at integer powers of
@@ -21,8 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instanton import DEPTH, InstantonFrame, TwoParamPoint, frame_two_param_series
-from .jets import Jet
+from .instanton import InstantonFrame, TwoParamPoint, frame_two_param_series
 from .series import Grade, PuiseuxSeries
 from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS, VARIABLES
 from .theta import Characteristics, cyclotomic_order
@@ -50,33 +50,15 @@ class CoeffIndex:
 @dataclass(frozen=True)
 class CoeffResult:
     index: CoeffIndex
-    representation: object  # PuiseuxSeries or Jet
+    representation: object  # PuiseuxSeries, or an order-0 Jet holding the value
 
     def to_json(self) -> dict:
         return {"order": self.index.order, "series": self.representation.to_json()}
 
 
 def _term_environment(frame: InstantonFrame):
-    """Map the variable names of the term tables to series (series mode) or jets (jet mode).
-
-    The tables read w_j, A_j and k as they are, and F with its derivatives
-    up to DEPTH.  In jet mode each derivative variable is the shifted jet,
-    and everything is lowered to the common order frame.order - DEPTH so
-    products line up: 0 for a frame of the default order.
-    """
-    if frame.mode == "series":
-        lower = lambda x: x
-        deriv = lambda x, k: x[k]
-    else:
-        target = frame.order - DEPTH
-        if target < 0:
-            raise ValueError(f"frame order {frame.order} below the derivative depth {DEPTH}")
-        lower = lambda x: Jet(x.comps[: target + 1])
-        deriv = lambda x, k: Jet(x.comps[k : k + target + 1])
-    env = dict(zip(("w1", "w2", "w3", "A1", "A2", "A3"), map(lower, (*frame.w, *frame.A))), k=frame.k)
-    for k in range(DEPTH + 1):
-        env[f"Fd{k}" if k else "F"] = deriv(frame.F_, k)
-    return env
+    """Map the variable names of the term tables to the frame's series or values."""
+    return dict(zip(VARIABLES, (*frame.w, *frame.F_, *frame.A, frame.k), strict=True))
 
 
 def _compile(rows) -> tuple:

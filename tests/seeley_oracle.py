@@ -24,16 +24,28 @@ polynomials and agree on every frame; the tests hold the 64 to the 201-row
 oracle on series and jets.  ``oracle_environment`` gives the derivative
 variables the oracles read, and ``eval_rows`` sums the rows of any table on
 a frame one at a time.
+
+The library's numeric frames hold values at mu: w_j and A_j, and F with its
+derivatives to ``DEPTH``.  ``jet_frame_two_param`` and ``jet_frame_one_param``
+build the same frames as mu-jets of any order, from the same theta lattice
+sums: the oracles read fourth derivatives of w and F from them, and the
+tests derivatives of w and A.  ``value_frame`` cuts such a frame to the
+library's shape, and ``table_jet`` runs a library table on one, giving the
+coefficient's jet of order ``frame.order - DEPTH``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from bianchi9.jets import Jet
+from bianchi9 import seeley
+from bianchi9.instanton import DEPTH, InstantonFrame
+from bianchi9.jets import Jet, jet_log_derivative
 from bianchi9.series import PuiseuxSeries
-from bianchi9.seeley_terms import VARIABLES, parse_terms
+from bianchi9.seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS, VARIABLES, parse_terms
+from bianchi9.theta import THETA2, THETA3, THETA4, arithmetic, theta_jet
 
 ORACLE_VARIABLES = (
     ["w1", "w2", "w3", "F"]
@@ -464,3 +476,76 @@ def eval_rows(rows, env):
         for k in range(order + 1)
     )
     return Jet(comps)
+
+
+@dataclass(frozen=True)
+class JetFrame:
+    """A numeric frame of mu-jets: w_j, F and A_j to one order, and k."""
+
+    w: tuple
+    F_: Jet
+    A: tuple
+    k: object
+    mode = "jet"
+
+    @property
+    def order(self) -> int:
+        return self.F_.order
+
+
+def coordinate_jet(mu, order: int) -> Jet:
+    """The coordinate function mu itself."""
+    return Jet(((mu, 1.0 + 0j) + (0j,) * order)[: order + 1])
+
+
+def _theta_constant_jets(mu, order, tol):
+    """(th2, th3, th4) and (A1, A2, A3) as jets of the given order, one lattice
+    pass per theta at order + 1 (the log-derivative costs one)."""
+    thetas = [theta_jet(c.p, c.q, False, mu, order + 1, tol) for c in (THETA2, THETA3, THETA4)]
+    return [Jet(th.comps[:-1]) for th in thetas], tuple(2 * jet_log_derivative(th) for th in thetas)
+
+
+def jet_frame_two_param(pt, mu, tol: float = 1e-12, order: int = 4) -> JetFrame:
+    """The frame of ``bianchi9.instanton.frame_two_param_jet`` as jets of the given order."""
+    if pt.is_degenerate():
+        raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
+    p, q = pt.p, pt.q
+    half = Fraction(1, 2)
+    mu, pi, exp, num, _ = arithmetic(mu)
+    e_pip = exp(1j * pi * num(p))
+    (th2, th3, th4), A = _theta_constant_jets(mu, order, tol)
+    tpq = theta_jet(p, q, False, mu, order, tol)
+    dtpq = theta_jet(p, q, True, mu, order, tol)
+    w1 = th3 * th4 * theta_jet(p, q + half, True, mu, order, tol) / tpq * (-0.5j / e_pip)
+    w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, order, tol) / tpq * (0.5j / e_pip)
+    w3 = th2 * th3 * theta_jet(p + half, q, True, mu, order, tol) / tpq * (-0.5)
+    F = (tpq / dtpq) ** 2 * (2 / pi)
+    return JetFrame((w1, w2, w3), F, A, 4 * pi**2)
+
+
+def jet_frame_one_param(pt, mu, tol: float = 1e-12, order: int = 4) -> JetFrame:
+    """The frame of ``bianchi9.instanton.frame_one_param_jet`` as jets of the given order."""
+    mu = arithmetic(mu)[0]
+    q0 = complex(pt.q0)
+    pole = 1 / (coordinate_jet(mu, order) + q0)
+    A = _theta_constant_jets(mu, order, tol)[1]
+    C = float(pt.C)
+    f_comps = [C * (mu + q0) ** 2, 2 * C * (mu + q0), 2 * C + 0j] + [0j] * (order - 2)
+    return JetFrame(tuple(pole + a for a in A), Jet(f_comps[: order + 1]), A, 0)
+
+
+def value_frame(frame: JetFrame) -> InstantonFrame:
+    """The library's shape of a jet frame: values, and F's tower to DEPTH."""
+    w, A = (tuple(Jet(x.comps[:1]) for x in xs) for xs in (frame.w, frame.A))
+    tower = tuple(Jet((f,)) for f in frame.F_.comps[: DEPTH + 1])
+    return InstantonFrame("jet", w, tower, A, frame.k)
+
+
+def table_jet(frame: JetFrame, n: int) -> Jet:
+    """The library's compiled a_{2n} table run on a jet frame: each derivative
+    variable is the shifted jet, everything lowered to order frame.order - DEPTH."""
+    m = frame.order - DEPTH
+    lower = lambda x, d=0: Jet(x.comps[d : d + m + 1])  # noqa: E731
+    env = dict(zip(("w1", "w2", "w3", "A1", "A2", "A3"), map(lower, (*frame.w, *frame.A))), k=frame.k)
+    env.update(F=lower(frame.F_), Fd1=lower(frame.F_, 1), Fd2=lower(frame.F_, 2))
+    return seeley._eval_terms(seeley._compile((A0_TERMS, A2_TERMS, A4_TERMS)[n]), env)

@@ -23,6 +23,7 @@ figure beside the corrected one:
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -41,7 +42,7 @@ from bianchi9.instanton import (
 from bianchi9.modular import classical_series, identify, sample_mu, valence_budget, vv_modularity_report
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.series import Grade, PuiseuxSeries
-from bianchi9.theta import THETA2, THETA3, THETA4, Characteristics, ThetaSpec, theta_series
+from bianchi9.theta import THETA2, THETA3, THETA4, Characteristics, ThetaSpec, theta_eval, theta_series
 
 from test_theta import (
     _s_residual,
@@ -429,24 +430,27 @@ def test_criterion_8_dirac_structure():
 
 
 def test_criterion_9_first_derivatives_vs_finite_differences():
+    """The derivatives a frame carries or implies, against central differences
+    of values: the tower's F' and F'', A_j against 2 log theta_{j+1}, and the
+    Tod-Halphen w'.  A coefficient is a value and carries no derivative."""
     h = 1e-5
     worst = 0.0
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
     def check(make_frame, mu):
         nonlocal worst
         lo, mid, hi = (make_frame(m) for m in (mu - h, mu, mu + h))
-        for get in (
-            lambda fr: [fr.w[j] for j in range(3)] + [fr.F_],
-            lambda fr: [coefficient(fr, CoeffIndex(n)).representation for n in (0, 1, 2)],
-        ):
-            for f_lo, f_mid, f_hi in zip(get(lo), get(mid), get(hi)):
-                fd = (complex(f_hi.comps[0]) - complex(f_lo.comps[0])) / (2 * h)
-                jet = complex(f_mid.comps[1])
-                worst = max(worst, abs(jet - fd) / max(abs(fd), 1.0))
+        w, A = [x[0] for x in mid.w], [a[0] for a in mid.A]
+        pairs = [(lo.F_[n][0], hi.F_[n][0], mid.F_[n + 1][0]) for n in (0, 1)]
+        pairs += [(lo.w[i][0], hi.w[i][0], -w[j] * w[k] + w[i] * (A[j] + A[k])) for i, j, k in cyclic]
+        for char, a in zip((THETA2, THETA3, THETA4), A):
+            theta_lo, theta_hi = (theta_eval(ThetaSpec(char), m, 1e-15) for m in (mu - h, mu + h))
+            pairs.append((0, 2 * cmath.log(theta_hi / theta_lo), a))  # 2 log theta, as a difference
+        for f_lo, f_hi, want in pairs:
+            fd = (complex(f_hi) - complex(f_lo)) / (2 * h)
+            worst = max(worst, abs(complex(want) - fd) / max(abs(fd), 1.0))
 
-    # order-3 frames: one order above the derivative depth, so every
-    # coefficient still carries a derivative slot
     for mu in sample_mu(5, seed=0):
-        check(lambda m: frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), m, 1e-15, order=3), mu)
-        check(lambda m: frame_one_param_jet(OneParamPoint(F(1, 3)), m, 1e-15, order=3), mu)
-    _report(9, worst <= 1e-6, f"jet first derivatives vs central differences, max {worst:.2e}")
+        check(lambda m: frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), m, 1e-15), mu)
+        check(lambda m: frame_one_param_jet(OneParamPoint(F(1, 3)), m, 1e-15), mu)
+    _report(9, worst <= 1e-6, f"F tower, A_j and Tod-Halphen w' vs central differences, max {worst:.2e}")

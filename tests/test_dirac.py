@@ -5,8 +5,10 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from seeley_oracle import jet_frame_one_param, jet_frame_two_param
 
 from bianchi9.dirac import (
     GAMMA0,
@@ -16,12 +18,19 @@ from bianchi9.dirac import (
     IDENT,
     SField,
     Symbol1,
+    _frame_fields,
     _sigma_D,
     _sigma_Dtilde,
     compose_square,
     dtilde_sq_crosscheck,
 )
-from bianchi9.instanton import InstantonFrame, TwoParamPoint, frame_two_param_jet
+from bianchi9.instanton import (
+    InstantonFrame,
+    OneParamPoint,
+    TwoParamPoint,
+    frame_one_param_jet,
+    frame_two_param_jet,
+)
 from bianchi9.jets import Jet
 from bianchi9.modular import orbit
 
@@ -40,7 +49,7 @@ def metric_matrix(x, frame: InstantonFrame) -> np.ndarray:
     g[3, 3] = w1 * w2 / w3
     g[2, 3] = g[3, 2] = w1 * w2 * ce / w3
     g[1, 2] = g[2, 1] = (w1**2 - w2**2) * w3 * se * sp * cp / (w1 * w2)
-    return complex(frame.F_[0]) * g
+    return complex(frame.F_[0][0]) * g
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +92,13 @@ def test_symbol_constant_part_traceless(frame):
     assert abs(np.trace(sym.b.value)) < 1e-12
 
 
+FLAT_F = (Jet((1.0,)), Jet((0.0,)), Jet((0.0,)))  # the tower of F = 1
+
+
 def test_unit_frame_constant_part():
-    ws = tuple(Jet.constant(1.0, 4) for _ in range(3))
-    fr = InstantonFrame("jet", ws, Jet.constant(1.0, 4), tuple(Jet.constant(0.0, 4) for _ in range(3)), 0.0)
+    """w_j = 1 with A_j = 1/2, where Tod-Halphen gives w' = 0."""
+    ws = tuple(Jet((1.0,)) for _ in range(3))
+    fr = InstantonFrame("jet", ws, FLAT_F, tuple(Jet((0.5,)) for _ in range(3)), 0.0)
     sym = _sigma_D((1.0, 1.2, 0.5, 1.7), fr)[0]
     assert np.abs(sym.b.value + 0.75 * GAMMA123).max() < 1e-14
 
@@ -126,13 +139,12 @@ def test_p2_mu_component(frame):
     x = (1.05, 1.1, 0.3, 2.0)
     sq = compose_square(_sigma_Dtilde(x, frame)[0])
     W = np.prod([complex(frame.w[j][0]) for j in range(3)])
-    Fv = complex(frame.F_[0])
+    Fv = complex(frame.F_[0][0])
     assert np.abs(sq.p2[0, 0] - IDENT / (Fv * W)).max() < 1e-12
 
 
 def test_conformal_factor_one_degenerates(frame):
-    flat_F = Jet.constant(1.0, 4)
-    fr1 = dataclasses.replace(frame, F_=flat_F)
+    fr1 = dataclasses.replace(frame, F_=FLAT_F)
     base = _sigma_D((1.05, 1.1, 0.3, 2.0), fr1)[0]
     tilde = _sigma_Dtilde((1.05, 1.1, 0.3, 2.0), fr1)[0]
     for k in range(4):
@@ -142,7 +154,7 @@ def test_conformal_factor_one_degenerates(frame):
 
 def test_conformal_scaling_of_p2(frame):
     x = (1.05, 1.3, 0.9, 0.4)
-    scaled = dataclasses.replace(frame, F_=4 * frame.F_)
+    scaled = dataclasses.replace(frame, F_=tuple(4 * f for f in frame.F_))
     p2_base = compose_square(_sigma_Dtilde(x, frame)[0]).p2
     p2_scaled = compose_square(_sigma_Dtilde(x, scaled)[0]).p2
     assert np.abs(p2_scaled - p2_base / 4).max() < 1e-12 * np.abs(p2_base).max()
@@ -191,3 +203,19 @@ def test_crosscheck_sweeps_both_orbits(pt, mu):
     else:
         report = dtilde_sq_crosscheck(x, fr, tol=1e-10)
         assert report["pass"], report
+
+
+def test_frame_fields_derive_w_derivatives_from_values():
+    """w' (Tod-Halphen) and w'' (with Halphen) from a frame's values are the
+    oracle frame's jet components: to 1e-13 in float64 and 1e-37 at 40 digits,
+    relative to max(|x|, 1), on both orbits and the one-parameter family."""
+    cases = [(frame_two_param_jet, jet_frame_two_param, pt) for pt in _SWEEP_POINTS]
+    cases += [(frame_one_param_jet, jet_frame_one_param, OneParamPoint(q0, C=2.0)) for q0 in (F(1, 3), 0.5 + 0.2j)]
+    with mpmath.workdps(40):
+        for mu, tol, bound in ((1.05, 1e-14, 1e-13), (0.9 - 0.2j, 1e-14, 1e-13), (mpmath.mpc(1.05, 0.05), 1e-35, 1e-37)):
+            for make, deep, pt in cases:
+                w, dw, _, _ = _frame_fields(make(pt, mu, tol))
+                jets = deep(pt, mu, tol, order=2).w
+                for j in range(3):
+                    for got, want in ((w[j].grad[0], jets[j][1]), (dw[j].value, jets[j][1]), (dw[j].grad[0], jets[j][2])):
+                        assert abs(got - want) <= bound * max(abs(want), 1)

@@ -25,8 +25,11 @@ from seeley_oracle import (
     A4_ORACLE_TERMS,
     collect_rows,
     eval_rows,
+    jet_frame_one_param,
+    jet_frame_two_param,
     oracle_environment,
     reduce_table,
+    table_jet,
     weyl_forms,
     weyl_table,
 )
@@ -163,7 +166,7 @@ def test_frames_obey_the_einstein_identities(pq, trunc):
     for lhs, rhs in _identities(frame_two_param_series(pt, trunc)):
         _zero_below_horizon(lhs, lhs - rhs)
     with mpmath.workdps(40):
-        for lhs, rhs in _identities(frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)):
+        for lhs, rhs in _identities(jet_frame_two_param(pt, MP_MU, tol=1e-35, order=4)):
             assert _close(lhs, rhs, 1e-35)
 
 
@@ -187,12 +190,12 @@ def test_table_is_the_oracle_on_jets():
     for p, q in JET_POINTS:
         pt = TwoParamPoint(p, q)
         with mpmath.workdps(40):
-            deep = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)  # the oracle reads fourth derivatives
+            deep = jet_frame_two_param(pt, MP_MU, tol=1e-35, order=4)  # the oracle reads fourth derivatives
             oracle = eval_rows(A4_ORACLE_TERMS, oracle_environment(deep))
             assert _close(a4(frame_two_param_jet(pt, MP_MU, tol=1e-35)).representation, oracle, 1e-37)
             exact = complex(a4(frame_two_param_jet(pt, mpmath.mpc(1.1), tol=1e-35)).representation[0])
-        fr = frame_two_param_jet(pt, 1.1, 1e-14, order=4)
-        got = a4(fr).representation[0]
+        fr = jet_frame_two_param(pt, 1.1, 1e-14, order=4)
+        got = a4(frame_two_param_jet(pt, 1.1, 1e-14)).representation[0]
         assert abs(got - exact) <= 1e-13 * abs(exact)
         if (p, q) != (F(1, 2), F(1, 6)):
             oracle = eval_rows(A4_ORACLE_TERMS, oracle_environment(fr))[0]
@@ -203,8 +206,8 @@ def test_table_is_the_oracle_on_jets():
 def test_table_is_the_oracle_on_one_param_jets(q0):
     """F = C (mu + q0)^2 obeys the F ODE with k = 0."""
     for mu in (1.1, complex(0.9, 0.3)):
-        fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, 1e-15, order=5)
-        got = a4(fr).representation
+        fr = jet_frame_one_param(OneParamPoint(q0, C=2.0), mu, 1e-15, order=5)
+        got = table_jet(fr, 2)
         oracle = eval_rows(A4_ORACLE_TERMS, oracle_environment(fr))
         assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(got.comps, oracle.comps))
 
@@ -225,11 +228,11 @@ def test_a2_table_is_the_oracle_on_jets():
     for p, q in JET_POINTS:
         pt = TwoParamPoint(p, q)
         with mpmath.workdps(40):
-            deep = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)  # oracle_environment reads order 4
+            deep = jet_frame_two_param(pt, MP_MU, tol=1e-35, order=4)  # oracle_environment reads order 4
             oracle = eval_rows(A2_ORACLE_TERMS, oracle_environment(deep))
             assert _close(a2(frame_two_param_jet(pt, MP_MU, tol=1e-35)).representation, oracle, 1e-37)
-        fr = frame_two_param_jet(pt, 1.1, 1e-14, order=4)
-        got = a2(fr).representation[0]
+        fr = jet_frame_two_param(pt, 1.1, 1e-14, order=4)
+        got = a2(frame_two_param_jet(pt, 1.1, 1e-14)).representation[0]
         oracle = eval_rows(A2_ORACLE_TERMS, oracle_environment(fr))[0]
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
@@ -238,16 +241,16 @@ def test_a2_table_is_the_oracle_on_jets():
 def test_a2_vanishes_on_one_param_jets(q0):
     """k = 0, and F = C (mu + q0)^2 has F'' = F'^2 / (2F): a2 = 0 in the table and in the oracle."""
     for mu in (1.1, complex(0.9, 0.3)):
-        fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, 1e-15, order=4)
+        pt = OneParamPoint(q0, C=2.0)
+        fr, deep = frame_one_param_jet(pt, mu, 1e-15), jet_frame_one_param(pt, mu, 1e-15, order=4)
         scale = abs(a0(fr).representation[0])
-        for value in (a2(fr).representation[0], eval_rows(A2_ORACLE_TERMS, oracle_environment(fr))[0]):
+        for value in (a2(fr).representation[0], eval_rows(A2_ORACLE_TERMS, oracle_environment(deep))[0]):
             assert abs(value) <= 1e-13 * scale
 
 
 def _a2_and_minus_pi_squared_a0(fr, pi):
-    """a2 and -pi^2 a0 (Lambda = 1) of a jet frame, at the order of a2."""
-    lhs = a2(fr).representation
-    return lhs, Jet(a0(fr).representation.comps[: lhs.order + 1]) * -(pi**2)
+    """a2 and -pi^2 a0 (Lambda = 1) of a jet frame, as jets of order fr.order - 2."""
+    return table_jet(fr, 1), table_jet(fr, 0) * -(pi**2)
 
 
 @pytest.mark.parametrize(("p", "q"), JET_POINTS[:3])
@@ -257,9 +260,9 @@ def test_a2_is_minus_pi_squared_lambda_a0(p, q):
     fr = frame_two_param_series(pt, 3)
     lhs = a2(fr).representation
     _zero_below_horizon(lhs, lhs + a0(fr).representation.scale(1, dpi=2, dlam=1))
-    assert _close(*_a2_and_minus_pi_squared_a0(frame_two_param_jet(pt, 1.1, 1e-14, order=4), math.pi), 1e-12)
+    assert _close(*_a2_and_minus_pi_squared_a0(jet_frame_two_param(pt, 1.1, 1e-14, order=4), math.pi), 1e-12)
     with mpmath.workdps(40):
-        fr = frame_two_param_jet(pt, MP_MU, tol=1e-35, order=4)
+        fr = jet_frame_two_param(pt, MP_MU, tol=1e-35, order=4)
         assert _close(*_a2_and_minus_pi_squared_a0(fr, mpmath.pi), 1e-35)
 
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from seeley_oracle import jet_frame_one_param, jet_frame_two_param
 
 from bianchi9 import modular, theta
 from bianchi9.instanton import (
+    DEPTH,
     OneParamPoint,
     TwoParamPoint,
     _theta_constant_jets,
@@ -75,7 +77,7 @@ def test_series_and_jet_agree(p, q):
     mu = 1.3
     trunc = 12
     fr_s = frame_two_param_series(TwoParamPoint(p, q), trunc)
-    fr_j = frame_two_param_jet(TwoParamPoint(p, q), mu, 1e-15, order=4)
+    fr_j = jet_frame_two_param(TwoParamPoint(p, q), mu, 1e-15, order=4)
     for j in (1, 2, 3):
         x = fr_s.w[j - 1]
         for k in range(5):
@@ -106,8 +108,8 @@ def test_two_param_shift_law(p, q):
     dropped; the law is tested with that reduction sign made explicit.
     """
     mu = 1.17
-    fr = frame_two_param_jet(TwoParamPoint(p, q), complex(mu, -1), 1e-16, order=4)
-    fr_t = frame_two_param_jet(TwoParamPoint(p, (q + p + F(1, 2)) % 1), mu, 1e-16, order=4)
+    fr = jet_frame_two_param(TwoParamPoint(p, q), complex(mu, -1), 1e-16, order=4)
+    fr_t = jet_frame_two_param(TwoParamPoint(p, (q + p + F(1, 2)) % 1), mu, 1e-16, order=4)
     tsign = (-1) ** math.floor(p + q + F(1, 2))
     scale = max(abs(fr_t.w[j][n]) for j in range(3) for n in range(5))
     for n in range(5):
@@ -127,8 +129,8 @@ def test_two_param_inversion_law(p, q):
     reduced frame whenever q is nonzero, hence the extra sign below.
     """
     mu = 1.17
-    fr = frame_two_param_jet(TwoParamPoint(p, q), 1 / mu, 1e-16, order=4)
-    fr_s = frame_two_param_jet(TwoParamPoint((-q) % 1, p), mu, 1e-16, order=4)
+    fr = jet_frame_two_param(TwoParamPoint(p, q), 1 / mu, 1e-16, order=4)
+    fr_s = jet_frame_two_param(TwoParamPoint((-q) % 1, p), mu, 1e-16, order=4)
     ssign = -1 if q % 1 != 0 else 1
     scale = max(abs(fr_s.w[j][n]) for j in range(3) for n in range(5))
     for n in range(5):
@@ -152,7 +154,7 @@ def test_two_param_inversion_law(p, q):
 
 def test_one_param_frame_components():
     q0, mu = F(1, 3), 1.4
-    fr = frame_one_param_jet(OneParamPoint(q0, C=2.0), mu, order=4)
+    fr = jet_frame_one_param(OneParamPoint(q0, C=2.0), mu, order=4)
     # F = C (mu + q0)^2 exactly
     base = mu + float(q0)
     assert abs(fr.F_[0] - 2 * base**2) < 1e-14
@@ -169,8 +171,8 @@ def test_one_param_frame_components():
 
 def test_one_param_shift_law():
     q0, mu = 0.7, 1.17
-    fr = frame_one_param_jet(OneParamPoint(q0), complex(mu, -1), 1e-16, order=4)
-    fr_t = frame_one_param_jet(OneParamPoint(complex(q0, -1)), mu, 1e-16, order=4)
+    fr = jet_frame_one_param(OneParamPoint(q0), complex(mu, -1), 1e-16, order=4)
+    fr_t = jet_frame_one_param(OneParamPoint(complex(q0, -1)), mu, 1e-16, order=4)
     for n in range(5):
         assert abs(fr.w[0][n] - fr_t.w[0][n]) < 1e-11
         assert abs(fr.w[1][n] - fr_t.w[2][n]) < 1e-11
@@ -181,8 +183,8 @@ def test_one_param_shift_law():
 
 def test_one_param_inversion_law():
     q0, mu = 0.7, 1.17
-    fr = frame_one_param_jet(OneParamPoint(q0), 1 / mu, 1e-16, order=4)
-    fr_s = frame_one_param_jet(OneParamPoint(1 / q0), mu, 1e-16, order=4)
+    fr = jet_frame_one_param(OneParamPoint(q0), 1 / mu, 1e-16, order=4)
+    fr_s = jet_frame_one_param(OneParamPoint(1 / q0), mu, 1e-16, order=4)
     # w1(i/mu) = -mu^2 w3[1/q0], w2 -> -w2, w3 -> -w1, with the cascade
     for n in range(5):
         assert abs(fr.w[0][n] - _cascade(fr_s.w[2], n, -1, mu)) < 1e-9
@@ -233,11 +235,34 @@ def test_theta_constant_cache_keys_on_type_and_precision():
 
 @pytest.mark.parametrize("mu", [1.2, complex(0.9, 0.3), mpmath.mpc(1.03, 0.02)])
 def test_both_families_carry_the_same_A(mu):
-    for order in (2, 4):
+    _theta_constant_jets.cache_clear()
+    with mpmath.workdps(40):
+        two = frame_two_param_jet(TwoParamPoint(F(1, 3), F(1, 5)), mu, 1e-30)
         _theta_constant_jets.cache_clear()
-        with mpmath.workdps(40):
-            two = frame_two_param_jet(TwoParamPoint(F(1, 3), F(1, 5)), mu, 1e-30, order=order)
-            _theta_constant_jets.cache_clear()
-            one = frame_one_param_jet(OneParamPoint(F(1, 3)), mu, 1e-30, order=order)
-        assert all(a.order == order for a in two.A)
-        assert _comps(one.A) == _comps(two.A)
+        one = frame_one_param_jet(OneParamPoint(F(1, 3)), mu, 1e-30)
+    assert all(a.order == 0 for a in two.A)
+    assert _comps(one.A) == _comps(two.A)
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_frames_are_the_jet_frames_cut_to_values(dps):
+    """w and A are component 0 of the oracle's jets, and the F tower is F's
+    components 0..DEPTH, bit for bit, in both families."""
+    with mpmath.workdps(dps):
+        if dps == 15:
+            mus, tol = (1.1, complex(1.05, 0.2)), 1e-14
+        else:
+            mus, tol = (mpmath.mpc(1.03, 0.02), mpmath.mpc(1.2)), 1e-35
+        for mu in mus:
+            pairs = [
+                (frame_two_param_jet(TwoParamPoint(p, q), mu, tol), jet_frame_two_param(TwoParamPoint(p, q), mu, tol))
+                for p, q in SAMPLE_POINTS
+            ]
+            for q0 in (F(1, 3), complex(0.5, 0.2)):
+                pt = OneParamPoint(q0, C=2.0)
+                pairs.append((frame_one_param_jet(pt, mu, tol), jet_frame_one_param(pt, mu, tol)))
+            for fr, deep in pairs:
+                assert _comps(fr.w) == [x.comps[:1] for x in deep.w]
+                assert _comps(fr.A) == [a.comps[:1] for a in deep.A]
+                assert _comps(fr.F_) == [(f,) for f in deep.F_.comps[: DEPTH + 1]]
+                assert fr.k == deep.k

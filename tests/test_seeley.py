@@ -8,11 +8,18 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from seeley_oracle import A2_ORACLE_TERMS, eval_rows, oracle_environment
+from seeley_oracle import (
+    A2_ORACLE_TERMS,
+    JetFrame,
+    eval_rows,
+    jet_frame_one_param,
+    jet_frame_two_param,
+    oracle_environment,
+    value_frame,
+)
 
 from bianchi9 import seeley, series
 from bianchi9.instanton import (
-    InstantonFrame,
     OneParamPoint,
     TwoParamPoint,
     frame_one_param_jet,
@@ -42,9 +49,9 @@ from bianchi9.theta import Characteristics, cyclotomic_order
 F = Fraction
 
 
-def _constant_frame(w1, w2, w3, f=1.0, order=4) -> InstantonFrame:
+def _constant_frame(w1, w2, w3, f=1.0, order=4) -> JetFrame:
     ws = tuple(Jet.constant(w, order) for w in (w1, w2, w3))
-    return InstantonFrame("jet", ws, Jet.constant(f, order), (Jet.constant(0.0, order),) * 3, 0.0)
+    return JetFrame(ws, Jet.constant(f, order), (Jet.constant(0.0, order),) * 3, 0.0)
 
 
 def test_coeff_index_validation():
@@ -85,7 +92,7 @@ def test_tables_are_canonical():
 
 def test_a0_constant_frame():
     fr = _constant_frame(2.0, 3.0, 5.0)
-    assert abs(a0(fr).representation[0] - 4 * 30) < 1e-12
+    assert abs(a0(value_frame(fr)).representation[0] - 4 * 30) < 1e-12
 
 
 def _a2_oracle(fr):
@@ -104,12 +111,12 @@ def test_tables_symmetric_under_w_permutations():
     """Permuting w permutes A with it: Tod-Halphen and Halphen are symmetric under that.
 
     The a2 case evaluates the 17-row oracle, which reads w and its derivatives."""
-    fr = frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), 1.2, 1e-15, order=4)
+    fr = jet_frame_two_param(TwoParamPoint(F(1, 6), F(5, 6)), 1.2, 1e-15, order=4)
     perms = [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0)]
-    for value in (_a2_oracle, lambda f: a4(f).representation[0]):
+    for value in (_a2_oracle, lambda f: a4(value_frame(f)).representation[0]):
         base = value(fr)
         for perm in perms:
-            swapped = InstantonFrame("jet", tuple(fr.w[j] for j in perm), fr.F_, tuple(fr.A[j] for j in perm), fr.k)
+            swapped = JetFrame(tuple(fr.w[j] for j in perm), fr.F_, tuple(fr.A[j] for j in perm), fr.k)
             assert abs(value(swapped) - base) < 1e-9 * (1 + abs(base))
 
 
@@ -131,32 +138,24 @@ def test_series_coefficients_carry_expected_grades():
     assert a4(fr).representation.grade == Grade(1, 0)
 
 
-def test_jet_frame_too_shallow_raises():
-    """Every table is evaluated in one environment, which holds F'', so an order-1 frame serves none."""
-    fr = frame_two_param_jet(TwoParamPoint(F(1, 6), F(5, 6)), 1.2, order=1)
-    for idx in (a0, a2, a4):
-        with pytest.raises(ValueError, match="derivative depth"):
-            idx(fr)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_default_depth_frame_gives_the_values_of_a_deeper_frame(n):
-    """The value of a coefficient reads components 0 only, so a frame of the
-    default depth gives it bit for bit as an order-4 frame does, as an
-    order-0 jet."""
+    """A coefficient's value reads values and F's tower only, so the library's
+    frame gives it bit for bit as an order-4 jet frame cut to that shape does,
+    as an order-0 jet."""
     idx = CoeffIndex(n)
-    pt = TwoParamPoint(F(1, 6), F(5, 6))
-    makers = [
-        lambda **kw: frame_two_param_jet(pt, 1.1, 1e-14, **kw),
-        lambda **kw: frame_two_param_jet(pt, complex(1.05, 0.2), 1e-14, **kw),
-        lambda **kw: frame_two_param_jet(pt, mpmath.mpc(1.03, 0.02), tol=1e-35, **kw),
-        lambda **kw: frame_one_param_jet(OneParamPoint(complex(0.5, 0.2), C=2.0), complex(0.9, 0.3), 1e-15, **kw),
-    ]
+    pt, one = TwoParamPoint(F(1, 6), F(5, 6)), OneParamPoint(complex(0.5, 0.2), C=2.0)
     with mpmath.workdps(40):
-        for make in makers:
-            shallow = coefficient(make(), idx).representation
-            assert shallow.order == 0
-            assert shallow[0] == coefficient(make(order=4), idx).representation[0]
+        cases = [
+            (frame_two_param_jet, jet_frame_two_param, pt, 1.1, 1e-14),
+            (frame_two_param_jet, jet_frame_two_param, pt, complex(1.05, 0.2), 1e-14),
+            (frame_two_param_jet, jet_frame_two_param, pt, mpmath.mpc(1.03, 0.02), 1e-35),
+            (frame_one_param_jet, jet_frame_one_param, one, complex(0.9, 0.3), 1e-15),
+        ]
+        for make, deep, point, mu, tol in cases:
+            value = coefficient(make(point, mu, tol), idx).representation
+            assert value.order == 0
+            assert value[0] == coefficient(value_frame(deep(point, mu, tol, order=4)), idx).representation[0]
 
 
 def _pointwise(points, n, trunc, cache):

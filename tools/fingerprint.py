@@ -8,10 +8,9 @@ sums at orders 0/2/4 and the 24-point order-0 sum at trunc 12) and their
 values at mu = 1.02, 1.05, 1.1 (the float bits that ``check crossval``
 prints), every q-derivative theta series with characteristics a/b
 (b <= 6, 0 <= a < 2b) and mu-order 0..2 at trunc 3, the float64 and 40-digit values of a0/a2/a4
-at four points (the value is all that the CLI and the reports read) with
-the frame jets at order 4 there, w, F and A each under its own key, the
-same for the one-parameter family at two q0, and the stdout bytes and exit
-codes of a fixed list of CLI requests.
+at four points with the value frames there (w, the F tower (F, F', F'')
+and A, each under its own key), the same for the one-parameter family at
+two q0, and the stdout bytes and exit codes of a fixed list of CLI requests.
 Run it on two trees and compare the outputs to show that a change moves no
 value.  It imports the package from the ``src/`` beside it.
 """
@@ -98,34 +97,33 @@ def thetas() -> dict:
     return {f"theta series x{len(docs)}": sha(canonical(docs))}
 
 
-def _frame_jets(label: str, frame) -> dict:
-    parts = {"w": frame.w, "F": (frame.F_,), "A": frame.A}
-    return {f"{label} frame jets {name}": sha(repr([x.comps for x in jets])) for name, jets in parts.items()}
+def _frame_values(label: str, frame) -> dict:
+    parts = {"w": frame.w, "F tower": frame.F_, "A": frame.A}
+    return {f"{label} frame values {name}": sha(repr([x.comps for x in values])) for name, values in parts.items()}
 
 
 def jets() -> dict:
-    """Coefficient values from frames of the default depth, and the frame jets
-    at an explicit order 4, so the derivative data stays covered."""
+    """Coefficient values and the value frames they are read from."""
     out = {}
     for p, q in JET_POINTS:
         pt = TwoParamPoint(p, q)
         frame = frame_two_param_jet(pt, 1.1, 1e-14)
         for n in range(3):
             out[f"float a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation[0]))
-        out.update(_frame_jets(f"float ({p},{q})", frame_two_param_jet(pt, 1.1, 1e-14, order=4)))
+        out.update(_frame_values(f"float ({p},{q})", frame))
         with mpmath.workdps(40):
             mu = mpmath.mpc(1.03, 0.02)
             frame = frame_two_param_jet(pt, mu, tol=1e-35)
             for n in range(3):
                 out[f"mp40 a{2 * n} ({p},{q})"] = sha(repr(coefficient(frame, CoeffIndex(n)).representation[0]))
-            out.update(_frame_jets(f"mp40 ({p},{q})", frame_two_param_jet(pt, mu, tol=1e-35, order=4)))
+            out.update(_frame_values(f"mp40 ({p},{q})", frame))
     for q0 in ONE_PARAM_Q0:
         pt = OneParamPoint(q0, C=2.0)
         for mu in (1.1, complex(0.9, 0.3)):
             frame = frame_one_param_jet(pt, mu, 1e-15)
             values = [coefficient(frame, CoeffIndex(n)).representation[0] for n in range(3)]
             out[f"one-param a0/a2/a4 ({q0}) at {mu}"] = sha(repr(values))
-            out.update(_frame_jets(f"one-param ({q0}) at {mu}", frame_one_param_jet(pt, mu, 1e-15, order=4)))
+            out.update(_frame_values(f"one-param ({q0}) at {mu}", frame))
     return out
 
 
