@@ -28,7 +28,7 @@ from .modular import ExceptionalOrbitError, IdentificationError
 from .seeley import CoeffIndex, CoeffResult
 from .seeley_terms import A0_CHECKSUM, A2_CHECKSUM, A4_CHECKSUM
 from .series import PuiseuxSeries
-from .theta import Characteristics, ThetaSpec, theta_eval, theta_series
+from .theta import theta_jet, theta_series
 
 log = logging.getLogger("bianchi9")
 
@@ -146,16 +146,18 @@ def cache_write(path: Path, doc: dict) -> None:
 
 def cmd_theta(args) -> None:
     # reduced mod 1: the printed value and series belong to [p mod 1, q mod 1]
-    char = Characteristics(args.p % 1, args.q % 1)
-    spec = ThetaSpec(char, args.n, args.dq)
+    p, q = args.p % 1, args.q % 1
     if args.series:
-        _emit({"series": theta_series(spec, args.trunc).to_json()})
+        series = theta_series(p, q, args.dq, args.trunc)
+        for _ in range(args.n):
+            series = series.mu_derivative()
+        _emit({"series": series.to_json()})
         return
     # the lattice sum has period 2 dp^2 in Im mu; fmod is exact, so a huge
     # |Im mu| keeps the digits of its phase (and |Im mu| < 2 is left as is)
-    mu_im = math.fmod(args.mu_im, 2 * char.p.denominator**2)
+    mu_im = math.fmod(args.mu_im, 2 * p.denominator**2)
     with _domain_errors():
-        v = theta_eval(spec, complex(args.mu_re, mu_im), args.tol)
+        v = theta_jet(p, q, args.dq, complex(args.mu_re, mu_im), args.n, args.tol)[args.n]
     _emit({"value": [v.real, v.imag]})
 
 

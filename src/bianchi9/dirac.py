@@ -114,8 +114,8 @@ def _frame_fields(frame: InstantonFrame):
     (Halphen), (i, j, k) cyclic."""
     if frame.mode != "jet":
         raise ValueError("symbol construction needs a numeric frame")
-    w, A = [x[0] for x in frame.w], [a[0] for a in frame.A]
-    F0, F1, F2 = (f[0] for f in frame.F_)
+    w, A = frame.w, frame.A
+    F0, F1, F2 = frame.F_
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     dA = [-A[j] * A[k] + A[i] * (A[j] + A[k]) for i, j, k in cyclic]
     dw = [-w[j] * w[k] + w[i] * (A[j] + A[k]) for i, j, k in cyclic]
@@ -156,7 +156,7 @@ def _sigma_D(x, frame: InstantonFrame):
 
 def _sigma_Dtilde(x, frame: InstantonFrame):
     """The symbol of Dtilde at x, and what ``_sigma_D`` returned for D."""
-    Fv = complex(frame.F_[0][0])
+    Fv = complex(frame.F_[0])
     if Fv == 0 or (Fv.real <= 0 and abs(Fv.imag) < 1e-14 * abs(Fv.real)):
         raise ValueError("F on the branch cut of the principal square root")
     d = _sigma_D(x, frame)

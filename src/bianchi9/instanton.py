@@ -28,19 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .jets import Jet, jet_log_derivative
 from .series import Grade, PuiseuxSeries
-from .theta import (
-    THETA2,
-    THETA3,
-    THETA4,
-    Characteristics,
-    ThetaSpec,
-    arithmetic,
-    cyclotomic_order,
-    theta_jet,
-    theta_series,
-)
+from .theta import THETA2, THETA3, THETA4, arithmetic, cyclotomic_order, theta_jet, theta_series
 
 DEPTH = 2  # mu-derivatives of F in every frame, the only derivatives a frame carries: a2 and check dirac read F''
 
@@ -86,8 +75,8 @@ class InstantonFrame:
     Both modes have one shape: w and A are 3-tuples, F_ is the tower
     (F, F', ..., F^(DEPTH)), and no table reads a derivative of w or A.
     mode "series": every entry is a PuiseuxSeries, k the constant series 4 of
-    grade pi^2 Lambda.  mode "jet": every entry is the value at mu as an
-    order-0 Jet (Lambda set to 1), k a number.
+    grade pi^2 Lambda.  mode "jet": every entry is the value at mu, a number
+    in the arithmetic that ``theta.arithmetic`` picks (Lambda set to 1).
     """
 
     mode: str
@@ -100,17 +89,17 @@ class InstantonFrame:
 @functools.lru_cache(maxsize=8)
 def _theta_constants(work: int) -> tuple:
     """(th2, th3, th4) and (A1, A2, A3), A_j = 2 th_{j+1}' / th_{j+1}, to nome horizon work."""
-    thetas = tuple(theta_series(ThetaSpec(char, 0, False), work) for char in (THETA2, THETA3, THETA4))
+    thetas = tuple(theta_series(*char, False, work) for char in (THETA2, THETA3, THETA4))
     return thetas, tuple((th.mu_derivative() * th.invert()).scale(2) for th in thetas)
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def _theta_constant_jets(mu, tol: float, prec) -> tuple:
-    """(th2, th3, th4) and (A1, A2, A3) as values (order-0 jets) at mu, from one
-    order-1 lattice pass per theta.  The key is typed and holds the ``arithmetic``
-    precision: an mpmath mu equals, and hashes like, its complex."""
-    thetas = tuple(theta_jet(c.p, c.q, False, mu, 1, tol) for c in (THETA2, THETA3, THETA4))
-    return tuple(Jet(th.comps[:1]) for th in thetas), tuple(2 * jet_log_derivative(th) for th in thetas)
+def _theta_constant_values(mu, tol: float, prec) -> tuple:
+    """(th2, th3, th4) and (A1, A2, A3) as values at mu, from one order-1 lattice
+    pass per theta.  The key is typed and holds the ``arithmetic`` precision: an
+    mpmath mu equals, and hashes like, its complex."""
+    thetas = tuple(theta_jet(*char, False, mu, 1, tol) for char in (THETA2, THETA3, THETA4))
+    return tuple(th[0] for th in thetas), tuple(2 * (th[1] / th[0]) for th in thetas)
 
 
 def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
@@ -122,19 +111,16 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     # generous working truncation: inversion of th[p,q] keeps relative precision
     work = trunc + 2
 
-    def th(char: Characteristics, q_deriv: bool = False) -> PuiseuxSeries:
-        return theta_series(ThetaSpec(char, 0, q_deriv), work)
-
     (th2, th3, th4), A = _theta_constants(work)
-    tpq = th(Characteristics(p, q))
-    dtpq = th(Characteristics(p, q), True)
+    tpq = theta_series(p, q, False, work)
+    dtpq = theta_series(p, q, True, work)
     inv_tpq = tpq.invert()
-    n = cyclotomic_order(Characteristics(p, q))
+    n = cyclotomic_order(p, q)
     phase = Cyclotomic.from_turns((Fraction(1, 4) - p / 2) % 1, n) / 2  # i / (2 e^{i pi p})
     # q + 1/2 may pass 1; theta_series then carries the phase e^{2 pi i p} itself
-    w1 = (th3 * th4 * th(Characteristics(p, q + half), True) * inv_tpq).scale(-phase)
-    w2 = (th2 * th4 * th(Characteristics(p + half, q + half), True) * inv_tpq).scale(phase)
-    w3 = (th2 * th3 * th(Characteristics(p + half, q), True) * inv_tpq).scale(Fraction(-1, 2))
+    w1 = (th3 * th4 * theta_series(p, q + half, True, work) * inv_tpq).scale(-phase)
+    w2 = (th2 * th4 * theta_series(p + half, q + half, True, work) * inv_tpq).scale(phase)
+    w3 = (th2 * th3 * theta_series(p + half, q, True, work) * inv_tpq).scale(Fraction(-1, 2))
     F = (tpq * dtpq.invert()) ** 2
     F = F.scale(2, dpi=-1, dlam=-1)
     for w in (w1, w2, w3):
@@ -155,15 +141,15 @@ def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12) -> I
     half = Fraction(1, 2)
     mu, pi, exp, num, prec = arithmetic(mu)
     e_pip = exp(1j * pi * num(p))
-    (th2, th3, th4), A = _theta_constant_jets(mu, tol, prec)
+    (th2, th3, th4), A = _theta_constant_values(mu, tol, prec)
     tpq = theta_jet(p, q, False, mu, DEPTH, tol)
     dtpq = theta_jet(p, q, True, mu, DEPTH, tol)
-    t0 = Jet(tpq.comps[:1])
-    w1 = th3 * th4 * theta_jet(p, q + half, True, mu, 0, tol) / t0 * (-0.5j / e_pip)
-    w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, 0, tol) / t0 * (0.5j / e_pip)
-    w3 = th2 * th3 * theta_jet(p + half, q, True, mu, 0, tol) / t0 * (-0.5)
+    dq = lambda p, q: theta_jet(p, q, True, mu, 0, tol)[0]  # noqa: E731
+    w1 = th3 * th4 * dq(p, q + half) / tpq[0] * (-0.5j / e_pip)
+    w2 = th2 * th4 * dq(p + half, q + half) / tpq[0] * (0.5j / e_pip)
+    w3 = th2 * th3 * dq(p + half, q) / tpq[0] * (-0.5)
     F = (tpq / dtpq) ** 2 * (2 / pi)
-    return InstantonFrame("jet", (w1, w2, w3), tuple(Jet((f,)) for f in F.comps), A, 4 * pi**2)
+    return InstantonFrame("jet", (w1, w2, w3), F.comps, A, 4 * pi**2)
 
 
 def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:
@@ -174,8 +160,7 @@ def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12) -> I
     s = mu + complex(pt.q0)
     if complex(s) == 0:
         raise ValueError("mu = -q0 is a pole of the frame")
-    pole = 1 / Jet((s,))
-    A = _theta_constant_jets(mu, tol, prec)[1]
+    A = _theta_constant_values(mu, tol, prec)[1]
     C = float(pt.C)
     tower = (C * s**2, 2 * C * s, 2 * C + 0j)
-    return InstantonFrame("jet", tuple(pole + a for a in A), tuple(Jet((f,)) for f in tower), A, 0)
+    return InstantonFrame("jet", tuple(1 / s + a for a in A), tower, A, 0)

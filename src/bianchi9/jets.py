@@ -2,9 +2,9 @@
 
 A Jet stores the value and the first k mu-derivatives of a function at a
 point.  Arithmetic propagates derivatives by the Leibniz and quotient rules:
-one lattice pass gives a theta function as a jet, F's derivative tower is a
-quotient of theta jets, and A_j a log-derivative.  A numeric frame holds
-values, order-0 jets, and the coefficient tables run on those.
+one lattice pass gives a theta function as a jet, and F's derivative tower
+is a quotient of theta jets.  Only those derivatives need jets: a numeric
+frame holds plain values, and the coefficient tables run on those.
 """
 
 from __future__ import annotations
@@ -96,11 +96,3 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({list(self.comps)})"
-
-
-def jet_log_derivative(a: Jet) -> Jet:
-    """The jet of a'/a, one order lower (the top derivative is unknown)."""
-    k = a.order
-    da = Jet(a.comps[1:])
-    low = Jet(a.comps[:k])
-    return da / low

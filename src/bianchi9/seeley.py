@@ -6,8 +6,8 @@ against 28 w monomials), then by their (F, F', F'', k) monomial, leave
 polynomials in w, so a group costs one product, and every monomial is built
 once from shared power and prefix chains with one inverse per variable.  It
 runs on the variables of a frame as they are: exact nome series (grade
-pi^{2n-3} Lambda^{n-2}), or float and mpmath values at mu as order-0 jets
-(Lambda set to 1).
+pi^{2n-3} Lambda^{n-2}), or float and mpmath values at mu (Lambda set to 1),
+whose result is handed out as an order-0 Jet.
 
 Orbit sums collapse the cyclotomic phases: summed over a full PSL2(Z) orbit
 of parameter points the series has rational coefficients at integer powers of
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instanton import InstantonFrame, TwoParamPoint, frame_two_param_series
+from .jets import Jet
 from .series import Grade, PuiseuxSeries
 from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS, VARIABLES
-from .theta import Characteristics, cyclotomic_order
+from .theta import cyclotomic_order
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class CoeffIndex:
 @dataclass(frozen=True)
 class CoeffResult:
     index: CoeffIndex
-    representation: object  # PuiseuxSeries, or an order-0 Jet holding the value
+    representation: object  # PuiseuxSeries, or an order-0 Jet holding a numeric frame's value
 
     def to_json(self) -> dict:
         return {"order": self.index.order, "series": self.representation.to_json()}
@@ -98,7 +99,7 @@ def _compile(rows) -> tuple:
 
 
 def _eval_terms(program, env):
-    """Run a compiled table on series or jets: the value is the last register."""
+    """Run a compiled table on series or values: the value is the last register."""
     regs = [env[v] for v in VARIABLES]
     for step, frees in program:
         if isinstance(step, int):
@@ -121,7 +122,8 @@ def _table_coefficient(frame: InstantonFrame, n: int) -> CoeffResult:
     result = _eval_terms(program, _term_environment(frame))
     if frame.mode == "series":
         assert result.grade == idx.grade
-    return CoeffResult(idx, result)
+        return CoeffResult(idx, result)
+    return CoeffResult(idx, Jet((result,)))
 
 
 def a0(frame: InstantonFrame) -> CoeffResult:
@@ -183,7 +185,7 @@ def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
     for pt in points:
         rep, units = classes.setdefault((min(pt.p, -pt.p % 1), pt.q.denominator), (pt, Counter()))
         target = pt.q if pt.p == rep.p else -pt.q % 1
-        units[_unit_taking(rep.q, target, cyclotomic_order(Characteristics(rep.p, rep.q)))] += 1
+        units[_unit_taking(rep.q, target, cyclotomic_order(rep.p, rep.q))] += 1
     total = None
     for rep, units in classes.values():
         series = coefficient(frame_two_param_series(rep, trunc), index).representation

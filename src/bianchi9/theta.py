@@ -6,11 +6,14 @@ given, not reduced mod 1, so a unit shift of q carries the quasi-periodicity
 phase e^{2 pi i p} inside the lattice sum.  Two representations:
 
 * exact: a Puiseux series in the nome Q = e^{-2 pi mu} with coefficients in a
-  cyclotomic field (theta_series, mu-derivatives up to order 4), the power of
-  pi factored into the grade;
+  cyclotomic field (theta_series), the power of pi factored into the grade;
+  its mu-derivatives are ``PuiseuxSeries.mu_derivative``;
 * numeric: direct partial summation with a Gaussian tail bound, one lattice
   pass for the whole jet of mu-derivatives 0..order (theta_jet, from which
-  both instanton frames are assembled; theta_eval reads one component).
+  both instanton frames are assembled).  A sum longer than MAX_LATTICE_TERMS
+  terms (Re mu near 0) is refused with a ValueError.
+
+Characteristics are plain (p, q) pairs of Fractions.
 
 One rule picks the numeric arithmetic, ``arithmetic(mu)``: a Python number
 means machine floats, an mpmath number means mpmath at its working precision.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
@@ -28,49 +30,23 @@ from .jets import Jet
 from .series import Grade, PuiseuxSeries
 
 
-@dataclass(frozen=True)
-class Characteristics:
-    """The [p,q] pair, stored as given: theta[p, q+1] = e^{2 pi i p} theta[p, q]."""
+# the three classical characteristics (p, q)
+THETA2 = (Fraction(1, 2), Fraction(0))
+THETA3 = (Fraction(0), Fraction(0))
+THETA4 = (Fraction(0), Fraction(1, 2))
 
-    p: Fraction
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
+MAX_LATTICE_TERMS = 10_000  # a numeric lattice sum needing more terms is refused
 
 
-# the three classical characteristics
-THETA2 = Characteristics(Fraction(1, 2), Fraction(0))
-THETA3 = Characteristics(Fraction(0), Fraction(0))
-THETA4 = Characteristics(Fraction(0), Fraction(1, 2))
-
-
-@dataclass(frozen=True)
-class ThetaSpec:
-    """A theta function together with its derivative decoration."""
-
-    char: Characteristics
-    mu_order: int = 0
-    q_deriv: bool = False
-
-    def __post_init__(self):
-        if not 0 <= self.mu_order <= 4:
-            raise ValueError("mu_order must be between 0 and 4")
-
-
-def cyclotomic_order(char: Characteristics) -> int:
+def cyclotomic_order(p: Fraction, q: Fraction) -> int:
     """Smallest root-of-unity order accommodating all phases for [p,q]."""
-    dp, dq = char.p.denominator, char.q.denominator
-    n = math.lcm(4, 2 * dp, 2 * dq, dp * dq)
-    return n
+    dp, dq = p.denominator, q.denominator
+    return math.lcm(4, 2 * dp, 2 * dq, dp * dq)
 
 
-def theta_series(spec: ThetaSpec, trunc: int) -> PuiseuxSeries:
-    """Exact nome series; grade pi^(mu_order + q_deriv)."""
-    p, q = spec.char.p, spec.char.q
-    n = spec.mu_order
-    order = cyclotomic_order(spec.char)
+def theta_series(p: Fraction, q: Fraction, q_deriv: bool, trunc: int) -> PuiseuxSeries:
+    """Exact nome series of (d_q) theta[p,q](i mu), grade pi^1 for d_q."""
+    order = cyclotomic_order(p, q)
     dp = p.denominator
     exp_den = 2 * dp * dp
     terms: dict[int, Cyclotomic] = {}
@@ -86,24 +62,24 @@ def theta_series(spec: ThetaSpec, trunc: int) -> PuiseuxSeries:
         if e >= trunc * exp_den:
             continue
         turns = mp * q
-        if spec.q_deriv:
-            # 2 i (-1)^n (m+p)^{2n+1}: the i is a quarter turn, the pi^{n+1} lives in the grade
+        factor = Fraction(1)
+        if q_deriv:
+            # 2 i (m+p): the i is a quarter turn, the pi lives in the grade
             turns += Fraction(1, 4)
-            factor = 2 * Fraction((-1) ** n) * mp ** (2 * n + 1)
-        else:
-            factor = Fraction((-1) ** n) * mp ** (2 * n)
+            factor = 2 * mp
         coeff = Cyclotomic.from_turns(turns % 1, order) * factor
         if not coeff.is_zero():
             terms[e] = terms.get(e, Cyclotomic.zero(order)) + coeff
-    grade = Grade(pi_exp=n + (1 if spec.q_deriv else 0))
-    return PuiseuxSeries(exp_den, terms, trunc * exp_den, grade)
+    return PuiseuxSeries(exp_den, terms, trunc * exp_den, Grade(pi_exp=1 if q_deriv else 0))
 
 
 def _eval_range(p: float, mu: complex, tol: float) -> int:
-    eps = 1e-2
-    re = mu.real
-    inner = max(0.0, -math.log(tol * eps) / (math.pi * re))
-    return math.ceil(abs(p) + math.sqrt(inner)) + 2
+    """m_max of the lattice sum over |m| <= m_max at mu; more than MAX_LATTICE_TERMS terms is refused."""
+    inner = max(0.0, -math.log(tol * 1e-2) / (math.pi * mu.real))
+    reach = abs(p) + math.sqrt(inner)
+    if not 2 * reach + 5 <= MAX_LATTICE_TERMS:  # an infinite reach fails the test too
+        raise ValueError(f"theta lattice sum at mu = {mu} needs about {2 * reach + 5:.3g} terms, above {MAX_LATTICE_TERMS}")
+    return math.ceil(reach) + 2
 
 
 def arithmetic(mu):
@@ -140,12 +116,6 @@ def _theta_eval_raw(p, q, q_deriv: bool, mu: complex, order: int, tol: float) ->
             term = base * gauss**j
             acc[j] += term * dq if q_deriv else term
     return acc
-
-
-def theta_eval(spec: ThetaSpec, mu: complex, tol: float = 1e-12) -> complex:
-    """Numeric value of d^n/dmu^n (d/dq) theta[p,q](i mu)."""
-    n = spec.mu_order
-    return _theta_eval_raw(spec.char.p, spec.char.q, spec.q_deriv, mu, n, tol)[n]
 
 
 def theta_jet(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> Jet:

@@ -25,12 +25,13 @@ oracle on series and jets.  ``oracle_environment`` gives the derivative
 variables the oracles read, and ``eval_rows`` sums the rows of any table on
 a frame one at a time.
 
-The library's numeric frames hold values at mu: w_j and A_j, and F with its
-derivatives to ``DEPTH``.  ``jet_frame_two_param`` and ``jet_frame_one_param``
-build the same frames as mu-jets of any order, from the same theta lattice
-sums: the oracles read fourth derivatives of w and F from them, and the
-tests derivatives of w and A.  ``value_frame`` cuts such a frame to the
-library's shape, and ``table_jet`` runs a library table on one, giving the
+The library's numeric frames hold plain values at mu: w_j and A_j, and F
+with its derivatives to ``DEPTH``.  ``jet_frame_two_param`` and
+``jet_frame_one_param`` build the same frames as mu-jets of any order, from
+the same theta lattice sums, with A_j from ``jet_log_derivative``: the
+oracles read fourth derivatives of w and F from them, and the tests
+derivatives of w and A.  ``value_frame`` cuts such a frame to the library's
+shape, and ``table_jet`` runs a library table on one, giving the
 coefficient's jet of order ``frame.order - DEPTH``.
 """
 
@@ -42,8 +43,7 @@ from fractions import Fraction
 
 from bianchi9 import seeley
 from bianchi9.instanton import DEPTH, InstantonFrame
-from bianchi9.jets import Jet, jet_log_derivative
-from bianchi9.series import PuiseuxSeries
+from bianchi9.jets import Jet
 from bianchi9.seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS, VARIABLES, parse_terms
 from bianchi9.theta import THETA2, THETA3, THETA4, arithmetic, theta_jet
 
@@ -437,9 +437,9 @@ def eval_rows(rows, env):
     """Sum the table rows one at a time, with a per-variable power cache.
 
     This is the evaluator the compiled programs of ``bianchi9.seeley`` are
-    checked against.  Float jets are summed by ``math.fsum`` per component:
-    the monomials cancel massively (sums ~1e3 x the result), and an exactly
-    rounded final summation buys several digits.
+    checked against.  Float values and jets are summed by ``math.fsum`` per
+    component: the monomials cancel massively (sums ~1e3 x the result), and an
+    exactly rounded final summation buys several digits.
     """
     cache: dict[tuple[str, int], object] = {}
 
@@ -462,20 +462,15 @@ def eval_rows(rows, env):
             cur = p if cur is None else cur * p
         # a Fraction scalar gives the same bits as complex() or mpmathify()
         parts.append(cur * coeff)
-    if isinstance(parts[0], PuiseuxSeries) or not isinstance(parts[0].comps[0], complex):
-        total = parts[0]
-        for cur in parts[1:]:
-            total = total + cur
-        return total
-    order = parts[0].order
-    comps = tuple(
-        complex(
-            math.fsum(p.comps[k].real for p in parts),
-            math.fsum(p.comps[k].imag for p in parts),
-        )
-        for k in range(order + 1)
-    )
-    return Jet(comps)
+    fsum = lambda xs: complex(math.fsum(x.real for x in xs), math.fsum(x.imag for x in xs))  # noqa: E731
+    if isinstance(parts[0], complex):
+        return fsum(parts)
+    if isinstance(parts[0], Jet) and isinstance(parts[0].comps[0], complex):
+        return Jet(tuple(fsum([p.comps[k] for p in parts]) for k in range(parts[0].order + 1)))
+    total = parts[0]
+    for cur in parts[1:]:
+        total = total + cur
+    return total
 
 
 @dataclass(frozen=True)
@@ -493,6 +488,12 @@ class JetFrame:
         return self.F_.order
 
 
+def jet_log_derivative(a: Jet) -> Jet:
+    """The jet of a'/a, one order lower (the top derivative is unknown)."""
+    k = a.order
+    return Jet(a.comps[1:]) / Jet(a.comps[:k])
+
+
 def coordinate_jet(mu, order: int) -> Jet:
     """The coordinate function mu itself."""
     return Jet(((mu, 1.0 + 0j) + (0j,) * order)[: order + 1])
@@ -501,7 +502,7 @@ def coordinate_jet(mu, order: int) -> Jet:
 def _theta_constant_jets(mu, order, tol):
     """(th2, th3, th4) and (A1, A2, A3) as jets of the given order, one lattice
     pass per theta at order + 1 (the log-derivative costs one)."""
-    thetas = [theta_jet(c.p, c.q, False, mu, order + 1, tol) for c in (THETA2, THETA3, THETA4)]
+    thetas = [theta_jet(*char, False, mu, order + 1, tol) for char in (THETA2, THETA3, THETA4)]
     return [Jet(th.comps[:-1]) for th in thetas], tuple(2 * jet_log_derivative(th) for th in thetas)
 
 
@@ -536,9 +537,8 @@ def jet_frame_one_param(pt, mu, tol: float = 1e-12, order: int = 4) -> JetFrame:
 
 def value_frame(frame: JetFrame) -> InstantonFrame:
     """The library's shape of a jet frame: values, and F's tower to DEPTH."""
-    w, A = (tuple(Jet(x.comps[:1]) for x in xs) for xs in (frame.w, frame.A))
-    tower = tuple(Jet((f,)) for f in frame.F_.comps[: DEPTH + 1])
-    return InstantonFrame("jet", w, tower, A, frame.k)
+    w, A = (tuple(x[0] for x in xs) for xs in (frame.w, frame.A))
+    return InstantonFrame("jet", w, frame.F_.comps[: DEPTH + 1], A, frame.k)
 
 
 def table_jet(frame: JetFrame, n: int) -> Jet:

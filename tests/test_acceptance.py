@@ -42,7 +42,7 @@ from bianchi9.instanton import (
 from bianchi9.modular import classical_series, identify, sample_mu, valence_budget, vv_modularity_report
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.series import Grade, PuiseuxSeries
-from bianchi9.theta import THETA2, THETA3, THETA4, Characteristics, ThetaSpec, theta_eval, theta_series
+from bianchi9.theta import THETA2, THETA3, THETA4, theta_jet, theta_series
 
 from test_theta import (
     _s_residual,
@@ -225,15 +225,14 @@ def _a0_valuation_from_theta_table(p: Fraction, q: Fraction) -> Fraction:
 
 def test_criterion_5_orders_at_infinity(orbit_third, orbit_sixth):
     ok = True
-    for spec, want in ((THETA2, F(1, 8)), (THETA3, 0), (THETA4, 0)):
-        s = theta_series(ThetaSpec(spec), 4)
+    for char, want in ((THETA2, F(1, 8)), (THETA3, 0), (THETA4, 0)):
+        s = theta_series(*char, False, 4)
         ok = ok and F(s.valuation, s.exp_den) == want
     points = list(orbit_third.points) + list(orbit_sixth.points)
     for pt in points:
-        char = Characteristics(pt.p, pt.q)
-        s = theta_series(ThetaSpec(char), 4)
+        s = theta_series(pt.p, pt.q, False, 4)
         ok = ok and F(s.valuation, s.exp_den) == expected_theta_valuation(pt.p)
-        d = theta_series(ThetaSpec(char, 0, True), 4)
+        d = theta_series(pt.p, pt.q, True, 4)
         want = expected_dq_theta_valuation(pt.p, pt.q)
         ok = ok and (d.is_zero() if want is None else F(d.valuation, d.exp_den) == want)
         if not TwoParamPoint(pt.p, pt.q).is_degenerate():
@@ -440,11 +439,11 @@ def test_criterion_9_first_derivatives_vs_finite_differences():
     def check(make_frame, mu):
         nonlocal worst
         lo, mid, hi = (make_frame(m) for m in (mu - h, mu, mu + h))
-        w, A = [x[0] for x in mid.w], [a[0] for a in mid.A]
-        pairs = [(lo.F_[n][0], hi.F_[n][0], mid.F_[n + 1][0]) for n in (0, 1)]
-        pairs += [(lo.w[i][0], hi.w[i][0], -w[j] * w[k] + w[i] * (A[j] + A[k])) for i, j, k in cyclic]
+        w, A = mid.w, mid.A
+        pairs = [(lo.F_[n], hi.F_[n], mid.F_[n + 1]) for n in (0, 1)]
+        pairs += [(lo.w[i], hi.w[i], -w[j] * w[k] + w[i] * (A[j] + A[k])) for i, j, k in cyclic]
         for char, a in zip((THETA2, THETA3, THETA4), A):
-            theta_lo, theta_hi = (theta_eval(ThetaSpec(char), m, 1e-15) for m in (mu - h, mu + h))
+            theta_lo, theta_hi = (theta_jet(*char, False, m, 0, 1e-15)[0] for m in (mu - h, mu + h))
             pairs.append((0, 2 * cmath.log(theta_hi / theta_lo), a))  # 2 log theta, as a difference
         for f_lo, f_hi, want in pairs:
             fd = (complex(f_hi) - complex(f_lo)) / (2 * h)

@@ -216,6 +216,10 @@ def test_check_crossval_refuses_complex_mu(capsys):
         (("check", "dirac", "--p", "1/2", "--q", "1/2"), 3),
         # crossval compares at a real mu only
         (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "3", "--mu-im", "0.2"), 2),
+        # mu so near Re mu = 0 that the lattice sum would need about 1e150 terms
+        (("theta", "--p", "0", "--q", "0", "--mu-re", "1e-300"), 3),
+        (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "1e-300"), 3),
+        (("check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3", "--mu-re", "1e-300"), 3),
     ],
 )
 def test_bad_input_exit_codes(argv, code):

@@ -31,7 +31,6 @@ from bianchi9.instanton import (
     frame_one_param_jet,
     frame_two_param_jet,
 )
-from bianchi9.jets import Jet
 from bianchi9.modular import orbit
 
 F = Fraction
@@ -40,7 +39,7 @@ F = Fraction
 def metric_matrix(x, frame: InstantonFrame) -> np.ndarray:
     """Oracle: the rescaled metric tensor F g at x in coordinates (mu, eta, phi, psi)."""
     _, eta, _, psi = (complex(c) for c in x)
-    w1, w2, w3 = (complex(frame.w[j][0]) for j in range(3))
+    w1, w2, w3 = (complex(frame.w[j]) for j in range(3))
     se, ce, sp, cp = np.sin(eta), np.cos(eta), np.sin(psi), np.cos(psi)
     g = np.zeros((4, 4), dtype=complex)
     g[0, 0] = w1 * w2 * w3
@@ -49,7 +48,7 @@ def metric_matrix(x, frame: InstantonFrame) -> np.ndarray:
     g[3, 3] = w1 * w2 / w3
     g[2, 3] = g[3, 2] = w1 * w2 * ce / w3
     g[1, 2] = g[2, 1] = (w1**2 - w2**2) * w3 * se * sp * cp / (w1 * w2)
-    return complex(frame.F_[0][0]) * g
+    return complex(frame.F_[0]) * g
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +81,7 @@ def test_sfield_arithmetic():
 def test_symbol_leading_part(frame):
     x = (1.05, 1.1, 0.3, 2.0)
     sym = _sigma_D(x, frame)[0]
-    W = np.prod([complex(frame.w[j][0]) for j in range(3)])
+    W = np.prod([complex(frame.w[j]) for j in range(3)])
     got = sym.a[0].value
     assert np.abs(got - GAMMA0 / cmath.sqrt(W)).max() < 1e-12
 
@@ -92,13 +91,12 @@ def test_symbol_constant_part_traceless(frame):
     assert abs(np.trace(sym.b.value)) < 1e-12
 
 
-FLAT_F = (Jet((1.0,)), Jet((0.0,)), Jet((0.0,)))  # the tower of F = 1
+FLAT_F = (1 + 0j, 0j, 0j)  # the tower of F = 1
 
 
 def test_unit_frame_constant_part():
     """w_j = 1 with A_j = 1/2, where Tod-Halphen gives w' = 0."""
-    ws = tuple(Jet((1.0,)) for _ in range(3))
-    fr = InstantonFrame("jet", ws, FLAT_F, tuple(Jet((0.5,)) for _ in range(3)), 0.0)
+    fr = InstantonFrame("jet", (1 + 0j,) * 3, FLAT_F, (0.5 + 0j,) * 3, 0.0)
     sym = _sigma_D((1.0, 1.2, 0.5, 1.7), fr)[0]
     assert np.abs(sym.b.value + 0.75 * GAMMA123).max() < 1e-14
 
@@ -138,8 +136,8 @@ def test_principal_symbol_is_inverse_metric(frame):
 def test_p2_mu_component(frame):
     x = (1.05, 1.1, 0.3, 2.0)
     sq = compose_square(_sigma_Dtilde(x, frame)[0])
-    W = np.prod([complex(frame.w[j][0]) for j in range(3)])
-    Fv = complex(frame.F_[0][0])
+    W = np.prod([complex(frame.w[j]) for j in range(3)])
+    Fv = complex(frame.F_[0])
     assert np.abs(sq.p2[0, 0] - IDENT / (Fv * W)).max() < 1e-12
 
 

@@ -4,9 +4,9 @@ import cmath
 import math
 
 import pytest
-from seeley_oracle import coordinate_jet
+from seeley_oracle import coordinate_jet, jet_log_derivative
 
-from bianchi9.jets import Jet, jet_log_derivative
+from bianchi9.jets import Jet
 
 
 def _exp_jet(mu: complex, order: int = 4) -> Jet:

@@ -6,17 +6,19 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchi9.cyclotomic import Cyclotomic
+from bianchi9.modular import sample_mu
+from bianchi9.series import Grade, PuiseuxSeries
 from bianchi9.theta import (
+    MAX_LATTICE_TERMS,
     THETA2,
     THETA3,
     THETA4,
-    Characteristics,
-    ThetaSpec,
     _eval_range,
     cyclotomic_order,
-    theta_eval,
     theta_jet,
     theta_series,
 )
@@ -32,14 +34,27 @@ SAMPLE_CHARS = [
 SAMPLE_MUS = [1.2, 0.85, 1.6 + 0.2j]
 
 
+def _value(p, q, n: int, dq: bool, mu, tol: float = 1e-12):
+    """d^n/dmu^n (d_q) theta[p,q](i mu): component n of one lattice pass."""
+    return theta_jet(p, q, dq, mu, n, tol)[n]
+
+
+def _series(p, q, n: int, dq: bool, trunc: int):
+    """The exact series of d^n/dmu^n (d_q) theta[p,q](i mu)."""
+    s = theta_series(p, q, dq, trunc)
+    for _ in range(n):
+        s = s.mu_derivative()
+    return s
+
+
 def test_theta3_at_i():
     # theta3(i) = pi^{1/4} / Gamma(3/4)
-    v = theta_eval(ThetaSpec(THETA3), 1.0)
+    v = _value(*THETA3, 0, False, 1.0)
     assert abs(v - 1.0864348112133080) < 1e-12
 
 
 def test_theta2_series_exponents():
-    s = theta_series(ThetaSpec(THETA2), 4)
+    s = theta_series(*THETA2, False, 4)
     assert s.exp_den == 8
     assert sorted(F(e, 8) for e in s.terms) == [F(1, 8), F(9, 8), F(25, 8)]
     assert all(c == 2 for c in s.terms.values())
@@ -49,22 +64,20 @@ def test_series_matches_eval():
     for p, q in SAMPLE_CHARS:
         for n in (0, 2):
             for dq in (False, True):
-                spec = ThetaSpec(Characteristics(p, q), n, dq)
-                s = theta_series(spec, 8)
+                s = _series(p, q, n, dq, 8)
                 # |Im mu| > 1/2 puts fractional nome powers off the principal branch
                 for mu in (1.1, 1.1 + 0.55j, 1.1 - 0.7j):
-                    v = theta_eval(spec, mu, 1e-15)
+                    v = _value(p, q, n, dq, mu, 1e-15)
                     assert abs(s.evaluate_mu(mu) - v) < 1e-12 * (1 + abs(v))
 
 
 def test_series_grade_counts_pi_powers():
-    s = theta_series(ThetaSpec(Characteristics(F(1, 3), F(1, 5)), 3, True), 4)
+    s = _series(F(1, 3), F(1, 5), 3, True, 4)
     assert s.grade.pi_exp == 4
 
 
 def test_cyclotomic_order_accommodates_all_phases():
-    char = Characteristics(F(1, 3), F(1, 5))
-    n = cyclotomic_order(char)
+    n = cyclotomic_order(F(1, 3), F(1, 5))
     assert n % 4 == 0 and n % 6 == 0 and n % 10 == 0 and n % 15 == 0
 
 
@@ -125,10 +138,9 @@ def _theta_series_shifted(p: Fraction, q: Fraction, q_deriv: bool, trunc: int):
     """
     p_red = p % 1
     q_shift = math.floor(q)
-    char = Characteristics(p_red, q - q_shift)
-    base = theta_series(ThetaSpec(char, 0, q_deriv), trunc)
+    base = theta_series(p_red, q - q_shift, q_deriv, trunc)
     if q_shift:
-        phase = Cyclotomic.from_turns((p_red * q_shift) % 1, cyclotomic_order(char))
+        phase = Cyclotomic.from_turns((p_red * q_shift) % 1, cyclotomic_order(p_red, q - q_shift))
         base = base.scale(phase)
     return base
 
@@ -140,21 +152,88 @@ def test_theta_series_carries_the_quasi_periodicity_phase():
         for q in grid:
             for dp, dq in ((0, 0), (0, half), (half, half), (half, 0)):
                 for q_deriv in (False, True):
-                    got = theta_series(ThetaSpec(Characteristics(p + dp, q + dq), 0, q_deriv), 3)
+                    got = theta_series(p + dp, q + dq, q_deriv, 3)
                     want = _theta_series_shifted(p + dp, q + dq, q_deriv, 3)
                     assert got.to_json() == want.to_json(), (p + dp, q + dq, q_deriv)
 
 
-def test_mu_order_capped():
-    with pytest.raises(ValueError):
-        ThetaSpec(THETA3, 5)
+# -- the derivative rule: mu-derivatives of the series against the in-sum factor --
+
+
+def _in_sum_series(p: Fraction, q: Fraction, n: int, q_deriv: bool, trunc: int) -> PuiseuxSeries:
+    """Series of d^n/dmu^n (d_q) theta[p,q](i mu) with the factor (-1)^n (m+p)^{2n}
+    of the n-th derivative applied to each lattice term: the exact oracle for
+    n applications of ``PuiseuxSeries.mu_derivative``."""
+    order = cyclotomic_order(p, q)
+    dp = p.denominator
+    exp_den = 2 * dp * dp
+    terms: dict[int, Cyclotomic] = {}
+    bound = math.isqrt(2 * trunc * dp * dp)
+    for m in range(math.floor(-F(bound + 1, dp) - p), math.ceil(F(bound + 1, dp) - p) + 1):
+        mp = m + p
+        e = int(mp * dp) ** 2
+        if e >= trunc * exp_den:
+            continue
+        turns = mp * q
+        factor = F((-1) ** n) * mp ** (2 * n)
+        if q_deriv:
+            turns += F(1, 4)
+            factor *= 2 * mp
+        coeff = Cyclotomic.from_turns(turns % 1, order) * factor
+        if not coeff.is_zero():
+            terms[e] = terms.get(e, Cyclotomic.zero(order)) + coeff
+    return PuiseuxSeries(exp_den, terms, trunc * exp_den, Grade(pi_exp=n + (1 if q_deriv else 0)))
+
+
+def test_mu_derivative_is_the_in_sum_factor():
+    values = sorted({F(a, b) for b in range(1, 7) for a in range(2 * b)})
+    for p in values:
+        for q in values:
+            for q_deriv in (False, True):
+                s = theta_series(p, q, q_deriv, 3)
+                for n in range(5):
+                    assert s.to_json() == _in_sum_series(p, q, n, q_deriv, 3).to_json(), (p, q, n, q_deriv)
+                    s = s.mu_derivative()
+
+
+_CHARACTERISTIC = st.builds(F, st.integers(0, 23), st.integers(1, 12))
+
+
+@given(
+    _CHARACTERISTIC,
+    _CHARACTERISTIC,
+    st.integers(0, 4),
+    st.booleans(),
+    st.floats(1.0, 1.5),
+    st.floats(-1.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_series_derivative_matches_lattice_jet(p, q, n, dq, mu_re, mu_im):
+    """Evaluated, the n-th mu_derivative of the series is component n of the
+    lattice jet, within test_series_matches_eval's bound."""
+    mu = complex(mu_re, mu_im)
+    v = _value(p, q, n, dq, mu, 1e-15)
+    assert abs(_series(p, q, n, dq, 8).evaluate_mu(mu) - v) < 1e-12 * (1 + abs(v))
+
+
+def test_lattice_sum_length_is_bounded():
+    """Near Re mu = 0 the sum is refused, naming mu and the term count, while
+    every mu of the transformation reports (and its S and T images) sums a
+    few dozen terms at 40-digit tolerance."""
+    for mu in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match=rf"mu = \({mu!r}\+0j\) needs about \S+ terms"):
+            theta_jet(*THETA3, False, mu, 0, 1e-10)
+    for seed in range(10):
+        for mu in sample_mu(10, seed):
+            for image in (mu, 1 / mu, mu - 1j):
+                assert 2 * _eval_range(1, image, 1e-35) + 1 < MAX_LATTICE_TERMS / 100
 
 
 def test_eval_domain_errors():
     with pytest.raises(ValueError):
-        theta_eval(ThetaSpec(THETA3), -1.0)
+        _value(*THETA3, 0, False, -1.0)
     with pytest.raises(ValueError):
-        theta_eval(ThetaSpec(THETA3), 1.0, tol=0.0)
+        _value(*THETA3, 0, False, 1.0, tol=0.0)
 
 
 def c_const(j: int, n: int) -> Cyclotomic:
@@ -184,8 +263,8 @@ def test_quasi_periodicity_in_q():
         phase = cmath.exp(2j * cmath.pi * float(p))
         for n in range(5):
             for dq in (False, True):
-                lhs = theta_eval(ThetaSpec(Characteristics(p, q + 1), n, dq), 1.2, 1e-15)
-                rhs = phase * theta_eval(ThetaSpec(Characteristics(p, q), n, dq), 1.2, 1e-15)
+                lhs = _value(p, q + 1, n, dq, 1.2, 1e-15)
+                rhs = phase * _value(p, q, n, dq, 1.2, 1e-15)
                 assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
 
 
@@ -193,8 +272,8 @@ def test_quasi_periodicity_in_p():
     for p, q in SAMPLE_CHARS:
         for n in range(5):
             for dq in (False, True):
-                lhs = theta_eval(ThetaSpec(Characteristics(p + 1, q), n, dq), 1.2, 1e-15)
-                rhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), 1.2, 1e-15)
+                lhs = _value(p + 1, q, n, dq, 1.2, 1e-15)
+                rhs = _value(p, q, n, dq, 1.2, 1e-15)
                 assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
 
 
@@ -204,8 +283,8 @@ def _t_residual(p, q, mu) -> float:
     phase = cmath.exp(-1j * cmath.pi * float(p) * (float(p) + 1))
     for n in range(5):
         for dq in (False, True):
-            lhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), mu - 1j, 1e-15)
-            rhs = phase * theta_eval(ThetaSpec(Characteristics(p, q + p + F(1, 2)), n, dq), mu, 1e-15)
+            lhs = _value(p, q, n, dq, mu - 1j, 1e-15)
+            rhs = phase * _value(p, q + p + F(1, 2), n, dq, mu, 1e-15)
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
     return worst
 
@@ -216,8 +295,8 @@ def _t2_residual(p, q, mu) -> float:
     phase = cmath.exp(-2j * cmath.pi * float(p) ** 2)
     for n in range(5):
         for dq in (False, True):
-            lhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), mu - 2j, 1e-15)
-            rhs = phase * theta_eval(ThetaSpec(Characteristics(p, q + 2 * p), n, dq), mu, 1e-15)
+            lhs = _value(p, q, n, dq, mu - 2j, 1e-15)
+            rhs = phase * _value(p, q + 2 * p, n, dq, mu, 1e-15)
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
     return worst
 
@@ -232,7 +311,7 @@ def _s_residual(p, q, mu) -> float:
     phase = cmath.exp(2j * cmath.pi * float(p) * float(q))
     for n in range(5):
         for dq in (False, True):
-            lhs = theta_eval(ThetaSpec(Characteristics(p, q), n, dq), 1 / mu, 1e-15)
+            lhs = _value(p, q, n, dq, 1 / mu, 1e-15)
             rhs = 0j
             for j in range(n + 1):
                 order = 2 * n + 1 if dq else 2 * n
@@ -240,7 +319,7 @@ def _s_residual(p, q, mu) -> float:
                 rhs += (
                     complex(c_const(j, order))
                     * mu**power
-                    * theta_eval(ThetaSpec(Characteristics(-q, p), n - j, dq), mu, 1e-15)
+                    * _value(-q, p, n - j, dq, mu, 1e-15)
                 )
             rhs *= phase
             worst = max(worst, abs(lhs - rhs) / (1 + abs(rhs)))
@@ -269,14 +348,14 @@ def test_classical_theta_shift_laws():
     # theta2 picks up e^{i pi/4}; theta3 and theta4 swap
     mu = 1.3
     for n in range(5):
-        t2l = theta_eval(ThetaSpec(THETA2, n, False), mu - 1j, 1e-15)
-        t2r = cmath.exp(1j * cmath.pi / 4) * theta_eval(ThetaSpec(THETA2, n, False), mu, 1e-15)
+        t2l = _value(*THETA2, n, False, mu - 1j, 1e-15)
+        t2r = cmath.exp(1j * cmath.pi / 4) * _value(*THETA2, n, False, mu, 1e-15)
         assert abs(t2l - t2r) < 1e-12
-        t3l = theta_eval(ThetaSpec(THETA3, n, False), mu - 1j, 1e-15)
-        t4 = theta_eval(ThetaSpec(THETA4, n, False), mu, 1e-15)
+        t3l = _value(*THETA3, n, False, mu - 1j, 1e-15)
+        t4 = _value(*THETA4, n, False, mu, 1e-15)
         assert abs(t3l - t4) < 1e-12
-        t4l = theta_eval(ThetaSpec(THETA4, n, False), mu - 1j, 1e-15)
-        t3 = theta_eval(ThetaSpec(THETA3, n, False), mu, 1e-15)
+        t4l = _value(*THETA4, n, False, mu - 1j, 1e-15)
+        t3 = _value(*THETA3, n, False, mu, 1e-15)
         assert abs(t4l - t3) < 1e-12
 
 
@@ -286,11 +365,11 @@ def test_classical_theta_inversion_laws():
     pairs = [(THETA2, THETA4), (THETA3, THETA3), (THETA4, THETA2)]
     for src, dst in pairs:
         for n in range(5):
-            lhs = theta_eval(ThetaSpec(src, n, False), 1 / mu, 1e-15)
+            lhs = _value(*src, n, False, 1 / mu, 1e-15)
             rhs = sum(
                 complex(c_const(j, 2 * n))
                 * mu ** (2 * n + 0.5 - j)
-                * theta_eval(ThetaSpec(dst, n - j, False), mu, 1e-15)
+                * _value(*dst, n - j, False, mu, 1e-15)
                 for j in range(n + 1)
             )
             assert abs(lhs - rhs) < 1e-11 * (1 + abs(rhs))
@@ -299,9 +378,9 @@ def test_classical_theta_inversion_laws():
 def test_jacobi_identity():
     # theta3^4 = theta2^4 + theta4^4
     for mu in (0.9, 1.4):
-        t2 = theta_eval(ThetaSpec(THETA2), mu, 1e-15)
-        t3 = theta_eval(ThetaSpec(THETA3), mu, 1e-15)
-        t4 = theta_eval(ThetaSpec(THETA4), mu, 1e-15)
+        t2 = _value(*THETA2, 0, False, mu, 1e-15)
+        t3 = _value(*THETA3, 0, False, mu, 1e-15)
+        t4 = _value(*THETA4, 0, False, mu, 1e-15)
         assert abs(t3**4 - t2**4 - t4**4) < 1e-12
 
 
@@ -328,9 +407,9 @@ def expected_dq_theta_valuation(p: Fraction, q: Fraction) -> Fraction | None:
 
 @pytest.mark.parametrize("p,q", SAMPLE_CHARS + [(F(1, 2), F(0)), (F(0), F(1, 2))])
 def test_valuations_match_closed_form(p, q):
-    s = theta_series(ThetaSpec(Characteristics(p, q)), 6)
+    s = theta_series(p, q, False, 6)
     assert F(s.valuation, s.exp_den) == expected_theta_valuation(p)
-    d = theta_series(ThetaSpec(Characteristics(p, q), 0, True), 6)
+    d = theta_series(p, q, True, 6)
     want = expected_dq_theta_valuation(p, q)
     if want is None:
         assert d.is_zero()
@@ -340,13 +419,13 @@ def test_valuations_match_closed_form(p, q):
 
 def test_classical_valuations():
     for char, want in ((THETA2, F(1, 8)), (THETA3, 0), (THETA4, 0)):
-        s = theta_series(ThetaSpec(char), 6)
+        s = theta_series(*char, False, 6)
         assert F(s.valuation, s.exp_den) == want
 
 
 def test_high_precision_eval_path():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        v = theta_eval(ThetaSpec(Characteristics(F(1, 3), F(1, 5)), 1, True), mpmath.mpc("1.2"), 1e-25)
-        w = theta_eval(ThetaSpec(Characteristics(F(1, 3), F(1, 5)), 1, True), 1.2, 1e-15)
+        v = _value(F(1, 3), F(1, 5), 1, True, mpmath.mpc("1.2"), 1e-25)
+        w = _value(F(1, 3), F(1, 5), 1, True, 1.2, 1e-15)
         assert abs(complex(v) - w) < 1e-12

@@ -7,7 +7,8 @@ orbits (trunc 3 at orders 0/2/4, trunc 6 at orders 2 and 4, and the 8-point
 sums at orders 0/2/4 and the 24-point order-0 sum at trunc 12) and their
 values at mu = 1.02, 1.05, 1.1 (the float bits that ``check crossval``
 prints), every q-derivative theta series with characteristics a/b
-(b <= 6, 0 <= a < 2b) and mu-order 0..2 at trunc 3, the float64 and 40-digit values of a0/a2/a4
+(b <= 6, 0 <= a < 2b) and its mu-derivatives of order 1 and 2 at trunc 3,
+the float64 and 40-digit values of a0/a2/a4
 at four points with the value frames there (w, the F tower (F, F', F'')
 and A, each under its own key), the same for the one-parameter family at
 two q0, and the stdout bytes and exit codes of a fixed list of CLI requests.
@@ -33,7 +34,7 @@ import mpmath  # noqa: E402
 from bianchi9 import cli, modular  # noqa: E402
 from bianchi9.instanton import OneParamPoint, TwoParamPoint, frame_one_param_jet, frame_two_param_jet  # noqa: E402
 from bianchi9.seeley import CoeffIndex, coefficient, orbit_sum  # noqa: E402
-from bianchi9.theta import Characteristics, ThetaSpec, theta_series  # noqa: E402
+from bianchi9.theta import theta_series  # noqa: E402
 
 ORBITS = {"o24": (F(0), F(1, 3)), "o8": (F(1, 6), F(5, 6))}
 SUMS = [(orb, order, 3) for orb in ORBITS for order in (0, 2, 4)]
@@ -55,6 +56,7 @@ CLI_REQUESTS = [
     ["orbit", "--p", "x/3", "--q", "0"],
     ["theta", "--p", "1/2", "--q", "0", "--series", "--trunc", "4"],
     ["theta", "--p", "4/3", "--q", "6/5", "--n", "2", "--dq", "--mu-re", "1.2", "--mu-im", "0.1"],
+    ["theta", "--p", "4/3", "--q", "6/5", "--series", "--n", "3", "--dq", "--trunc", "4"],
     ["theta", "--p", "0", "--q", "0", "--n", "7"],
     ["check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"],
     ["check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "2", "--trunc", "3", "--mu-re", "1.1"],
@@ -88,18 +90,20 @@ def sums() -> dict:
 
 def thetas() -> dict:
     values = [F(a, b) for b in range(1, 7) for a in range(2 * b)]
-    docs = [
-        theta_series(ThetaSpec(Characteristics(p, q), n, True), 3).to_json()
-        for p in values
-        for q in values
-        for n in range(3)
-    ]
+    docs = []
+    for p in values:
+        for q in values:
+            series = theta_series(p, q, True, 3)
+            for _ in range(3):
+                docs.append(series.to_json())
+                series = series.mu_derivative()
     return {f"theta series x{len(docs)}": sha(canonical(docs))}
 
 
 def _frame_values(label: str, frame) -> dict:
     parts = {"w": frame.w, "F tower": frame.F_, "A": frame.A}
-    return {f"{label} frame values {name}": sha(repr([x.comps for x in values])) for name, values in parts.items()}
+    # each value as a 1-tuple: the text once hashed from order-0 jets' components
+    return {f"{label} frame values {name}": sha(repr([(x,) for x in values])) for name, values in parts.items()}
 
 
 def jets() -> dict:
