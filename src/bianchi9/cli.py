@@ -162,7 +162,8 @@ def cmd_theta(args) -> None:
 
 
 def _orbit_or_exit(args) -> modular.Orbit:
-    orb = modular.orbit(args.p, args.q)
+    with _domain_errors():
+        orb = modular.orbit(args.p, args.q)
     try:
         budget = modular.valence_budget(orb)
     except ExceptionalOrbitError as exc:

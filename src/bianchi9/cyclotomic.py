@@ -1,7 +1,8 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are polynomials in zeta_N reduced modulo the N-th cyclotomic
-polynomial, with Fraction coefficients.  This is the coefficient field for
+polynomial, stored as integer numerators over one common denominator, the
+form the series product kernel packs.  This is the coefficient field for
 every exact nome series in the package: it holds the phases e^{2 pi i (m+p) q}
 and e^{i pi p} exactly.
 """
@@ -30,7 +31,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            rem, poly = _divmod_phi(poly, d, 0)
+            rem, poly = _divmod_phi(poly, d)
             assert not any(rem)
     return tuple(poly)
 
@@ -42,11 +43,11 @@ def _phi_low_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return phi, tuple((j, c) for j, c in enumerate(cyclotomic_poly(n)[:phi]) if c)
 
 
-def _divmod_phi(a, n: int, zero) -> tuple[list, list]:
-    """Divide the polynomial a (low to high) by Phi_N, over any coefficient ring.
+def _divmod_phi(a, n: int) -> tuple[list, list]:
+    """Divide the polynomial a (low to high) by Phi_N.
 
     Eliminates from the top with x^phi = -(low part of Phi_N), which is monic.
-    Returns the remainder padded to phi(N) with ``zero`` and the quotient:
+    Returns the remainder padded to phi(N) with zeros and the quotient:
     the coefficient left at degree phi + k is the quotient's coefficient of x^k.
     """
     phi, low = _phi_low_terms(n)
@@ -57,69 +58,61 @@ def _divmod_phi(a, n: int, zero) -> tuple[list, list]:
             base = d - phi
             for j, m in low:
                 a[base + j] -= c * m
-    return a[:phi] + [zero] * (phi - len(a)), a[phi:]
-
-
-# one shared zero: a zero coefficient costs no Fraction of its own, and a
-# scaled series keeps no zero of the operand it was made from alive
-_ZERO = Fraction(0)
-
-
-def _reduce(n: int, coeffs: list, zero=_ZERO) -> list:
-    """Reduce a coefficient list of any length modulo Phi_N; pad to phi(N) with zero."""
-    return _divmod_phi(coeffs, n, zero)[0]
+    return a[:phi] + [0] * (phi - len(a)), a[phi:]
 
 
 class Cyclotomic:
-    """An element of Q(zeta_N) in canonical reduced form."""
+    """An element of Q(zeta_N): phi(N) integer numerators over one denominator.
 
-    __slots__ = ("order", "coeffs")
+    ``nums[j] / den`` is the coefficient of zeta_N^j in the power basis,
+    reduced modulo Phi_N.  ``den`` is positive and in lowest terms,
+    gcd(den, *nums) == 1, so zero is all-zero ``nums`` over ``den == 1`` and
+    equal elements of one order have equal fields.  ``coeffs`` reads the
+    element as Fractions.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs) -> None:
-        self.order = order
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        self.coeffs = tuple(_reduce(order, cs))
-
-    @classmethod
-    def _from_reduced(cls, order: int, coeffs: tuple) -> "Cyclotomic":
-        """An element from coefficients already in reduced form: phi(order) Fractions."""
-        obj = object.__new__(cls)
-        obj.order = order
-        obj.coeffs = coeffs
-        return obj
+        """From rational power-basis coefficients of any length (anything Fraction takes)."""
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        x = Cyclotomic.from_int_coeffs(order, [c.numerator * (den // c.denominator) for c in cs], den)
+        self.order, self.nums, self.den = order, x.nums, x.den
 
     @classmethod
     def from_int_coeffs(cls, order: int, coeffs: list[int], den: int) -> "Cyclotomic":
-        """Fast path: integer power-basis coefficients over a common denominator."""
-        return cls._from_reduced(order, tuple(Fraction(c, den) if c else _ZERO for c in _reduce(order, coeffs, 0)))
+        """Integer power-basis coefficients of any length over a common denominator den > 0."""
+        nums = _divmod_phi(coeffs, order)[0]
+        g = math.gcd(den, *nums)
+        obj = object.__new__(cls)
+        obj.order, obj.nums, obj.den = order, tuple(x // g for x in nums) if g > 1 else tuple(nums), den // g
+        return obj
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _padded(cls, order: int, coeffs: list) -> "Cyclotomic":
-        """An element from Fraction power-basis coefficients; reduced only if longer than phi(order)."""
-        phi = euler_phi(order)
-        if len(coeffs) > phi:
-            return cls(order, coeffs)
-        return cls._from_reduced(order, tuple(coeffs) + (Fraction(0),) * (phi - len(coeffs)))
-
-    @classmethod
     def zero(cls, order: int = 4) -> "Cyclotomic":
-        return cls._padded(order, [])
+        return cls.from_int_coeffs(order, [], 1)
 
     @classmethod
     def one(cls, order: int = 4) -> "Cyclotomic":
-        return cls.from_rational(Fraction(1), order)
+        return cls.from_int_coeffs(order, [1], 1)
 
     @classmethod
     def from_rational(cls, x, order: int = 4) -> "Cyclotomic":
-        return cls._padded(order, [Fraction(x)])
+        x = Fraction(x)
+        return cls.from_int_coeffs(order, [x.numerator], x.denominator)
 
     @classmethod
     def root(cls, order: int, k: int) -> "Cyclotomic":
         """zeta_order^k, reduced."""
-        k %= order
-        return cls._padded(order, [Fraction(0)] * k + [Fraction(1)])
+        return cls.from_int_coeffs(order, [0] * (k % order) + [1], 1)
 
     @classmethod
     def from_turns(cls, turns: Fraction, order: int) -> "Cyclotomic":
@@ -132,15 +125,15 @@ class Cyclotomic:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def embed(self, order: int) -> "Cyclotomic":
         """Embed into Q(zeta_order); requires self.order | order."""
@@ -152,10 +145,10 @@ class Cyclotomic:
 
     def _power_map(self, k: int, order: int) -> "Cyclotomic":
         """Send zeta_self.order^j to zeta_order^(j k); at order == self.order this is sigma_k."""
-        out = [Fraction(0)] * min(order, k * (len(self.coeffs) - 1) + 1)
-        for j, c in enumerate(self.coeffs):
-            out[j * k % order] = c
-        return Cyclotomic._padded(order, out)
+        out = [0] * min(order, k * (len(self.nums) - 1) + 1)
+        for j, x in enumerate(self.nums):
+            out[j * k % order] = x
+        return Cyclotomic.from_int_coeffs(order, out, self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -170,16 +163,16 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(other, self.order)
         a, b = self._common(self, other)
-        return Cyclotomic._from_reduced(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return Cyclotomic.from_int_coeffs(a.order, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._from_reduced(self.order, tuple(-c for c in self.coeffs))
+        return Cyclotomic.from_int_coeffs(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -187,16 +180,17 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic._from_reduced(self.order, tuple(c * other if c else c for c in self.coeffs))
+            r = Fraction(other)
+            return Cyclotomic.from_int_coeffs(self.order, [x * r.numerator for x in self.nums], self.den * r.denominator)
         a, b = self._common(self, other)
         phi = euler_phi(a.order)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for j, x in enumerate(a.coeffs):
+        prod = [0] * (2 * phi - 1)
+        for j, x in enumerate(a.nums):
             if x:
-                for k, y in enumerate(b.coeffs):
+                for k, y in enumerate(b.nums):
                     if y:
                         prod[j + k] += x * y
-        return Cyclotomic(a.order, prod)
+        return Cyclotomic.from_int_coeffs(a.order, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -213,24 +207,24 @@ class Cyclotomic:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic._from_reduced(self.order, tuple(c / other for c in self.coeffs))
+            return self * (1 / Fraction(other))
         a, b = self._common(self, other)
         return a * b.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.nums[0] == other * self.den
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def __complex__(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
         acc = 0j
-        for j, c in enumerate(self.coeffs):
-            if c:
-                acc += float(c) * z**j
+        for j, x in enumerate(self.nums):
+            if x:
+                acc += x / self.den * z**j
         return acc
 
     def __repr__(self):

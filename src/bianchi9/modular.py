@@ -44,9 +44,15 @@ def act_T(pt: TwoParamPoint) -> TwoParamPoint:
     return TwoParamPoint(pt.p, pt.q + pt.p + Fraction(1, 2))
 
 
+MAX_ORBIT_POINTS = 100_000  # an orbit lies on the 1/N grid, N = lcm(2, dp, dq): at most N^2 points
+
+
 def orbit(p, q) -> Orbit:
-    """Breadth-first closure of (p,q) under act_S and act_T."""
+    """Breadth-first closure of (p,q) under act_S and act_T; refused when N^2 > MAX_ORBIT_POINTS."""
     start = TwoParamPoint(p, q)
+    n = math.lcm(2, start.p.denominator, start.q.denominator)
+    if n * n > MAX_ORBIT_POINTS:
+        raise ValueError(f"orbit of ({p}, {q}) lies on the 1/{n} grid of up to {n * n} points, above MAX_ORBIT_POINTS = {MAX_ORBIT_POINTS}")
     seen = {start}
     frontier = [start]
     while frontier:

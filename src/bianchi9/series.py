@@ -49,10 +49,9 @@ class PuiseuxSeries:
     exact (polynomial) series.
     """
 
-    __slots__ = ("exp_den", "terms", "trunc", "grade", "_flat")
+    __slots__ = ("exp_den", "terms", "trunc", "grade")
 
     def __init__(self, exp_den, terms, trunc, grade=Grade()):
-        self._flat = {}  # product kernel's integer rows per cyclotomic order; not part of the value
         if exp_den <= 0:
             raise ValueError("exp_den must be positive")
         clean = {}
@@ -338,15 +337,11 @@ def _pack(numerators, bits: int) -> int:
 
 def _integer_rows(s: PuiseuxSeries, order: int):
     """Common denominator, (exponent, integer numerators) in increasing exponent, largest |numerator|."""
-    got = s._flat.get(order)
-    if got is not None:
-        return got
-    rows = sorted((e, c.embed(order).coeffs) for e, c in s.terms.items())
-    den = math.lcm(*(x.denominator for _, cs in rows for x in cs))
-    rows = [(e, [x.numerator * (den // x.denominator) for x in cs]) for e, cs in rows]
-    big = max(abs(n) for _, ns in rows for n in ns)
-    got = s._flat[order] = (den, rows, big)
-    return got
+    cs = [(e, s.terms[e].embed(order)) for e in sorted(s.terms)]
+    den = math.lcm(*(c.den for _, c in cs))
+    rows = [(e, c.nums if c.den == den else [x * (den // c.den) for x in c.nums]) for e, c in cs]
+    big = max(abs(x) for _, ns in rows for x in ns)
+    return den, rows, big
 
 
 def series_invert(a: PuiseuxSeries) -> PuiseuxSeries:

@@ -75,7 +75,7 @@ def theta_series(p: Fraction, q: Fraction, q_deriv: bool, trunc: int) -> Puiseux
 
 def _eval_range(p: float, mu: complex, tol: float) -> int:
     """m_max of the lattice sum over |m| <= m_max at mu; more than MAX_LATTICE_TERMS terms is refused."""
-    inner = max(0.0, -math.log(tol * 1e-2) / (math.pi * mu.real))
+    inner = max(0.0, (math.log(100) - math.log(tol)) / (math.pi * mu.real))
     reach = abs(p) + math.sqrt(inner)
     if not 2 * reach + 5 <= MAX_LATTICE_TERMS:  # an infinite reach fails the test too
         raise ValueError(f"theta lattice sum at mu = {mu} needs about {2 * reach + 5:.3g} terms, above {MAX_LATTICE_TERMS}")

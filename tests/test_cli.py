@@ -69,6 +69,20 @@ def test_theta_invalid_order(capsys):
     assert out == "" and "argument --n: invalid choice: 7" in err
 
 
+@pytest.mark.parametrize("tol", ("1e-323", "5e-324"))
+def test_theta_tol_near_the_float_minimum(capsys, tol):
+    """tol * 1e-2 underflows to 0 here; the lattice range must still come out as at 1e-300."""
+    cli.main(["theta", "--p", "0", "--q", "0", "--tol", "1e-300"])
+    want = capsys.readouterr().out
+    cli.main(["theta", "--p", "0", "--q", "0", "--tol", tol])
+    assert capsys.readouterr().out == want
+
+
+def test_orbit_cap_names_grid_and_cap(caplog):
+    assert _exit_code("orbit", "--p", "1/100003", "--q", "0") == 3
+    assert "1/200006 grid" in caplog.text and "MAX_ORBIT_POINTS = 100000" in caplog.text
+
+
 def test_theta_domain_error():
     assert _exit_code("theta", "--p", "0", "--q", "0", "--mu-re", "-1.0") == 3
 
@@ -220,6 +234,8 @@ def test_check_crossval_refuses_complex_mu(capsys):
         (("theta", "--p", "0", "--q", "0", "--mu-re", "1e-300"), 3),
         (("check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "1e-300"), 3),
         (("check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3", "--mu-re", "1e-300"), 3),
+        # an orbit on the 1/200006 grid: up to 4e10 points, above MAX_ORBIT_POINTS
+        (("orbit", "--p", "1/100003", "--q", "0"), 3),
     ],
 )
 def test_bad_input_exit_codes(argv, code):

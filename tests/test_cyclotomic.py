@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchi9.cyclotomic import Cyclotomic, _reduce, cyclotomic_poly, euler_phi
+from bianchi9.cyclotomic import Cyclotomic, _divmod_phi, cyclotomic_poly, euler_phi
+from bianchi9.series import PuiseuxSeries
 
 F = Fraction
 
@@ -58,11 +59,22 @@ def test_equal_across_orders_and_unhashable():
         {i4, i8}
 
 
-def test_zero_coefficients_share_one_fraction():
-    """Zeros of packed products and of rational scalings are one object, so a scaled series keeps none of its operand's."""
-    x = Cyclotomic.from_int_coeffs(12, [0, 3, 0, 5, 0, 0], 2)
-    zeros = [c for c in x.coeffs + (x * F(2, 3)).coeffs + (x * 3).coeffs if c == 0]
-    assert len(zeros) >= 3 and all(z is zeros[0] for z in zeros)
+def _assert_canonical(x: Cyclotomic) -> None:
+    """phi(N) integer numerators over a positive denominator in lowest terms; zero over 1."""
+    assert len(x.nums) == euler_phi(x.order) and all(type(n) is int for n in x.nums)
+    assert type(x.den) is int and x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    assert not x.is_zero() or x.den == 1
+
+
+def test_integer_form_is_in_lowest_terms():
+    x = Cyclotomic.from_int_coeffs(12, [0, 6, 0, 10, 0, 0], 4)
+    assert (x.nums, x.den) == ((0, 3, 0, 5), 2)
+    assert Cyclotomic(12, [F(2, 4), F(0), F(-1, 6)]).den == 6
+    for zero in (x * 0, x * F(0), x - x, Cyclotomic.zero(60), Cyclotomic(3, [F(0, 7)]), Cyclotomic.from_int_coeffs(4, [0, 0], 9)):
+        _assert_canonical(zero)
+        assert zero.is_zero() and zero.den == 1
+    for y in (x, x * F(-4, 3), -x, x / F(-2, 5), x * x, x.inverse(), x.embed(36)):
+        _assert_canonical(y)
 
 
 def test_embed_round_trip():
@@ -211,9 +223,9 @@ def _long_int_lists(draw):
 @settings(max_examples=150, deadline=None)
 def test_reduce_matches_row_oracle(args):
     order, ints = args
-    assert _reduce(order, ints, 0) == _row_reduce(order, ints, 0)
+    assert _divmod_phi(ints, order)[0] == _row_reduce(order, ints, 0)
     fracs = [F(c, 7) for c in ints]
-    assert _reduce(order, fracs) == _row_reduce(order, fracs, F(0))
+    assert _divmod_phi(fracs, order)[0] == _row_reduce(order, fracs, F(0))
 
 
 @st.composite
@@ -249,3 +261,84 @@ def test_cyclotomic_polys_factor_x_n_minus_1():
                 prod = _poly_mul(prod, cyclotomic_poly(d))
         assert prod == [-1] + [0] * (n - 1) + [1], n
         assert len(cyclotomic_poly(n)) - 1 == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
+
+
+# -- oracle: the Fraction-tuple arithmetic the integer form replaced, each
+# result reduced by the row oracle; the integer form must agree with it
+# coefficient for coefficient --
+
+
+def _ref_reduce(order: int, coeffs) -> tuple:
+    return tuple(_row_reduce(order, [F(c) for c in coeffs], F(0)))
+
+
+def _ref_power_map(order: int, coeffs: tuple, k: int, target: int) -> tuple:
+    """zeta_order^j -> zeta_target^(j k) on Fraction coefficients."""
+    out = [F(0)] * target
+    for j, c in enumerate(coeffs):
+        out[j * k % target] += c
+    return _ref_reduce(target, out)
+
+
+def _ref_common(a: tuple, b: tuple) -> tuple:
+    m = math.lcm(a[0], b[0])
+    return m, _ref_power_map(*a, m // a[0], m), _ref_power_map(*b, m // b[0], m)
+
+
+def _ref_add(a: tuple, b: tuple) -> tuple:
+    m, x, y = _ref_common(a, b)
+    return m, tuple(u + v for u, v in zip(x, y))
+
+
+def _ref_mul(a: tuple, b: tuple) -> tuple:
+    m, x, y = _ref_common(a, b)
+    prod = [F(0)] * (len(x) + len(y) - 1)
+    for j, u in enumerate(x):
+        for k, v in enumerate(y):
+            prod[j + k] += u * v
+    return m, _ref_reduce(m, prod)
+
+
+@st.composite
+def _fraction_lists(draw):
+    """(order, Fraction coefficients of any length up to 2 phi + 2) at a pipeline order, many zeros."""
+    order = draw(st.sampled_from(PIPELINE_ORDERS))
+    phi = euler_phi(order)
+    coeff = st.one_of(st.just(F(0)), st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+    return order, draw(st.lists(coeff, max_size=2 * phi + 2))
+
+
+@given(
+    _fraction_lists(),
+    _fraction_lists(),
+    st.fractions(min_value=-20, max_value=20, max_denominator=15),
+    st.integers(1, 200),
+    st.sampled_from((1, 2, 3, 5)),
+    st.lists(st.integers(-99, 99), max_size=40),
+    st.integers(1, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_form_matches_fraction_oracle(fa, fb, r, k, t, ints, den):
+    a, b = Cyclotomic(*fa), Cyclotomic(*fb)
+    ra, rb = (fa[0], _ref_reduce(*fa)), (fb[0], _ref_reduce(*fb))
+    neg_rb = (rb[0], tuple(-c for c in rb[1]))
+    checks = [
+        (a, ra),
+        (a + b, _ref_add(ra, rb)),
+        (a - b, _ref_add(ra, neg_rb)),
+        (a * b, _ref_mul(ra, rb)),
+        (a * r, (ra[0], tuple(c * r for c in ra[1]))),
+        (a.embed(t * a.order), (t * a.order, _ref_power_map(*ra, t, t * a.order))),
+        (Cyclotomic.from_int_coeffs(a.order, ints, den), (a.order, _ref_reduce(a.order, [F(n, den) for n in ints]))),
+    ]
+    unit = next(j for j in range(k, k + a.order + 1) if math.gcd(j, a.order) == 1)
+    checks.append((a._power_map(unit, a.order), (a.order, _ref_power_map(*ra, unit, a.order))))
+    for got, (order, coeffs) in checks:
+        _assert_canonical(got)
+        assert (got.order, got.coeffs) == (order, coeffs)
+    series = PuiseuxSeries(6, {e: c for e, (c, _) in enumerate(checks)}, len(checks) + 1)
+    back = PuiseuxSeries.from_json(series.to_json())
+    assert back.to_json() == series.to_json() and sorted(back.terms) == sorted(series.terms)
+    for e, c in back.terms.items():
+        _assert_canonical(c)
+        assert (c.order, c.coeffs) == (series.terms[e].order, series.terms[e].coeffs)

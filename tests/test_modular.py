@@ -62,6 +62,16 @@ def test_eight_point_orbit_exactly():
     assert got == want
 
 
+def test_orbit_size_cap(monkeypatch):
+    """The cap reads N^2, N = lcm(2, dp, dq), before any point is enumerated."""
+    monkeypatch.setattr(modular, "MAX_ORBIT_POINTS", 36)
+    assert modular.orbit(F(1, 6), F(5, 6)).n == 8  # N = 6, N^2 = 36
+    with pytest.raises(ValueError, match=r"1/8 grid of up to 64 points, above MAX_ORBIT_POINTS = 36"):
+        modular.orbit(F(1, 8), F(0))
+    with pytest.raises(ValueError, match="MAX_ORBIT_POINTS"):
+        modular.orbit(F(0), F(1, 7))  # N = 14: the factor 2 counts
+
+
 def test_valence_budgets(orbit_third, orbit_sixth):
     assert valence_budget(orbit_third) == 0
     assert valence_budget(orbit_sixth) == F(2, 3)

@@ -11,7 +11,8 @@ prints), every q-derivative theta series with characteristics a/b
 the float64 and 40-digit values of a0/a2/a4
 at four points with the value frames there (w, the F tower (F, F', F'')
 and A, each under its own key), the same for the one-parameter family at
-two q0, and the stdout bytes and exit codes of a fixed list of CLI requests.
+two q0, and the stdout bytes and exit codes of a fixed list of CLI requests
+run in order on one cache (a repeated request is keyed with " (repeat)").
 Run it on two trees and compare the outputs to show that a change moves no
 value.  It imports the package from the ``src/`` beside it.
 """
@@ -67,6 +68,12 @@ CLI_REQUESTS = [
     ["check", "dirac", "--p", "0", "--q", "1/3", "--mu-re", "1.05", "--mu-im", "0.001"],
     ["check", "dirac", "--p", "1/6", "--q", "1/2"],
     ["check", "dirac", "--p", "1/2", "--q", "1/2"],
+    # the second run is a cache hit: JSON -> integer form -> JSON
+    ["coeff", "--p", "1/6", "--q", "5/6", "--order", "4", "--trunc", "6"],
+    ["coeff", "--p", "1/6", "--q", "5/6", "--order", "4", "--trunc", "6"],
+    # criterion 3's constants: G14/Delta and Delta G6/G4^4
+    ["identify", "--p", "1/6", "--q", "5/6", "--order", "4", "--trunc", "6"],
+    ["identify", "--p", "0", "--q", "1/3", "--order", "4", "--trunc", "6"],
 ]
 
 
@@ -142,7 +149,9 @@ def cli_requests() -> dict:
                     cli.main(["--cache-dir", cache] + argv)
                 except SystemExit as exc:
                     code = exc.code
-            out["cli " + " ".join(argv)] = f"exit {code} stdout {sha(buf.getvalue())}"
+            key = "cli " + " ".join(argv)
+            key += " (repeat)" if key in out else ""
+            out[key] = f"exit {code} stdout {sha(buf.getvalue())}"
     return out
 
 
