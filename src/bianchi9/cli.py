@@ -148,7 +148,7 @@ def cmd_theta(args) -> None:
     # reduced mod 1: the printed value and series belong to [p mod 1, q mod 1]
     p, q = args.p % 1, args.q % 1
     if args.series:
-        series = theta_series(p, q, args.dq, args.trunc)
+        series = theta_series(p, q, args.trunc)[args.dq]
         for _ in range(args.n):
             series = series.mu_derivative()
         _emit({"series": series.to_json()})
@@ -157,7 +157,7 @@ def cmd_theta(args) -> None:
     # |Im mu| keeps the digits of its phase (and |Im mu| < 2 is left as is)
     mu_im = math.fmod(args.mu_im, 2 * p.denominator**2)
     with _domain_errors():
-        v = theta_jet(p, q, args.dq, complex(args.mu_re, mu_im), args.n, args.tol)[args.n]
+        v = theta_jet(p, q, complex(args.mu_re, mu_im), args.n, args.tol)[args.dq][args.n]
     _emit({"value": [v.real, v.imag]})
 
 
@@ -215,7 +215,10 @@ def _orbit_sum_cached(args, orb, index: CoeffIndex, store: bool) -> CoeffResult:
     log.info("cache miss; computing orbit sum (order %d, trunc %d)", index.order, args.trunc)
     result = seeley.orbit_sum(orb, index, args.trunc)
     if store:
-        cache_write(path, result.to_json())
+        try:
+            cache_write(path, result.to_json())
+        except OSError as exc:  # the cache only saves time: keep the result
+            log.warning("cache write to %s failed: %s", path, exc)
     return result
 
 

@@ -7,7 +7,8 @@ Two-parametric family (theta-quotient parametrization):
     w3[p,q] = -(1/2) th2 th3 d_q th[p+1/2, q] / th[p,q]
     F[p,q]  = (2/(pi Lambda)) (th[p,q] / d_q th[p,q])^2
 
-available as exact nome series or as numeric values at mu.  One-parametric family:
+available as exact nome series or as numeric values at mu; a frame walks its
+own characteristic once for th[p,q] and d_q th[p,q].  One-parametric family:
 
     w_j[q0] = 1/(mu+q0) + A_j,   F[q0] = C (mu+q0)^2
 
@@ -89,7 +90,7 @@ class InstantonFrame:
 @functools.lru_cache(maxsize=8)
 def _theta_constants(work: int) -> tuple:
     """(th2, th3, th4) and (A1, A2, A3), A_j = 2 th_{j+1}' / th_{j+1}, to nome horizon work."""
-    thetas = tuple(theta_series(*char, False, work) for char in (THETA2, THETA3, THETA4))
+    thetas = tuple(theta_series(*char, work)[0] for char in (THETA2, THETA3, THETA4))
     return thetas, tuple((th.mu_derivative() * th.invert()).scale(2) for th in thetas)
 
 
@@ -98,7 +99,7 @@ def _theta_constant_values(mu, tol: float, prec) -> tuple:
     """(th2, th3, th4) and (A1, A2, A3) as values at mu, from one order-1 lattice
     pass per theta.  The key is typed and holds the ``arithmetic`` precision: an
     mpmath mu equals, and hashes like, its complex."""
-    thetas = tuple(theta_jet(*char, False, mu, 1, tol) for char in (THETA2, THETA3, THETA4))
+    thetas = tuple(theta_jet(*char, mu, 1, tol)[0] for char in (THETA2, THETA3, THETA4))
     return tuple(th[0] for th in thetas), tuple(2 * (th[1] / th[0]) for th in thetas)
 
 
@@ -112,15 +113,14 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     work = trunc + 2
 
     (th2, th3, th4), A = _theta_constants(work)
-    tpq = theta_series(p, q, False, work)
-    dtpq = theta_series(p, q, True, work)
+    tpq, dtpq = theta_series(p, q, work)
     inv_tpq = tpq.invert()
     n = cyclotomic_order(p, q)
     phase = Cyclotomic.from_turns((Fraction(1, 4) - p / 2) % 1, n) / 2  # i / (2 e^{i pi p})
     # q + 1/2 may pass 1; theta_series then carries the phase e^{2 pi i p} itself
-    w1 = (th3 * th4 * theta_series(p, q + half, True, work) * inv_tpq).scale(-phase)
-    w2 = (th2 * th4 * theta_series(p + half, q + half, True, work) * inv_tpq).scale(phase)
-    w3 = (th2 * th3 * theta_series(p + half, q, True, work) * inv_tpq).scale(Fraction(-1, 2))
+    w1 = (th3 * th4 * theta_series(p, q + half, work)[1] * inv_tpq).scale(-phase)
+    w2 = (th2 * th4 * theta_series(p + half, q + half, work)[1] * inv_tpq).scale(phase)
+    w3 = (th2 * th3 * theta_series(p + half, q, work)[1] * inv_tpq).scale(Fraction(-1, 2))
     F = (tpq * dtpq.invert()) ** 2
     F = F.scale(2, dpi=-1, dlam=-1)
     for w in (w1, w2, w3):
@@ -133,8 +133,8 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
 
 
 def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:
-    """Numeric frame at mu (Lambda set to 1): w_j from values of theta, A_j from
-    the theta constants to first order, F's tower from theta jets of order DEPTH."""
+    """Numeric frame at mu (Lambda set to 1): w_j from values of theta, A_j from the theta
+    constants to first order, F's tower from the jets of th[p,q] and d_q th[p,q] of order DEPTH."""
     if pt.is_degenerate():
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
@@ -142,9 +142,8 @@ def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12) -> I
     mu, pi, exp, num, prec = arithmetic(mu)
     e_pip = exp(1j * pi * num(p))
     (th2, th3, th4), A = _theta_constant_values(mu, tol, prec)
-    tpq = theta_jet(p, q, False, mu, DEPTH, tol)
-    dtpq = theta_jet(p, q, True, mu, DEPTH, tol)
-    dq = lambda p, q: theta_jet(p, q, True, mu, 0, tol)[0]  # noqa: E731
+    tpq, dtpq = theta_jet(p, q, mu, DEPTH, tol)
+    dq = lambda p, q: theta_jet(p, q, mu, 0, tol)[1][0]  # noqa: E731
     w1 = th3 * th4 * dq(p, q + half) / tpq[0] * (-0.5j / e_pip)
     w2 = th2 * th4 * dq(p + half, q + half) / tpq[0] * (0.5j / e_pip)
     w3 = th2 * th3 * dq(p + half, q) / tpq[0] * (-0.5)

@@ -2,8 +2,8 @@
 
 A Jet stores the value and the first k mu-derivatives of a function at a
 point.  Arithmetic propagates derivatives by the Leibniz and quotient rules:
-one lattice pass gives a theta function as a jet, and F's derivative tower
-is a quotient of theta jets.  Only those derivatives need jets: a numeric
+one lattice pass gives a theta function and its q-derivative as jets, and
+F's derivative tower is a quotient of the two.  Only those derivatives need jets: a numeric
 frame holds plain values, and the coefficient tables run on those.
 """
 
@@ -17,16 +17,11 @@ class Jet:
 
     __slots__ = ("order", "comps")
 
-    def __init__(self, comps, order: int | None = None):
+    def __init__(self, comps):
         # plain reals are promoted to complex; richer numeric types (e.g.
         # arbitrary-precision complex numbers) pass through untouched
-        comps = tuple(complex(c) if isinstance(c, (int, float)) else c for c in comps)
-        if order is None:
-            order = len(comps) - 1
-        if len(comps) != order + 1:
-            raise ValueError("component count must be order + 1")
-        self.order = order
-        self.comps = comps
+        self.comps = tuple(complex(c) if isinstance(c, (int, float)) else c for c in comps)
+        self.order = len(self.comps) - 1
 
     @classmethod
     def constant(cls, value, order: int) -> "Jet":

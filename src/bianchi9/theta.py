@@ -1,16 +1,16 @@
 """Jacobi theta functions with characteristics.
 
-theta[p,q](i mu) = sum_m exp(-pi (m+p)^2 mu + 2 pi i (m+p) q), together with
-mu-derivatives and a single q-derivative.  Characteristics are taken as
-given, not reduced mod 1, so a unit shift of q carries the quasi-periodicity
-phase e^{2 pi i p} inside the lattice sum.  Two representations:
+theta[p,q](i mu) = sum_m exp(-pi (m+p)^2 mu + 2 pi i (m+p) q) and d_q theta[p,q],
+with mu-derivatives: one lattice walk gives the pair (theta, d_q theta).
+Characteristics are taken as given, not reduced mod 1, so a unit shift of q
+carries the quasi-periodicity phase e^{2 pi i p} inside the lattice sum.  Two representations:
 
-* exact: a Puiseux series in the nome Q = e^{-2 pi mu} with coefficients in a
+* exact: Puiseux series in the nome Q = e^{-2 pi mu} with coefficients in a
   cyclotomic field (theta_series), the power of pi factored into the grade;
-  its mu-derivatives are ``PuiseuxSeries.mu_derivative``;
+  their mu-derivatives are ``PuiseuxSeries.mu_derivative``;
 * numeric: direct partial summation with a Gaussian tail bound, one lattice
-  pass for the whole jet of mu-derivatives 0..order (theta_jet, from which
-  both instanton frames are assembled).  A sum longer than MAX_LATTICE_TERMS
+  pass for both jets of mu-derivatives 0..order (theta_jet, from which both
+  instanton frames are assembled).  A sum longer than MAX_LATTICE_TERMS
   terms (Re mu near 0) is refused with a ValueError.
 
 Characteristics are plain (p, q) pairs of Fractions.
@@ -44,12 +44,14 @@ def cyclotomic_order(p: Fraction, q: Fraction) -> int:
     return math.lcm(4, 2 * dp, 2 * dq, dp * dq)
 
 
-def theta_series(p: Fraction, q: Fraction, q_deriv: bool, trunc: int) -> PuiseuxSeries:
-    """Exact nome series of (d_q) theta[p,q](i mu), grade pi^1 for d_q."""
+def theta_series(p: Fraction, q: Fraction, trunc: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """Exact nome series of theta[p,q](i mu) and d_q theta[p,q](i mu), the latter of grade pi^1."""
     order = cyclotomic_order(p, q)
     dp = p.denominator
     exp_den = 2 * dp * dp
-    terms: dict[int, Cyclotomic] = {}
+    theta: dict[int, Cyclotomic] = {}
+    dq: dict[int, Cyclotomic] = {}
+    zero, horizon = Cyclotomic.zero(order), trunc * exp_den
     # (m+p)^2/2 < trunc  <=>  |m+p| < sqrt(2 trunc)
     bound = math.isqrt(2 * trunc * dp * dp)  # floor(dp*sqrt(2T))
     m_lo = math.floor(-Fraction(bound + 1, dp) - p)
@@ -59,18 +61,15 @@ def theta_series(p: Fraction, q: Fraction, q_deriv: bool, trunc: int) -> Puiseux
         # exponent (m+p)^2/2 in units of 1/(2 dp^2) is (dp*(m+p))^2
         k = int(mp * dp)
         e = k * k
-        if e >= trunc * exp_den:
+        if e >= horizon:
             continue
         turns = mp * q
-        factor = Fraction(1)
-        if q_deriv:
-            # 2 i (m+p): the i is a quarter turn, the pi lives in the grade
-            turns += Fraction(1, 4)
-            factor = 2 * mp
-        coeff = Cyclotomic.from_turns(turns % 1, order) * factor
-        if not coeff.is_zero():
-            terms[e] = terms.get(e, Cyclotomic.zero(order)) + coeff
-    return PuiseuxSeries(exp_den, terms, trunc * exp_den, Grade(pi_exp=1 if q_deriv else 0))
+        theta[e] = theta.get(e, zero) + Cyclotomic.from_turns(turns % 1, order)
+        if mp:
+            # d_q brings 2 i (m+p): the i is a quarter turn, the pi lives in the grade
+            coeff = Cyclotomic.from_turns((turns + Fraction(1, 4)) % 1, order) * (2 * mp)
+            dq[e] = dq.get(e, zero) + coeff
+    return tuple(PuiseuxSeries(exp_den, t, horizon, Grade(pi_exp=n)) for n, t in enumerate((theta, dq)))
 
 
 def _eval_range(p: float, mu: complex, tol: float) -> int:
@@ -92,11 +91,11 @@ def arithmetic(mu):
     return mu, +mpmath.pi, mpmath.exp, mpmath.mpmathify, mpmath.mp.prec
 
 
-def _theta_eval_raw(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> list:
-    """Mu-derivatives 0..order of (d_q) theta[p,q](i mu) from one lattice pass.
+def _theta_eval_raw(p, q, mu: complex, order: int, tol: float) -> tuple[list, list]:
+    """Mu-derivatives 0..order of theta[p,q](i mu) and of d_q theta[p,q](i mu) from one lattice pass.
 
     Each lattice term takes one exp and is scaled by (-pi (m+p)^2)^j for
-    order j, and for d_q by its factor 2 pi i (m+p), computed once per term.
+    order j; d_q theta sums it times 2 pi i (m+p), computed once per point.
     The sum runs in the arithmetic that ``arithmetic(mu)`` selects.
     """
     mu, pi, exp, num, _ = arithmetic(mu)
@@ -106,18 +105,19 @@ def _theta_eval_raw(p, q, q_deriv: bool, mu: complex, order: int, tol: float) ->
         raise ValueError("tol must be positive")
     m_max = _eval_range(float(abs(complex(p))), complex(mu), tol)
     p_num, q_num = num(p), num(q)
-    acc = [num(0j)] * (order + 1)
+    theta, dq = [num(0j)] * (order + 1), [num(0j)] * (order + 1)
     for m in range(-m_max, m_max + 1):
         mp = m + p_num
         gauss = -pi * mp * mp
         base = exp(gauss * mu + 2j * pi * mp * q_num)
-        dq = 2j * pi * mp if q_deriv else None
+        factor = 2j * pi * mp
         for j in range(order + 1):
             term = base * gauss**j
-            acc[j] += term * dq if q_deriv else term
-    return acc
+            theta[j] += term
+            dq[j] += term * factor
+    return theta, dq
 
 
-def theta_jet(p, q, q_deriv: bool, mu: complex, order: int, tol: float) -> Jet:
-    """Jet whose component j is the j-th mu-derivative of (d_q) theta[p,q](i mu)."""
-    return Jet(_theta_eval_raw(p, q, q_deriv, mu, order, tol))
+def theta_jet(p, q, mu: complex, order: int, tol: float) -> tuple[Jet, Jet]:
+    """Jets of theta[p,q](i mu) and d_q theta[p,q](i mu): component j is the j-th mu-derivative."""
+    return tuple(Jet(comps) for comps in _theta_eval_raw(p, q, mu, order, tol))

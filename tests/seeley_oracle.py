@@ -502,7 +502,7 @@ def coordinate_jet(mu, order: int) -> Jet:
 def _theta_constant_jets(mu, order, tol):
     """(th2, th3, th4) and (A1, A2, A3) as jets of the given order, one lattice
     pass per theta at order + 1 (the log-derivative costs one)."""
-    thetas = [theta_jet(*char, False, mu, order + 1, tol) for char in (THETA2, THETA3, THETA4)]
+    thetas = [theta_jet(*char, mu, order + 1, tol)[0] for char in (THETA2, THETA3, THETA4)]
     return [Jet(th.comps[:-1]) for th in thetas], tuple(2 * jet_log_derivative(th) for th in thetas)
 
 
@@ -515,11 +515,10 @@ def jet_frame_two_param(pt, mu, tol: float = 1e-12, order: int = 4) -> JetFrame:
     mu, pi, exp, num, _ = arithmetic(mu)
     e_pip = exp(1j * pi * num(p))
     (th2, th3, th4), A = _theta_constant_jets(mu, order, tol)
-    tpq = theta_jet(p, q, False, mu, order, tol)
-    dtpq = theta_jet(p, q, True, mu, order, tol)
-    w1 = th3 * th4 * theta_jet(p, q + half, True, mu, order, tol) / tpq * (-0.5j / e_pip)
-    w2 = th2 * th4 * theta_jet(p + half, q + half, True, mu, order, tol) / tpq * (0.5j / e_pip)
-    w3 = th2 * th3 * theta_jet(p + half, q, True, mu, order, tol) / tpq * (-0.5)
+    tpq, dtpq = theta_jet(p, q, mu, order, tol)
+    w1 = th3 * th4 * theta_jet(p, q + half, mu, order, tol)[1] / tpq * (-0.5j / e_pip)
+    w2 = th2 * th4 * theta_jet(p + half, q + half, mu, order, tol)[1] / tpq * (0.5j / e_pip)
+    w3 = th2 * th3 * theta_jet(p + half, q, mu, order, tol)[1] / tpq * (-0.5)
     F = (tpq / dtpq) ** 2 * (2 / pi)
     return JetFrame((w1, w2, w3), F, A, 4 * pi**2)
 

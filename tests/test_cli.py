@@ -159,6 +159,25 @@ def test_corrupt_cache_recomputed(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_unwritable_cache_keeps_the_result(tmp_path, capsys):
+    """A --cache-dir that is a regular file: the entry cannot be written, so the
+    CLI warns on stderr naming the path and still prints the sum, exit 0."""
+    request = ["coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "1"]
+    cli.main(["--cache-dir", str(tmp_path / "fresh")] + request)
+    want = capsys.readouterr().out
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "bianchi9.cli", "--cache-dir", str(blocker)] + request
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+    assert "Traceback" not in proc.stderr
+    assert "WARNING" in proc.stderr and str(blocker) in proc.stderr
+    assert blocker.read_text() == "not a directory"
+
+
 def test_identify_requires_depth():
     assert _exit_code("identify", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "2") == 2
 

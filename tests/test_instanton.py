@@ -197,7 +197,7 @@ def test_one_param_inversion_law():
 
 
 def test_jet_frames_at_one_mu_sum_the_theta_constants_once(monkeypatch):
-    """8 frames at one mu: five lattice sums each, plus one for each of th2, th3, th4."""
+    """8 frames at one mu: four lattice sums each, plus one for each of th2, th3, th4."""
     calls = []
     raw = theta._theta_eval_raw
 
@@ -211,7 +211,7 @@ def test_jet_frames_at_one_mu_sum_the_theta_constants_once(monkeypatch):
     assert len(points) == 8
     for pt in points:
         frame_two_param_jet(pt, 1.07, 1e-14)
-    assert len(calls) == 8 * 5 + 3
+    assert len(calls) == 8 * 4 + 3
 
 
 def test_theta_constant_cache_keys_on_type_and_precision():

@@ -36,12 +36,12 @@ SAMPLE_MUS = [1.2, 0.85, 1.6 + 0.2j]
 
 def _value(p, q, n: int, dq: bool, mu, tol: float = 1e-12):
     """d^n/dmu^n (d_q) theta[p,q](i mu): component n of one lattice pass."""
-    return theta_jet(p, q, dq, mu, n, tol)[n]
+    return theta_jet(p, q, mu, n, tol)[dq][n]
 
 
 def _series(p, q, n: int, dq: bool, trunc: int):
     """The exact series of d^n/dmu^n (d_q) theta[p,q](i mu)."""
-    s = theta_series(p, q, dq, trunc)
+    s = theta_series(p, q, trunc)[dq]
     for _ in range(n):
         s = s.mu_derivative()
     return s
@@ -54,7 +54,7 @@ def test_theta3_at_i():
 
 
 def test_theta2_series_exponents():
-    s = theta_series(*THETA2, False, 4)
+    s = theta_series(*THETA2, 4)[0]
     assert s.exp_den == 8
     assert sorted(F(e, 8) for e in s.terms) == [F(1, 8), F(9, 8), F(25, 8)]
     assert all(c == 2 for c in s.terms.values())
@@ -114,9 +114,9 @@ def _per_order_walk(p, q, mu_order: int, q_deriv: bool, mu, tol: float):
 
 @pytest.mark.parametrize("p,q", UNREDUCED_CHARS)
 def test_theta_jet_equals_per_order_walk(p, q):
-    for dq in (False, True):
-        for mu in (1.2, 0.85 + 0.1j):
-            jet = theta_jet(p, q, dq, mu, 4, 1e-15)
+    for mu in (1.2, 0.85 + 0.1j):
+        jets = theta_jet(p, q, mu, 4, 1e-15)
+        for dq, jet in zip((False, True), jets):
             assert jet.comps == tuple(_per_order_walk(p, q, j, dq, mu, 1e-15) for j in range(5))
 
 
@@ -125,24 +125,24 @@ def test_theta_jet_equals_per_order_walk_at_40_digits(p, q):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         mu = mpmath.mpc("1.03", "0.02")
-        for dq in (False, True):
-            jet = theta_jet(p, q, dq, mu, 4, 1e-35)
+        jets = theta_jet(p, q, mu, 4, 1e-35)
+        for dq, jet in zip((False, True), jets):
             assert jet.comps == tuple(_per_order_walk(p, q, j, dq, mu, 1e-35) for j in range(5))
 
 
-def _theta_series_shifted(p: Fraction, q: Fraction, q_deriv: bool, trunc: int):
-    """Series of (d_q) th[p,q] at the reduced characteristic, phase added by hand.
+def _theta_series_shifted(p: Fraction, q: Fraction, trunc: int):
+    """Series of th[p,q] and d_q th[p,q] at the reduced characteristic, phase added by hand.
 
     p-shifts are exact; each unit shift in q multiplies by e^{2 pi i p}: the
     exact oracle for theta_series at unreduced characteristics.
     """
     p_red = p % 1
     q_shift = math.floor(q)
-    base = theta_series(p_red, q - q_shift, q_deriv, trunc)
+    pair = theta_series(p_red, q - q_shift, trunc)
     if q_shift:
         phase = Cyclotomic.from_turns((p_red * q_shift) % 1, cyclotomic_order(p_red, q - q_shift))
-        base = base.scale(phase)
-    return base
+        pair = tuple(s.scale(phase) for s in pair)
+    return pair
 
 
 def test_theta_series_carries_the_quasi_periodicity_phase():
@@ -151,10 +151,10 @@ def test_theta_series_carries_the_quasi_periodicity_phase():
     for p in grid:
         for q in grid:
             for dp, dq in ((0, 0), (0, half), (half, half), (half, 0)):
-                for q_deriv in (False, True):
-                    got = theta_series(p + dp, q + dq, q_deriv, 3)
-                    want = _theta_series_shifted(p + dp, q + dq, q_deriv, 3)
-                    assert got.to_json() == want.to_json(), (p + dp, q + dq, q_deriv)
+                got = theta_series(p + dp, q + dq, 3)
+                want = _theta_series_shifted(p + dp, q + dq, 3)
+                for q_deriv in (0, 1):
+                    assert got[q_deriv].to_json() == want[q_deriv].to_json(), (p + dp, q + dq, q_deriv)
 
 
 # -- the derivative rule: mu-derivatives of the series against the in-sum factor --
@@ -163,7 +163,9 @@ def test_theta_series_carries_the_quasi_periodicity_phase():
 def _in_sum_series(p: Fraction, q: Fraction, n: int, q_deriv: bool, trunc: int) -> PuiseuxSeries:
     """Series of d^n/dmu^n (d_q) theta[p,q](i mu) with the factor (-1)^n (m+p)^{2n}
     of the n-th derivative applied to each lattice term: the exact oracle for
-    n applications of ``PuiseuxSeries.mu_derivative``."""
+    n applications of ``PuiseuxSeries.mu_derivative``.  At n = 0 it is one
+    lattice walk per function, theta or d_q theta as q_deriv picks: the exact
+    oracle for each half of theta_series."""
     order = cyclotomic_order(p, q)
     dp = p.denominator
     exp_den = 2 * dp * dp
@@ -189,11 +191,21 @@ def test_mu_derivative_is_the_in_sum_factor():
     values = sorted({F(a, b) for b in range(1, 7) for a in range(2 * b)})
     for p in values:
         for q in values:
-            for q_deriv in (False, True):
-                s = theta_series(p, q, q_deriv, 3)
+            for q_deriv, s in zip((False, True), theta_series(p, q, 3)):
                 for n in range(5):
                     assert s.to_json() == _in_sum_series(p, q, n, q_deriv, 3).to_json(), (p, q, n, q_deriv)
                     s = s.mu_derivative()
+
+
+def test_theta_series_halves_match_one_walk_each():
+    """Both halves of the one walk equal a walk per function (the in-sum oracle at n = 0)."""
+    values = sorted({F(a, b) for b in range(1, 7) for a in range(2 * b)})
+    for p in values:
+        for q in values:
+            for qq in (q, q + F(1, 2)):
+                theta, dq = theta_series(p, qq, 4)
+                assert theta.to_json() == _in_sum_series(p, qq, 0, False, 4).to_json(), (p, qq)
+                assert dq.to_json() == _in_sum_series(p, qq, 0, True, 4).to_json(), (p, qq)
 
 
 _CHARACTERISTIC = st.builds(F, st.integers(0, 23), st.integers(1, 12))
@@ -222,7 +234,7 @@ def test_lattice_sum_length_is_bounded():
     few dozen terms at 40-digit tolerance."""
     for mu in (1e-300, 5e-324):
         with pytest.raises(ValueError, match=rf"mu = \({mu!r}\+0j\) needs about \S+ terms"):
-            theta_jet(*THETA3, False, mu, 0, 1e-10)
+            theta_jet(*THETA3, mu, 0, 1e-10)
     for seed in range(10):
         for mu in sample_mu(10, seed):
             for image in (mu, 1 / mu, mu - 1j):
@@ -407,9 +419,8 @@ def expected_dq_theta_valuation(p: Fraction, q: Fraction) -> Fraction | None:
 
 @pytest.mark.parametrize("p,q", SAMPLE_CHARS + [(F(1, 2), F(0)), (F(0), F(1, 2))])
 def test_valuations_match_closed_form(p, q):
-    s = theta_series(p, q, False, 6)
+    s, d = theta_series(p, q, 6)
     assert F(s.valuation, s.exp_den) == expected_theta_valuation(p)
-    d = theta_series(p, q, True, 6)
     want = expected_dq_theta_valuation(p, q)
     if want is None:
         assert d.is_zero()
@@ -419,7 +430,7 @@ def test_valuations_match_closed_form(p, q):
 
 def test_classical_valuations():
     for char, want in ((THETA2, F(1, 8)), (THETA3, 0), (THETA4, 0)):
-        s = theta_series(*char, False, 6)
+        s = theta_series(*char, 6)[0]
         assert F(s.valuation, s.exp_den) == want
 
 

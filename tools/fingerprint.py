@@ -6,8 +6,9 @@ Prints one JSON object {case: sha256} covering the orbit sums of both
 orbits (trunc 3 at orders 0/2/4, trunc 6 at orders 2 and 4, and the 8-point
 sums at orders 0/2/4 and the 24-point order-0 sum at trunc 12) and their
 values at mu = 1.02, 1.05, 1.1 (the float bits that ``check crossval``
-prints), every q-derivative theta series with characteristics a/b
-(b <= 6, 0 <= a < 2b) and its mu-derivatives of order 1 and 2 at trunc 3,
+prints), every theta series and q-derivative theta series with
+characteristics a/b (b <= 6, 0 <= a < 2b) and their mu-derivatives of order 1
+and 2 at trunc 3, each half under its own key,
 the float64 and 40-digit values of a0/a2/a4
 at four points with the value frames there (w, the F tower (F, F', F'')
 and A, each under its own key), the same for the one-parameter family at
@@ -58,6 +59,8 @@ CLI_REQUESTS = [
     ["theta", "--p", "1/2", "--q", "0", "--series", "--trunc", "4"],
     ["theta", "--p", "4/3", "--q", "6/5", "--n", "2", "--dq", "--mu-re", "1.2", "--mu-im", "0.1"],
     ["theta", "--p", "4/3", "--q", "6/5", "--series", "--n", "3", "--dq", "--trunc", "4"],
+    ["theta", "--p", "4/3", "--q", "6/5", "--n", "2", "--mu-re", "1.2", "--mu-im", "0.1"],
+    ["theta", "--p", "4/3", "--q", "6/5", "--series", "--n", "2", "--trunc", "4"],
     ["theta", "--p", "0", "--q", "0", "--n", "7"],
     ["check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"],
     ["check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "2", "--trunc", "3", "--mu-re", "1.1"],
@@ -97,14 +100,17 @@ def sums() -> dict:
 
 def thetas() -> dict:
     values = [F(a, b) for b in range(1, 7) for a in range(2 * b)]
-    docs = []
+    theta_docs, dq_docs = [], []
     for p in values:
         for q in values:
-            series = theta_series(p, q, True, 3)
-            for _ in range(3):
-                docs.append(series.to_json())
-                series = series.mu_derivative()
-    return {f"theta series x{len(docs)}": sha(canonical(docs))}
+            for docs, series in zip((theta_docs, dq_docs), theta_series(p, q, 3)):
+                for _ in range(3):
+                    docs.append(series.to_json())
+                    series = series.mu_derivative()
+    return {
+        f"theta series x{len(dq_docs)}": sha(canonical(dq_docs)),
+        f"theta series (theta halves) x{len(theta_docs)}": sha(canonical(theta_docs)),
+    }
 
 
 def _frame_values(label: str, frame) -> dict:
