@@ -12,7 +12,11 @@ whose result is handed out as an order-0 Jet.
 Orbit sums collapse the cyclotomic phases: summed over a full PSL2(Z) orbit
 of parameter points the series has rational coefficients at integer powers of
 Q only; ``orbit_sum`` verifies this exactly and down-converts.  It builds one
-frame per class of points whose series are Galois images of each other.
+frame per class of the list's points joined by three exact rules: T, which
+multiplies the term at Q^r by e^{2 pi i r}; (p,q) -> (-p,-q), which leaves
+the series as it is; and sigma_k, the Galois image.  The frame is that of the
+member with the least cyclotomic order, and every other member is reached
+from it by a walk that lands only on points of the list.
 """
 
 from __future__ import annotations
@@ -146,13 +150,18 @@ def coefficient(frame: InstantonFrame, index: CoeffIndex) -> CoeffResult:
     return _COEFF_FUNCS[index.n](frame)
 
 
-def _unit_taking(q: Fraction, target: Fraction, n: int) -> int:
-    """The least unit k mod n with k q = target (mod 1); q and target share a denominator dividing n."""
-    d = q.denominator
-    k = target.numerator * pow(q.numerator, -1, d) % d
-    while math.gcd(k, n) != 1:
-        k += d
-    return k
+def _edges(pt: TwoParamPoint, series: PuiseuxSeries):
+    """(image, thunk giving its series) along each edge at pt: T^{+-1}, -1 and sigma_k."""
+    p, q = pt.p, pt.q
+    yield TwoParamPoint(-p, -q), lambda: series
+    for n in (1, -1):
+        yield TwoParamPoint(p, q + n * (p + Fraction(1, 2))), lambda n=n: series.shift_mu(n)
+    # a unit k mod every coefficient order and N, for each unit residue r mod the denominator of q
+    m = math.lcm(cyclotomic_order(p, q), *(c.order for c in series.terms.values()))
+    for r in range(2, q.denominator):
+        k = next((k for k in range(r, m, q.denominator) if math.gcd(k, m) == 1), None)
+        if k is not None:
+            yield TwoParamPoint(p, r * q), lambda k=k: series.galois(k)
 
 
 def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
@@ -166,33 +175,39 @@ def orbit_sum(orbit, index: CoeffIndex, trunc: int = 6) -> CoeffResult:
     ``trunc`` is the horizon actually known, which is at least the requested
     ``trunc`` and often beyond it.
 
-    One frame is built per class of points, not per point.  Two exact rules
-    relate the series of the points of a class:
+    One frame is built per class of points, not per point.  Three exact rules
+    relate the series of points, and join two points of the list into one
+    class when both are in the list:
 
-    * a_{2n}[p,q] = a_{2n}[-p,-q]: under (p,q) -> (-p,-q) the frame maps to
-      (-w1, w2, -w3, F), and every table monomial has even total degree in
-      the (w1, w3) block;
+    * T: a_{2n}[p, q + p + 1/2](mu) = a_{2n}[p,q](mu - i), so the term at
+      Q^r of the series at T(p,q) is e^{+2 pi i r} times that at (p,q), and
+      e^{-2 pi i r} times it at T^-1(p,q) = (p, q - p - 1/2);
+    * -1: a_{2n}[p,q] = a_{2n}[-p,-q]: under (p,q) -> (-p,-q) the frame maps
+      to (-w1, w2, -w3, F), and every table monomial has even total degree
+      in the (w1, w3) block;
     * sigma_k (zeta_N -> zeta_N^k, k a unit mod N) maps a_{2n}[p,q] to
       a_{2n}[p,kq].
 
-    So the point (s p, q') with s = +-1 has the series sigma_k of a_{2n}[p,q]
-    for k q = s q' (mod 1).  A class holds every point with the same
-    {p, -p mod 1} and the same denominator of q; its first point met is the
-    one whose frame is built.
+    The frame built is that of the class member with the least cyclotomic
+    order N, the least such point on a tie, so the choice does not depend on
+    the list's order.  Every other member's series comes from a walk outward
+    from it along these edges, and a walk step lands only on a point of the
+    list.
     """
-    points = getattr(orbit, "points", orbit)
-    classes: dict[tuple, tuple[TwoParamPoint, Counter]] = {}  # key -> (first point, {k: multiplicity})
-    for pt in points:
-        rep, units = classes.setdefault((min(pt.p, -pt.p % 1), pt.q.denominator), (pt, Counter()))
-        target = pt.q if pt.p == rep.p else -pt.q % 1
-        units[_unit_taking(rep.q, target, cyclotomic_order(rep.p, rep.q))] += 1
-    total = None
-    for rep, units in classes.values():
-        series = coefficient(frame_two_param_series(rep, trunc), index).representation
-        for k, mult in units.items():
-            contrib = series if k == 1 else series.galois(k)
-            contrib = contrib if mult == 1 else contrib * mult
+    mult = Counter(getattr(orbit, "points", orbit))
+    total, done = None, set()
+    for rep in sorted(mult, key=lambda pt: (cyclotomic_order(pt.p, pt.q), pt)):
+        if rep in done:
+            continue
+        done.add(rep)
+        walk = [(rep, coefficient(frame_two_param_series(rep, trunc), index).representation)]
+        for pt, series in walk:  # breadth first: the loop reaches what it appends
+            contrib = series if mult[pt] == 1 else series * mult[pt]
             total = contrib if total is None else total + contrib
+            for img, image_series in _edges(pt, series):
+                if img in mult and img not in done:
+                    done.add(img)
+                    walk.append((img, image_series()))
     # the rational view is sorted, so that float evaluation sums the terms in
     # one order whether the series is fresh or read back from JSON
     t = total.trunc

@@ -176,6 +176,14 @@ class PuiseuxSeries:
         terms = {e: c._power_map(k % c.order, c.order) for e, c in self.terms.items()}
         return PuiseuxSeries(self.exp_den, terms, self.trunc, self.grade)
 
+    def shift_mu(self, n: int) -> "PuiseuxSeries":
+        """The series of f(mu - n i): each term at Q^r gains e^{2 pi i n r}, into Q(zeta_lcm(N, denominator of r))."""
+        terms = {}
+        for e, c in self.terms.items():
+            r = Fraction(n * e, self.exp_den)
+            terms[e] = c * Cyclotomic.from_turns(r, math.lcm(c.order, r.denominator))
+        return PuiseuxSeries(self.exp_den, terms, self.trunc, self.grade)
+
     def mu_derivative(self) -> "PuiseuxSeries":
         """d/dmu, using Q = e^{-2 pi mu}: each term picks up -2 pi e/D."""
         d = self.exp_den

@@ -19,6 +19,12 @@ def orbit_sixth():
 
 
 @pytest.fixture(scope="session")
+def orbit_quarter():
+    """The 12-point orbit of (0, 1/4)."""
+    return modular.orbit(Fraction(0), Fraction(1, 4))
+
+
+@pytest.fixture(scope="session")
 def orbit_sums(orbit_third, orbit_sixth):
     """All six exact orbit-sum series at the default truncation, computed once.
 

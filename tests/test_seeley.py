@@ -27,6 +27,7 @@ from bianchi9.instanton import (
     frame_two_param_series,
 )
 from bianchi9.jets import Jet
+from bianchi9.modular import act_T, bernoulli, identify
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.seeley_terms import (
     A0_CHECKSUM,
@@ -192,9 +193,33 @@ def test_orbit_sum_matches_pointwise_sum(orbit_sixth, orbit_third):
             assert (summed.as_q_expansion(), summed.trunc, summed.grade) == _pointwise(points, n, trunc, cache)
 
 
-@pytest.mark.parametrize(("name", "frames"), [("sixth", 3), ("third", 9)])
-def test_orbit_sum_builds_one_frame_per_class(monkeypatch, orbit_sixth, orbit_third, name, frames):
-    points = list({"sixth": orbit_sixth, "third": orbit_third}[name].points)
+def _classes(points) -> list[set]:
+    """The classes of the points joined by T^{+-1}, (p, q) -> (-p, -q) and
+    sigma_k (k a unit mod N), each edge counted when both ends are points."""
+    pts, classes = set(points), []
+    while pts:
+        todo = [pts.pop()]
+        cls = set(todo)
+        while todo:
+            pt = todo.pop()
+            n = cyclotomic_order(pt.p, pt.q)
+            images = [act_T(pt), TwoParamPoint(pt.p, pt.q - pt.p - F(1, 2)), TwoParamPoint(-pt.p, -pt.q)]
+            images += [TwoParamPoint(pt.p, k * pt.q) for k in range(1, n) if math.gcd(k, n) == 1]
+            for img in pts.intersection(images):
+                pts.remove(img)
+                cls.add(img)
+                todo.append(img)
+        classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize(("name", "frames"), [("sixth", 2), ("third", 4), ("quarter", 3)])
+def test_orbit_sum_builds_one_frame_per_class(monkeypatch, orbit_sixth, orbit_third, orbit_quarter, name, frames):
+    """One frame per class under T, sigma_k and -1, the member of least
+    cyclotomic order N, whatever the order of the list."""
+    points = list({"sixth": orbit_sixth, "third": orbit_third, "quarter": orbit_quarter}[name].points)
+    classes = _classes(points)
+    least_n = {pt: min(cyclotomic_order(x.p, x.q) for x in cls) for cls in classes for pt in cls}
     built = []
 
     def counting(pt, trunc):
@@ -203,10 +228,67 @@ def test_orbit_sum_builds_one_frame_per_class(monkeypatch, orbit_sixth, orbit_th
 
     monkeypatch.setattr(seeley, "frame_two_param_series", counting)
     rng = random.Random(2)
+    sets = []
     for order in (points, points[::-1], rng.sample(points, len(points))):
         built.clear()
         orbit_sum(order, CoeffIndex(0), 1)
-        assert len(built) == frames and built[0] == order[0]
+        assert len(built) == len(classes) == frames
+        assert all(cyclotomic_order(pt.p, pt.q) == least_n[pt] for pt in built)
+        sets.append(set(built))
+    assert sets[0] == sets[1] == sets[2]
+
+
+def test_t_twist_is_the_series_at_t_image(orbit_sixth, orbit_third, orbit_quarter):
+    """a_2n[T(p,q)](mu) = a_2n[p,q](mu - i): the term at Q^r gains e^{+2 pi i r},
+    exactly, horizon included; e^{-2 pi i r} misses somewhere on each orbit."""
+    for orb in (orbit_sixth, orbit_third, orbit_quarter):
+        frames = {pt: frame_two_param_series(pt, 3) for pt in orb.points}
+        for n in (0, 2):
+            at = {pt: coefficient(fr, CoeffIndex(n)).representation for pt, fr in frames.items()}
+            assert all(s.shift_mu(1) == at[act_T(pt)] for pt, s in at.items())
+            assert any(s.shift_mu(-1) != at[act_T(pt)] for pt, s in at.items())
+
+
+def _sphere_c(n: int) -> F:
+    """c_n of the round S^4, a_2n = c_n k^n a_0, from its Dirac spectrum (+-m, m >= 2,
+    multiplicity (2/3)(m^3 - m)): 2 (-1)^n (zeta(1-2n) - zeta(3-2n)) / ((n-2)! 4^n), n >= 2."""
+    zeta = lambda s: -bernoulli(1 - s) / (1 - s)  # noqa: E731  zeta at a negative odd integer
+    return 2 * (-1) ** n * (zeta(1 - 2 * n) - zeta(3 - 2 * n)) / (math.factorial(n - 2) * 4**n)
+
+
+# homogeneous orbits: the 8-point one is locally the round S^4, the 12-point
+# one of (0, 1/4) the Fubini-Study CP^2; c_1 = -1/4 on both
+_HOMOGENEOUS_C2 = {"sixth": _sphere_c(2), "quarter": F(1, 240)}
+
+
+def test_sphere_heat_coefficients():
+    assert [_sphere_c(n) for n in (2, 3, 4, 5)] == [F(11, 960), F(31, 80640), F(41, 1290240), F(31, 8110080)]
+
+
+@pytest.mark.parametrize("name", sorted(_HOMOGENEOUS_C2))
+def test_homogeneous_orbit_coefficients_are_constant_multiples(orbit_sixth, orbit_quarter, name):
+    """On S^4 and CP^2 every local invariant is constant: a2 = -(k/4) a0 and
+    a4 = c2 k^2 a0 at every point, with multiples taken from the geometry,
+    not from the term tables."""
+    c2 = _HOMOGENEOUS_C2[name]
+    for pt in {"sixth": orbit_sixth, "quarter": orbit_quarter}[name].points:
+        fr = frame_two_param_series(pt, 6)
+        x0, x2, x4 = (coefficient(fr, CoeffIndex(n)).representation for n in range(3))
+        for rest in (x2 + fr.k * x0 * F(1, 4), x4 - fr.k * fr.k * x0 * c2):
+            assert rest.is_zero() and rest.trunc_frac() >= 6
+
+
+def test_homogeneous_orbit_identify_constants(orbit_sums, orbit_sixth, orbit_quarter):
+    """The order-2 and order-4 constants are c_n 4^n times the order-0 constant."""
+    quarter = {n: orbit_sum(orbit_quarter, CoeffIndex(n), 6) for n in range(3)}
+    cases = (
+        ("sixth", orbit_sixth, {n: orbit_sums["sixth", 2 * n][0] for n in range(3)}, "Delta*G6/G4^4", F(-114688, 3375)),
+        ("quarter", orbit_quarter, quarter, "G14/Delta", F(-18243225, 8)),
+    )
+    for name, orb, sums, target, c0 in cases:
+        idents = [identify(sums[n], orb) for n in range(3)]
+        assert [i.target for i in idents] == [target] * 3
+        assert [i.constant for i in idents] == [c0, -c0, 16 * _HOMOGENEOUS_C2[name] * c0]
 
 
 _SMALL_POINTS = st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(1, 6), st.integers(0, 5))
