@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, modular, seeley
-from .instanton import TwoParamPoint, frame_two_param_jet
+from .instanton import TwoParamPoint, frame_two_param_jet, frames_two_param_jet
 from .modular import ExceptionalOrbitError, IdentificationError
 from .seeley import CoeffIndex, CoeffResult
 from .seeley_terms import A0_CHECKSUM, A2_CHECKSUM, A4_CHECKSUM
@@ -265,10 +265,10 @@ def cmd_check(args) -> None:
     index = CoeffIndex(args.order // 2)
     mu = args.mu_re
     with _domain_errors():
+        frames = frames_two_param_jet(orb.points, mu, 1e-14)
         direct = 0j
         for pt in orb.points:
-            frame = frame_two_param_jet(pt, mu, 1e-14)
-            direct += complex(seeley.coefficient(frame, index).representation.comps[0])
+            direct += complex(seeley.coefficient(frames[pt], index).representation.comps[0])
     series = _orbit_sum_cached(args, orb, index, store=False).representation
     with _domain_errors():
         exact = series.evaluate_mu(mu)

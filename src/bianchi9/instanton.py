@@ -7,8 +7,10 @@ Two-parametric family (theta-quotient parametrization):
     w3[p,q] = -(1/2) th2 th3 d_q th[p+1/2, q] / th[p,q]
     F[p,q]  = (2/(pi Lambda)) (th[p,q] / d_q th[p,q])^2
 
-available as exact nome series or as numeric values at mu; a frame walks its
-own characteristic once for th[p,q] and d_q th[p,q].  One-parametric family:
+available as exact nome series or as numeric values at mu.  An exact frame walks
+each of its four characteristics once; numeric frames at one mu are built in a
+batch that walks the lattice once per distinct p, for every q the batch reads
+there.  One-parametric family:
 
     w_j[q0] = 1/(mu+q0) + A_j,   F[q0] = C (mu+q0)^2
 
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
+from .jets import Jet
 from .series import Grade, PuiseuxSeries
-from .theta import THETA2, THETA3, THETA4, arithmetic, cyclotomic_order, theta_jet, theta_series
+from .theta import THETA2, THETA3, THETA4, arithmetic, cyclotomic_order, theta_series, theta_values
 
 DEPTH = 2  # mu-derivatives of F in every frame, the only derivatives a frame carries: a2 and check dirac read F''
 
@@ -96,10 +99,11 @@ def _theta_constants(work: int) -> tuple:
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _theta_constant_values(mu, tol: float, prec) -> tuple:
-    """(th2, th3, th4) and (A1, A2, A3) as values at mu, from one order-1 lattice
-    pass per theta.  The key is typed and holds the ``arithmetic`` precision: an
-    mpmath mu equals, and hashes like, its complex."""
-    thetas = tuple(theta_jet(*char, mu, 1, tol)[0] for char in (THETA2, THETA3, THETA4))
+    """(th2, th3, th4) and (A1, A2, A3) as values at mu, from order-1 lattice walks:
+    one for th2 and one for th3 and th4 together (both have p = 0).  The key is typed
+    and holds the ``arithmetic`` precision: an mpmath mu equals, and hashes like, its complex."""
+    sums = theta_values(dict.fromkeys((THETA2, THETA3, THETA4), 1), mu, tol)
+    thetas = tuple(sums[char][0] for char in (THETA2, THETA3, THETA4))
     return tuple(th[0] for th in thetas), tuple(2 * (th[1] / th[0]) for th in thetas)
 
 
@@ -132,23 +136,43 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     return InstantonFrame("series", (w1, w2, w3), tuple(tower), A, PuiseuxSeries.constant(4, Grade(2, 1)))
 
 
-def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:
-    """Numeric frame at mu (Lambda set to 1): w_j from values of theta, A_j from the theta
-    constants to first order, F's tower from the jets of th[p,q] and d_q th[p,q] of order DEPTH."""
-    if pt.is_degenerate():
-        raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
-    p, q = pt.p, pt.q
+def frames_two_param_jet(points, mu: complex, tol: float = 1e-12) -> dict:
+    """{point: numeric frame at mu} (Lambda set to 1): w_j from values of theta, A_j from the
+    theta constants to first order, F's tower from th[p,q] and d_q th[p,q] to order DEPTH.
+
+    Every point reads th[p,q] and d_q th of [p, q+1/2], [p+1/2, q+1/2] and [p+1/2, q]; the
+    batch walks the lattice once per distinct p among them, and a characteristic two
+    points read is walked once, at the higher order.  A degenerate point fails before any walk.
+    """
     half = Fraction(1, 2)
+    orders: dict = {}
+    for pt in points:
+        if pt.is_degenerate():
+            raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
+        p, q = pt.p, pt.q
+        for char in ((p, q + half), (p + half, q + half), (p + half, q)):
+            orders.setdefault(char, 0)
+        orders[p, q] = DEPTH
     mu, pi, exp, num, prec = arithmetic(mu)
-    e_pip = exp(1j * pi * num(p))
     (th2, th3, th4), A = _theta_constant_values(mu, tol, prec)
-    tpq, dtpq = theta_jet(p, q, mu, DEPTH, tol)
-    dq = lambda p, q: theta_jet(p, q, mu, 0, tol)[1][0]  # noqa: E731
-    w1 = th3 * th4 * dq(p, q + half) / tpq[0] * (-0.5j / e_pip)
-    w2 = th2 * th4 * dq(p + half, q + half) / tpq[0] * (0.5j / e_pip)
-    w3 = th2 * th3 * dq(p + half, q) / tpq[0] * (-0.5)
-    F = (tpq / dtpq) ** 2 * (2 / pi)
-    return InstantonFrame("jet", (w1, w2, w3), F.comps, A, 4 * pi**2)
+    sums = theta_values(orders, mu, tol)
+    dq = lambda p, q: sums[p, q][1][0]  # noqa: E731
+    frames = {}
+    for pt in points:
+        p, q = pt.p, pt.q
+        e_pip = exp(1j * pi * num(p))
+        tpq, dtpq = (Jet(comps) for comps in sums[p, q])
+        w1 = th3 * th4 * dq(p, q + half) / tpq[0] * (-0.5j / e_pip)
+        w2 = th2 * th4 * dq(p + half, q + half) / tpq[0] * (0.5j / e_pip)
+        w3 = th2 * th3 * dq(p + half, q) / tpq[0] * (-0.5)
+        F = (tpq / dtpq) ** 2 * (2 / pi)
+        frames[pt] = InstantonFrame("jet", (w1, w2, w3), F.comps, A, 4 * pi**2)
+    return frames
+
+
+def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:
+    """The numeric frame of one point at mu: the batch of one."""
+    return frames_two_param_jet((pt,), mu, tol)[pt]
 
 
 def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:

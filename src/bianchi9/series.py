@@ -177,11 +177,16 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.exp_den, terms, self.trunc, self.grade)
 
     def shift_mu(self, n: int) -> "PuiseuxSeries":
-        """The series of f(mu - n i): each term at Q^r gains e^{2 pi i n r}, into Q(zeta_lcm(N, denominator of r))."""
+        """The series of f(mu - n i): each term at Q^r gains e^{2 pi i n r}, into Q(zeta_lcm(N, denominator of r)).
+
+        The phase is zeta_M^k: the term's power basis is shifted up k places and reduced once.
+        """
         terms = {}
         for e, c in self.terms.items():
             r = Fraction(n * e, self.exp_den)
-            terms[e] = c * Cyclotomic.from_turns(r, math.lcm(c.order, r.denominator))
+            order = math.lcm(c.order, r.denominator)
+            c = c.embed(order)
+            terms[e] = Cyclotomic.from_int_coeffs(order, [0] * int(r * order % order) + list(c.nums), c.den)
         return PuiseuxSeries(self.exp_den, terms, self.trunc, self.grade)
 
     def mu_derivative(self) -> "PuiseuxSeries":

@@ -1,7 +1,8 @@
 """Jacobi theta functions with characteristics.
 
 theta[p,q](i mu) = sum_m exp(-pi (m+p)^2 mu + 2 pi i (m+p) q) and d_q theta[p,q],
-with mu-derivatives: one lattice walk gives the pair (theta, d_q theta).
+with mu-derivatives.  The exact walk gives the pair (theta, d_q theta) of one
+characteristic; the numeric walk gives the pairs of every q sharing one p.
 Characteristics are taken as given, not reduced mod 1, so a unit shift of q
 carries the quasi-periodicity phase e^{2 pi i p} inside the lattice sum.  Two representations:
 
@@ -9,8 +10,9 @@ carries the quasi-periodicity phase e^{2 pi i p} inside the lattice sum.  Two re
   cyclotomic field (theta_series), the power of pi factored into the grade;
   their mu-derivatives are ``PuiseuxSeries.mu_derivative``;
 * numeric: direct partial summation with a Gaussian tail bound, one lattice
-  pass for both jets of mu-derivatives 0..order (theta_jet, from which both
-  instanton frames are assembled).  A sum longer than MAX_LATTICE_TERMS
+  pass per p for the pairs of every q it serves, each q to its own order of
+  mu-derivatives (theta_values, from which the numeric frames are assembled;
+  theta_jet is the pass for one q).  A sum longer than MAX_LATTICE_TERMS
   terms (Re mu near 0) is refused with a ValueError.
 
 Characteristics are plain (p, q) pairs of Fractions.
@@ -91,11 +93,13 @@ def arithmetic(mu):
     return mu, +mpmath.pi, mpmath.exp, mpmath.mpmathify, mpmath.mp.prec
 
 
-def _theta_eval_raw(p, q, mu: complex, order: int, tol: float) -> tuple[list, list]:
-    """Mu-derivatives 0..order of theta[p,q](i mu) and of d_q theta[p,q](i mu) from one lattice pass.
+def _theta_eval_raw(p, qs, mu: complex, orders, tol: float) -> list[tuple[list, list]]:
+    """Mu-derivatives of theta[p,q](i mu) and of d_q theta[p,q](i mu) for every q in qs, from one lattice pass.
 
-    Each lattice term takes one exp and is scaled by (-pi (m+p)^2)^j for
-    order j; d_q theta sums it times 2 pi i (m+p), computed once per point.
+    Component j runs to orders[i] for qs[i].  What a lattice term shares across
+    the qs (m+p, gauss = -pi (m+p)^2, gauss mu, 2 pi i (m+p) and the powers of
+    gauss) is computed once; each q takes one exp of gauss mu + 2 pi i (m+p) q,
+    scaled by gauss^j for order j, and d_q theta sums it times 2 pi i (m+p).
     The sum runs in the arithmetic that ``arithmetic(mu)`` selects.
     """
     mu, pi, exp, num, _ = arithmetic(mu)
@@ -104,20 +108,36 @@ def _theta_eval_raw(p, q, mu: complex, order: int, tol: float) -> tuple[list, li
     if tol <= 0:
         raise ValueError("tol must be positive")
     m_max = _eval_range(float(abs(complex(p))), complex(mu), tol)
-    p_num, q_num = num(p), num(q)
-    theta, dq = [num(0j)] * (order + 1), [num(0j)] * (order + 1)
+    p_num, q_nums = num(p), [num(q) for q in qs]
+    sums = [([num(0j)] * (order + 1), [num(0j)] * (order + 1)) for order in orders]
+    powers = range(max(orders) + 1)
     for m in range(-m_max, m_max + 1):
         mp = m + p_num
         gauss = -pi * mp * mp
-        base = exp(gauss * mu + 2j * pi * mp * q_num)
-        factor = 2j * pi * mp
-        for j in range(order + 1):
-            term = base * gauss**j
-            theta[j] += term
-            dq[j] += term * factor
-    return theta, dq
+        gauss_mu, factor = gauss * mu, 2j * pi * mp
+        gauss_j = [gauss**j for j in powers]
+        for q_num, (theta, dq) in zip(q_nums, sums):
+            base = exp(gauss_mu + factor * q_num)
+            for j in range(len(theta)):
+                term = base * gauss_j[j]
+                theta[j] += term
+                dq[j] += term * factor
+    return sums
+
+
+def theta_values(orders: dict, mu: complex, tol: float) -> dict:
+    """{(p, q): (theta, d_q theta)} for {(p, q): order}, each a list of mu-derivatives 0..order,
+    from one walk per distinct p, taken as given: p + 1/2 may pass 1, and the walk's range reads |p|."""
+    by_p: dict = {}
+    for (p, q), order in orders.items():
+        by_p.setdefault(p, {})[q] = order
+    return {
+        (p, q): pair
+        for p, at_p in by_p.items()
+        for q, pair in zip(at_p, _theta_eval_raw(p, list(at_p), mu, list(at_p.values()), tol))
+    }
 
 
 def theta_jet(p, q, mu: complex, order: int, tol: float) -> tuple[Jet, Jet]:
     """Jets of theta[p,q](i mu) and d_q theta[p,q](i mu): component j is the j-th mu-derivative."""
-    return tuple(Jet(comps) for comps in _theta_eval_raw(p, q, mu, order, tol))
+    return tuple(Jet(comps) for comps in _theta_eval_raw(p, (q,), mu, (order,), tol)[0])

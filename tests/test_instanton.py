@@ -16,6 +16,7 @@ from bianchi9.instanton import (
     frame_one_param_jet,
     frame_two_param_jet,
     frame_two_param_series,
+    frames_two_param_jet,
 )
 from bianchi9.series import Grade
 
@@ -196,8 +197,8 @@ def test_one_param_inversion_law():
     assert fr.F_[3] == 0 and fr.F_[4] == 0
 
 
-def test_jet_frames_at_one_mu_sum_the_theta_constants_once(monkeypatch):
-    """8 frames at one mu: four lattice sums each, plus one for each of th2, th3, th4."""
+def _count_walks(monkeypatch) -> list:
+    """Record the arguments of every lattice walk from here on, with the theta-constant cache cleared."""
     calls = []
     raw = theta._theta_eval_raw
 
@@ -207,11 +208,58 @@ def test_jet_frames_at_one_mu_sum_the_theta_constants_once(monkeypatch):
 
     monkeypatch.setattr(theta, "_theta_eval_raw", counting)
     _theta_constant_values.cache_clear()
+    return calls
+
+
+def test_jet_frames_at_one_mu_sum_the_theta_constants_once(monkeypatch):
+    """8 frames built one at a time at one mu: two walks each (p and p + 1/2),
+    plus one for th2 and one for th3 and th4 together."""
+    calls = _count_walks(monkeypatch)
     points = modular.orbit(F(1, 6), F(5, 6)).points
     assert len(points) == 8
     for pt in points:
         frame_two_param_jet(pt, 1.07, 1e-14)
-    assert len(calls) == 8 * 4 + 3
+    assert len(calls) == 8 * 2 + 2
+
+
+def test_batch_walks_each_characteristic_p_once(monkeypatch):
+    """The 8-point orbit's batch at one mu: its four points and the p + 1/2 shifts, taken
+    unreduced, have 6 distinct p; each is walked once, with every q it serves."""
+    calls = _count_walks(monkeypatch)
+    points = modular.orbit(F(1, 6), F(5, 6)).points
+    frames_two_param_jet(points, 1.07, 1e-14)
+    assert len(calls) == 6 + 2
+    walked = [args[0] for args in calls[2:]]
+    assert len(set(walked)) == len(walked) == len({pt.p for pt in points} | {pt.p + F(1, 2) for pt in points})
+
+
+def test_degenerate_point_in_a_batch_fails_before_any_walk(monkeypatch):
+    points = list(modular.orbit(F(1, 6), F(5, 6)).points)
+    for bad in ((F(0), F(1, 2)), (F(1, 2), F(1, 2))):
+        for at in (0, 3, len(points)):
+            calls = _count_walks(monkeypatch)
+            batch = points[:at] + [TwoParamPoint(*bad)] + points[at:]
+            with pytest.raises(ValueError, match=f"degenerate parameter point \\({bad[0]}, {bad[1]}\\)"):
+                frames_two_param_jet(batch, 1.07, 1e-14)
+            assert calls == []
+
+
+@pytest.mark.parametrize("start", [(F(1, 6), F(5, 6)), (F(0), F(1, 4)), (F(0), F(1, 3))], ids=["8", "12", "24"])
+@pytest.mark.parametrize("dps", [15, 40])
+def test_batch_frames_equal_one_point_frames(start, dps):
+    """Bit for bit, on shuffled lists and on lists with repeated points."""
+    import random
+
+    points = list(modular.orbit(*start).points)
+    rng = random.Random(len(points))
+    with mpmath.workdps(dps):
+        mu, tol = (complex(1.05, 0.1), 1e-14) if dps == 15 else (mpmath.mpc(1.03, 0.02), 1e-35)
+        single = {pt: frame_two_param_jet(pt, mu, tol) for pt in points}
+        for batch in (points, rng.sample(points, len(points)), points[::3] + points + points[:2]):
+            frames = frames_two_param_jet(batch, mu, tol)
+            assert set(frames) == set(batch)
+            for pt, fr in frames.items():
+                assert (fr.w, fr.F_, fr.A, fr.k) == (single[pt].w, single[pt].F_, single[pt].A, single[pt].k)
 
 
 def test_theta_constant_cache_keys_on_type_and_precision():

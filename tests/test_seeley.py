@@ -19,6 +19,7 @@ from seeley_oracle import (
 )
 
 from bianchi9 import seeley, series
+from bianchi9.cyclotomic import Cyclotomic
 from bianchi9.instanton import (
     OneParamPoint,
     TwoParamPoint,
@@ -238,15 +239,37 @@ def test_orbit_sum_builds_one_frame_per_class(monkeypatch, orbit_sixth, orbit_th
     assert sets[0] == sets[1] == sets[2]
 
 
-def test_t_twist_is_the_series_at_t_image(orbit_sixth, orbit_third, orbit_quarter):
-    """a_2n[T(p,q)](mu) = a_2n[p,q](mu - i): the term at Q^r gains e^{+2 pi i r},
-    exactly, horizon included; e^{-2 pi i r} misses somewhere on each orbit."""
+@pytest.fixture(scope="module")
+def twist_series(orbit_sixth, orbit_third, orbit_quarter):
+    """[{point: a_0 or a_4 series at trunc 3}] over the 8-, 24- and 12-point orbits."""
+    out = []
     for orb in (orbit_sixth, orbit_third, orbit_quarter):
         frames = {pt: frame_two_param_series(pt, 3) for pt in orb.points}
         for n in (0, 2):
-            at = {pt: coefficient(fr, CoeffIndex(n)).representation for pt, fr in frames.items()}
-            assert all(s.shift_mu(1) == at[act_T(pt)] for pt, s in at.items())
-            assert any(s.shift_mu(-1) != at[act_T(pt)] for pt, s in at.items())
+            out.append({pt: coefficient(fr, CoeffIndex(n)).representation for pt, fr in frames.items()})
+    return out
+
+
+def test_t_twist_is_the_series_at_t_image(twist_series):
+    """a_2n[T(p,q)](mu) = a_2n[p,q](mu - i): the term at Q^r gains e^{+2 pi i r},
+    exactly, horizon included; e^{-2 pi i r} misses somewhere on each orbit."""
+    for at in twist_series:
+        assert all(s.shift_mu(1) == at[act_T(pt)] for pt, s in at.items())
+        assert any(s.shift_mu(-1) != at[act_T(pt)] for pt, s in at.items())
+
+
+def test_shift_mu_is_the_product_with_the_root_of_unity(twist_series):
+    """Each term of shift_mu(n), n = +-1, is c * e^{2 pi i n r} as a full Cyclotomic product, in the same field."""
+    for at in twist_series:
+        for s in at.values():
+            for n in (1, -1):
+                shifted = s.shift_mu(n)
+                assert shifted.terms.keys() == s.terms.keys()
+                for e, c in s.terms.items():
+                    r = F(n * e, s.exp_den)
+                    want = c * Cyclotomic.from_turns(r, math.lcm(c.order, r.denominator))
+                    got = shifted.terms[e]
+                    assert got == want and (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
 
 
 def _sphere_c(n: int) -> F:

@@ -18,6 +18,7 @@ from bianchi9.theta import (
     THETA3,
     THETA4,
     _eval_range,
+    _theta_eval_raw,
     cyclotomic_order,
     theta_jet,
     theta_series,
@@ -128,6 +129,23 @@ def test_theta_jet_equals_per_order_walk_at_40_digits(p, q):
         jets = theta_jet(p, q, mu, 4, 1e-35)
         for dq, jet in zip((False, True), jets):
             assert jet.comps == tuple(_per_order_walk(p, q, j, dq, mu, 1e-35) for j in range(5))
+
+
+@pytest.mark.parametrize("p", [F(1, 3), F(4, 3), F(0), F(1, 2)])
+def test_multi_q_walk_equals_one_q_walks(p):
+    """One walk serving several q at mixed orders gives each q's one-q theta_jet bits."""
+    qs = [F(1, 5), F(6, 5), F(1, 2), F(0), F(11, 6)]
+    orders = [2, 0, 4, 1, 0]
+    for mu, tol in ((1.2, 1e-15), (complex(0.85, 0.1), 1e-15)):
+        walked = _theta_eval_raw(p, qs, mu, orders, tol)
+        for q, order, pair in zip(qs, orders, walked):
+            assert tuple(pair) == tuple(list(jet.comps) for jet in theta_jet(p, q, mu, order, tol))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu = mpmath.mpc("1.03", "0.02")
+        walked = _theta_eval_raw(p, qs, mu, orders, 1e-35)
+        for q, order, pair in zip(qs, orders, walked):
+            assert tuple(pair) == tuple(list(jet.comps) for jet in theta_jet(p, q, mu, order, 1e-35))
 
 
 def _theta_series_shifted(p: Fraction, q: Fraction, trunc: int):

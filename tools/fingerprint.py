@@ -72,6 +72,8 @@ CLI_REQUESTS = [
     ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "1"],
     ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "2", "--samples", "1", "--seed", "3"],
     ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "4", "--samples", "1", "--seed", "5"],
+    # the 24-point orbit: its 24 points and their p + 1/2 shifts share the most p per batch
+    ["check", "transforms", "--p", "0", "--q", "1/3", "--order", "4", "--samples", "1"],
     ["check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "1.05"],
     ["check", "dirac", "--p", "0", "--q", "1/3", "--mu-re", "1.05", "--mu-im", "0.001"],
     ["check", "dirac", "--p", "1/6", "--q", "1/2"],
