@@ -28,7 +28,7 @@ from .modular import ExceptionalOrbitError, IdentificationError
 from .seeley import CoeffIndex, CoeffResult
 from .seeley_terms import A0_CHECKSUM, A2_CHECKSUM, A4_CHECKSUM
 from .series import PuiseuxSeries
-from .theta import theta_jet, theta_series
+from .theta import theta_series, theta_values
 
 log = logging.getLogger("bianchi9")
 
@@ -157,7 +157,8 @@ def cmd_theta(args) -> None:
     # |Im mu| keeps the digits of its phase (and |Im mu| < 2 is left as is)
     mu_im = math.fmod(args.mu_im, 2 * p.denominator**2)
     with _domain_errors():
-        v = theta_jet(p, q, complex(args.mu_re, mu_im), args.n, args.tol)[args.dq][args.n]
+        counts = (0, args.n + 1) if args.dq else (args.n + 1, 0)  # sum only the function --dq picks
+        v = theta_values([((p, q), counts)], complex(args.mu_re, mu_im), args.tol)[p, q][args.dq][args.n]
     _emit({"value": [v.real, v.imag]})
 
 

@@ -99,10 +99,10 @@ def _theta_constants(work: int) -> tuple:
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _theta_constant_values(mu, tol: float, prec) -> tuple:
-    """(th2, th3, th4) and (A1, A2, A3) as values at mu, from order-1 lattice walks:
-    one for th2 and one for th3 and th4 together (both have p = 0).  The key is typed
-    and holds the ``arithmetic`` precision: an mpmath mu equals, and hashes like, its complex."""
-    sums = theta_values(dict.fromkeys((THETA2, THETA3, THETA4), 1), mu, tol)
+    """(th2, th3, th4) and (A1, A2, A3) as values at mu, from walks for theta and its first
+    mu-derivative alone: one for th2 and one for th3 and th4 together (both have p = 0).  The key
+    is typed and holds the ``arithmetic`` precision: an mpmath mu equals, and hashes like, its complex."""
+    sums = theta_values([(char, (2, 0)) for char in (THETA2, THETA3, THETA4)], mu, tol)
     thetas = tuple(sums[char][0] for char in (THETA2, THETA3, THETA4))
     return tuple(th[0] for th in thetas), tuple(2 * (th[1] / th[0]) for th in thetas)
 
@@ -140,22 +140,22 @@ def frames_two_param_jet(points, mu: complex, tol: float = 1e-12) -> dict:
     """{point: numeric frame at mu} (Lambda set to 1): w_j from values of theta, A_j from the
     theta constants to first order, F's tower from th[p,q] and d_q th[p,q] to order DEPTH.
 
-    Every point reads th[p,q] and d_q th of [p, q+1/2], [p+1/2, q+1/2] and [p+1/2, q]; the
-    batch walks the lattice once per distinct p among them, and a characteristic two
-    points read is walked once, at the higher order.  A degenerate point fails before any walk.
+    Every point reads th[p,q] and d_q th[p,q] to order DEPTH and the value of d_q th at
+    [p, q+1/2], [p+1/2, q+1/2] and [p+1/2, q]; the batch walks the lattice once per distinct
+    p among them, and a characteristic two points read is walked once, for what either
+    reads.  A degenerate point fails before any walk.
     """
     half = Fraction(1, 2)
-    orders: dict = {}
+    requests = []
     for pt in points:
         if pt.is_degenerate():
             raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
         p, q = pt.p, pt.q
-        for char in ((p, q + half), (p + half, q + half), (p + half, q)):
-            orders.setdefault(char, 0)
-        orders[p, q] = DEPTH
-    mu, pi, exp, num, prec = arithmetic(mu)
+        requests.append(((p, q), (DEPTH + 1, DEPTH + 1)))
+        requests += [(char, (0, 1)) for char in ((p, q + half), (p + half, q + half), (p + half, q))]
+    mu, pi, exp, num, prec, _ = arithmetic(mu)
     (th2, th3, th4), A = _theta_constant_values(mu, tol, prec)
-    sums = theta_values(orders, mu, tol)
+    sums = theta_values(requests, mu, tol)
     dq = lambda p, q: sums[p, q][1][0]  # noqa: E731
     frames = {}
     for pt in points:
@@ -177,7 +177,7 @@ def frame_two_param_jet(pt: TwoParamPoint, mu: complex, tol: float = 1e-12) -> I
 
 def frame_one_param_jet(pt: OneParamPoint, mu: complex, tol: float = 1e-12) -> InstantonFrame:
     """Numeric frame of the one-parametric family at mu; F's tower is (C s^2, 2 C s, 2 C), s = mu + q0."""
-    mu, _, _, _, prec = arithmetic(mu)
+    mu, _, _, _, prec, _ = arithmetic(mu)
     if complex(mu).real <= 0:
         raise ValueError("Re(mu) must be positive")
     s = mu + complex(pt.q0)

@@ -10,9 +10,10 @@ carries the quasi-periodicity phase e^{2 pi i p} inside the lattice sum.  Two re
   cyclotomic field (theta_series), the power of pi factored into the grade;
   their mu-derivatives are ``PuiseuxSeries.mu_derivative``;
 * numeric: direct partial summation with a Gaussian tail bound, one lattice
-  pass per p for the pairs of every q it serves, each q to its own order of
-  mu-derivatives (theta_values, from which the numeric frames are assembled;
-  theta_jet is the pass for one q).  A sum longer than MAX_LATTICE_TERMS
+  pass per p for every q it serves, each q asking for its own number of
+  mu-derivatives of theta and of d_q theta (theta_values, from which the numeric
+  frames are assembled): one exp per lattice row, each phase a cached root of
+  unity, as in Deconinck et al., Math. Comp. 73 (2004).  A sum longer than MAX_LATTICE_TERMS
   terms (Re mu near 0) is refused with a ValueError.
 
 Characteristics are plain (p, q) pairs of Fractions.
@@ -24,11 +25,12 @@ means machine floats, an mpmath number means mpmath at its working precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .jets import Jet
 from .series import Grade, PuiseuxSeries
 
 
@@ -83,61 +85,93 @@ def _eval_range(p: float, mu: complex, tol: float) -> int:
     return math.ceil(reach) + 2
 
 
+def _sum_products(xs, ys):
+    return sum(map(operator.mul, xs, ys))
+
+
 def arithmetic(mu):
-    """(mu, pi, exp, number type, precision) of the arithmetic mu selects: machine
-    floats for a Python number (precision None), else mpmath at mpmath.mp.prec."""
+    """(mu, pi, exp, number type, precision, dot) of the arithmetic mu selects: machine
+    floats for a Python number (precision None, dot a plain sum of products), else
+    mpmath at mpmath.mp.prec (dot ``mpmath.fdot``, rounded once)."""
     if isinstance(mu, (int, float, complex)):
-        return complex(mu), math.pi, cmath.exp, complex, None
+        return complex(mu), math.pi, cmath.exp, complex, None, _sum_products
     import mpmath
 
-    return mu, +mpmath.pi, mpmath.exp, mpmath.mpmathify, mpmath.mp.prec
+    return mu, +mpmath.pi, mpmath.exp, mpmath.mpmathify, mpmath.mp.prec, mpmath.fdot
+
+
+@functools.lru_cache(maxsize=4096)
+def _unit_root(k: int, n: int, prec):
+    """e^{2 pi i k/n} in machine floats (prec None) or in mpmath at prec bits.
+
+    The root is computed from the turn k/n in lowest terms, taken in (-1/2, 1/2],
+    so its bits depend on the angle alone: _unit_root(k, n) == _unit_root(k r, n r).
+    """
+    g = math.gcd(k, n)
+    k, n = k // g - (n // g if 2 * k > n else 0), n // g
+    if prec is None:
+        return cmath.exp(1j * (2 * math.pi * k / n))
+    import mpmath
+
+    with mpmath.workprec(prec):
+        return mpmath.expj(2 * mpmath.pi * k / n)
 
 
 def _theta_eval_raw(p, qs, mu: complex, orders, tol: float) -> list[tuple[list, list]]:
     """Mu-derivatives of theta[p,q](i mu) and of d_q theta[p,q](i mu) for every q in qs, from one lattice pass.
 
-    Component j runs to orders[i] for qs[i].  What a lattice term shares across
-    the qs (m+p, gauss = -pi (m+p)^2, gauss mu, 2 pi i (m+p) and the powers of
-    gauss) is computed once; each q takes one exp of gauss mu + 2 pi i (m+p) q,
-    scaled by gauss^j for order j, and d_q theta sums it times 2 pi i (m+p).
-    The sum runs in the arithmetic that ``arithmetic(mu)`` selects.
+    orders[i] = (n_theta, n_dq) asks for derivatives 0..n_theta-1 of theta[p,qs[i]] and
+    0..n_dq-1 of d_q theta[p,qs[i]]; 0 leaves that function unsummed (an empty list).
+    Lattice row m takes one exp, g = exp(gauss mu) with gauss = -pi (m+p)^2, and the
+    rows g gauss^j and g gauss^j 2 pi i (m+p) by repeated multiplication.  The phase
+    e^{2 pi i (m+p) q} is a root of unity of order dividing den(p) den(q), read from
+    ``_unit_root`` at integer arguments, and every returned sum is one dot product of a
+    row with the phase column over m, in the arithmetic ``arithmetic(mu)`` selects.
     """
-    mu, pi, exp, num, _ = arithmetic(mu)
+    mu, pi, exp, num, prec, dot = arithmetic(mu)
     if complex(mu).real <= 0:
         raise ValueError("Re(mu) must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m_max = _eval_range(float(abs(complex(p))), complex(mu), tol)
-    p_num, q_nums = num(p), [num(q) for q in qs]
-    sums = [([num(0j)] * (order + 1), [num(0j)] * (order + 1)) for order in orders]
-    powers = range(max(orders) + 1)
-    for m in range(-m_max, m_max + 1):
-        mp = m + p_num
+    p, qs = Fraction(p), [Fraction(q) for q in qs]
+    m_max = _eval_range(float(abs(p)), complex(mu), tol)
+    a, b = p.numerator, p.denominator
+    n_theta, n_dq = (max(counts) for counts in zip(*orders))
+    theta_rows = [[] for _ in range(n_theta)]
+    dq_rows = [[] for _ in range(n_dq)]
+    ks = [m * b + a for m in range(-m_max, m_max + 1)]  # m + p = k / b
+    for k in ks:
+        mp = num(k).real / b
         gauss = -pi * mp * mp
-        gauss_mu, factor = gauss * mu, 2j * pi * mp
-        gauss_j = [gauss**j for j in powers]
-        for q_num, (theta, dq) in zip(q_nums, sums):
-            base = exp(gauss_mu + factor * q_num)
-            for j in range(len(theta)):
-                term = base * gauss_j[j]
-                theta[j] += term
-                dq[j] += term * factor
+        factor = 2j * pi * mp
+        row = exp(gauss * mu)
+        for j in range(max(n_theta, n_dq)):
+            if j:
+                row *= gauss
+            if j < n_theta:
+                theta_rows[j].append(row)
+            if j < n_dq:
+                dq_rows[j].append(row * factor)
+    sums = []
+    for q, (q_theta, q_dq) in zip(qs, orders):
+        c, n = q.numerator, b * q.denominator  # (m+p) q = k c / n turns
+        phases = [_unit_root(k * c % n, n, prec) for k in ks]
+        sums.append(([dot(row, phases) for row in theta_rows[:q_theta]], [dot(row, phases) for row in dq_rows[:q_dq]]))
     return sums
 
 
-def theta_values(orders: dict, mu: complex, tol: float) -> dict:
-    """{(p, q): (theta, d_q theta)} for {(p, q): order}, each a list of mu-derivatives 0..order,
-    from one walk per distinct p, taken as given: p + 1/2 may pass 1, and the walk's range reads |p|."""
+def theta_values(requests, mu: complex, tol: float) -> dict:
+    """{(p, q): (theta, d_q theta)} for requests ((p, q), (n_theta, n_dq)), each a list of the
+    first n mu-derivatives; a characteristic asked for twice gets the larger count of each
+    function.  One walk per distinct p, taken as given: p + 1/2 may pass 1, and the walk's
+    range reads |p|."""
     by_p: dict = {}
-    for (p, q), order in orders.items():
-        by_p.setdefault(p, {})[q] = order
+    for (p, q), counts in requests:
+        at_p = by_p.setdefault(p, {})
+        at_p[q] = tuple(map(max, at_p.get(q, (0, 0)), counts))
     return {
         (p, q): pair
         for p, at_p in by_p.items()
         for q, pair in zip(at_p, _theta_eval_raw(p, list(at_p), mu, list(at_p.values()), tol))
     }
 
-
-def theta_jet(p, q, mu: complex, order: int, tol: float) -> tuple[Jet, Jet]:
-    """Jets of theta[p,q](i mu) and d_q theta[p,q](i mu): component j is the j-th mu-derivative."""
-    return tuple(Jet(comps) for comps in _theta_eval_raw(p, (q,), mu, (order,), tol)[0])

@@ -45,7 +45,7 @@ from bianchi9 import seeley
 from bianchi9.instanton import DEPTH, InstantonFrame
 from bianchi9.jets import Jet
 from bianchi9.seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS, VARIABLES, parse_terms
-from bianchi9.theta import THETA2, THETA3, THETA4, arithmetic, theta_jet
+from bianchi9.theta import THETA2, THETA3, THETA4, _theta_eval_raw, arithmetic
 
 ORACLE_VARIABLES = (
     ["w1", "w2", "w3", "F"]
@@ -499,6 +499,12 @@ def coordinate_jet(mu, order: int) -> Jet:
     return Jet(((mu, 1.0 + 0j) + (0j,) * order)[: order + 1])
 
 
+def theta_jet(p, q, mu, order: int, tol: float) -> tuple[Jet, Jet]:
+    """Jets of theta[p,q](i mu) and d_q theta[p,q](i mu) from one walk for both functions:
+    component j is the j-th mu-derivative."""
+    return tuple(Jet(comps) for comps in _theta_eval_raw(p, (q,), mu, ((order + 1, order + 1),), tol)[0])
+
+
 def _theta_constant_jets(mu, order, tol):
     """(th2, th3, th4) and (A1, A2, A3) as jets of the given order, one lattice
     pass per theta at order + 1 (the log-derivative costs one)."""
@@ -512,7 +518,7 @@ def jet_frame_two_param(pt, mu, tol: float = 1e-12, order: int = 4) -> JetFrame:
         raise ValueError(f"degenerate parameter point ({pt.p}, {pt.q})")
     p, q = pt.p, pt.q
     half = Fraction(1, 2)
-    mu, pi, exp, num, _ = arithmetic(mu)
+    mu, pi, exp, num, _, _ = arithmetic(mu)
     e_pip = exp(1j * pi * num(p))
     (th2, th3, th4), A = _theta_constant_jets(mu, order, tol)
     tpq, dtpq = theta_jet(p, q, mu, order, tol)

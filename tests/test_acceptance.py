@@ -42,8 +42,9 @@ from bianchi9.instanton import (
 from bianchi9.modular import classical_series, identify, sample_mu, valence_budget, vv_modularity_report
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.series import Grade, PuiseuxSeries
-from bianchi9.theta import THETA2, THETA3, THETA4, theta_jet, theta_series
+from bianchi9.theta import THETA2, THETA3, THETA4, theta_series
 
+from seeley_oracle import theta_jet
 from test_theta import (
     _s_residual,
     _t2_residual,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from bianchi9 import cli, seeley
 from bianchi9.series import Grade, PuiseuxSeries
+from bianchi9.theta import theta_values
 from test_series import _series
 
 
@@ -61,6 +64,28 @@ def test_theta_reduces_mu_im_mod_its_period(capsys, mu_im):
     if mu_im == "18.3":
         # 18.3 - 18 is 0.3 + 7e-16, so the phase keeps nearly every digit
         assert json.loads(outs[0])["value"] == pytest.approx(json.loads(outs[2])["value"], abs=1e-13)
+
+
+@pytest.mark.parametrize("dq", [False, True])
+@pytest.mark.parametrize("n", [0, 3])
+def test_theta_value_is_the_walk_for_both_functions(capsys, n, dq):
+    """theta --n k sums only the function --dq picks; its value has the bits of a walk for both."""
+    extra = ["--dq"] if dq else []
+    doc = _run(capsys, "theta", "--p", "1/3", "--q", "1/5", "--n", str(n), "--mu-re", "0.9", "--mu-im", "0.2", "--tol", "1e-14", *extra)
+    p, q = Fraction(1, 3), Fraction(1, 5)
+    v = theta_values([((p, q), (n + 1, n + 1))], complex(0.9, 0.2), 1e-14)[p, q][dq][n]
+    assert doc["value"] == [v.real, v.imag]
+
+
+@pytest.mark.parametrize("p,q", [("1e-30", "0"), ("1/100003", "1/100019"), ("99991/100003", "100018/100019")])
+def test_theta_with_large_denominators_reads_only_the_roots_it_sums(capsys, p, q):
+    """A phase of order den(p) den(q) near 1e10 or 1e30 costs one root per lattice term read,
+    not a table of the whole order: the value is the direct sum, term by term."""
+    doc = _run(capsys, "theta", "--p", p, "--q", q, "--mu-re", "1.1", "--mu-im", "0.3")
+    pf, qf = (float(Fraction(x)) for x in (p, q))
+    mu = complex(1.1, 0.3)
+    direct = sum(cmath.exp(-math.pi * (m + pf) ** 2 * mu + 2j * math.pi * (m + pf) * qf) for m in range(-12, 13))
+    assert doc["value"] == pytest.approx([direct.real, direct.imag], abs=1e-13)
 
 
 def test_theta_invalid_order(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from math import factorial
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi9.cyclotomic import Cyclotomic
+from bianchi9.instanton import TwoParamPoint
 from bianchi9.modular import sample_mu
 from bianchi9.series import Grade, PuiseuxSeries
 from bianchi9.theta import (
@@ -19,10 +21,13 @@ from bianchi9.theta import (
     THETA4,
     _eval_range,
     _theta_eval_raw,
+    _unit_root,
     cyclotomic_order,
-    theta_jet,
     theta_series,
+    theta_values,
 )
+
+from seeley_oracle import theta_jet
 
 F = Fraction
 
@@ -113,39 +118,130 @@ def _per_order_walk(p, q, mu_order: int, q_deriv: bool, mu, tol: float):
     return acc
 
 
+# the float and 40-digit grids of the per-order oracle: (mu, tol, bound relative to 1 + |ref|)
+FLOAT_GRID = [(1.2, 1e-15), (0.85 + 0.1j, 1e-15)]
+FLOAT_BOUND, MP40_BOUND = 1e-14, 1e-38
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(p, q, mu, dq: bool) -> tuple:
+    """Mu-derivatives 0..4 of (d_q) theta[p,q](i mu) as complex pairs of 90-digit sums at tol 1e-85:
+    the per-order oracle, far beyond either arithmetic under test.  mu keeps its binary value."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(90):
+        return tuple(_per_order_walk(p, q, j, dq, mpmath.mpc(mu), 1e-85) for j in range(5))
+
+
+def _worst_error(values, ref) -> float:
+    """Largest |value - ref| / (1 + |ref|), taken at 90 digits."""
+    import mpmath
+
+    with mpmath.workdps(90):
+        return max(float(abs(v - r) / (1 + abs(r))) for v, r in zip(values, ref))
+
+
 @pytest.mark.parametrize("p,q", UNREDUCED_CHARS)
 def test_theta_jet_equals_per_order_walk(p, q):
-    for mu in (1.2, 0.85 + 0.1j):
-        jets = theta_jet(p, q, mu, 4, 1e-15)
+    """In float64 the walk and the per-order oracle (one exp per term) both meet the 90-digit sum.
+
+    The oracle gets 10x the bound only where the reference vanishes identically, so that its
+    value is all cancellation: at the 4th derivative of d_q theta[3/2, 1], mu = 0.85 + 0.1i,
+    it is off by 4.1e-14 (the walk by 4.3e-15)."""
+    for mu, tol in FLOAT_GRID:
+        jets = theta_jet(p, q, mu, 4, tol)
         for dq, jet in zip((False, True), jets):
-            assert jet.comps == tuple(_per_order_walk(p, q, j, dq, mu, 1e-15) for j in range(5))
+            ref = _reference(p, q, mu, dq)
+            assert _worst_error(jet.comps, ref) <= FLOAT_BOUND, (mu, dq)
+            oracle = [_per_order_walk(p, q, j, dq, mu, tol) for j in range(5)]
+            vanishes = all(abs(r) < 1e-80 for r in ref)
+            assert _worst_error(oracle, ref) <= (10 if vanishes else 1) * FLOAT_BOUND, (mu, dq)
 
 
 @pytest.mark.parametrize("p,q", UNREDUCED_CHARS)
 def test_theta_jet_equals_per_order_walk_at_40_digits(p, q):
+    """At 40 digits the walk and the per-order oracle both meet the 90-digit sum."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         mu = mpmath.mpc("1.03", "0.02")
         jets = theta_jet(p, q, mu, 4, 1e-35)
-        for dq, jet in zip((False, True), jets):
-            assert jet.comps == tuple(_per_order_walk(p, q, j, dq, mu, 1e-35) for j in range(5))
+        oracles = [[_per_order_walk(p, q, j, dq, mu, 1e-35) for j in range(5)] for dq in (False, True)]
+    for dq, jet, oracle in zip((False, True), jets, oracles):
+        ref = _reference(p, q, mu, dq)
+        assert _worst_error(jet.comps, ref) <= MP40_BOUND, dq
+        assert _worst_error(oracle, ref) <= MP40_BOUND, dq
 
 
 @pytest.mark.parametrize("p", [F(1, 3), F(4, 3), F(0), F(1, 2)])
 def test_multi_q_walk_equals_one_q_walks(p):
-    """One walk serving several q at mixed orders gives each q's one-q theta_jet bits."""
+    """One walk serving several q, each asking for its own counts of theta and d_q theta
+    derivatives, gives each q's one-q theta_jet bits."""
     qs = [F(1, 5), F(6, 5), F(1, 2), F(0), F(11, 6)]
-    orders = [2, 0, 4, 1, 0]
+    orders = [(3, 3), (1, 0), (5, 5), (2, 2), (0, 1)]
+
+    def one_q(q, counts, mu, tol):
+        jets = theta_jet(p, q, mu, max(counts) - 1, tol)
+        return tuple(list(jet.comps[:n]) for jet, n in zip(jets, counts))
+
     for mu, tol in ((1.2, 1e-15), (complex(0.85, 0.1), 1e-15)):
         walked = _theta_eval_raw(p, qs, mu, orders, tol)
-        for q, order, pair in zip(qs, orders, walked):
-            assert tuple(pair) == tuple(list(jet.comps) for jet in theta_jet(p, q, mu, order, tol))
+        for q, counts, pair in zip(qs, orders, walked):
+            assert tuple(pair) == one_q(q, counts, mu, tol)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         mu = mpmath.mpc("1.03", "0.02")
         walked = _theta_eval_raw(p, qs, mu, orders, 1e-35)
-        for q, order, pair in zip(qs, orders, walked):
-            assert tuple(pair) == tuple(list(jet.comps) for jet in theta_jet(p, q, mu, order, 1e-35))
+        for q, counts, pair in zip(qs, orders, walked):
+            assert tuple(pair) == one_q(q, counts, mu, 1e-35)
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_unit_root_depends_on_the_angle_alone(dps):
+    """Root k of order n is root k r of order n r, bit for bit, and e^{2 pi i k/n} to the precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        prec = None if dps == 15 else mpmath.mp.prec
+        for n in (1, 2, 3, 4, 5, 6, 7, 10, 12, 18, 36):
+            for k in range(n):
+                root = _unit_root(k, n, prec)
+                assert all(_unit_root(k * r, n * r, prec) == root for r in (2, 3, 5, 12)), (k, n)
+                with mpmath.workdps(dps + 20):
+                    assert abs(root - mpmath.expjpi(mpmath.mpf(2 * k) / n)) < 10 ** (2 - dps)
+
+
+def test_a_function_left_unsummed_changes_no_other():
+    """(0, 1) sums d_q theta alone: theta comes back empty and d_q theta has the bits of a
+    (1, 1) walk; (1, 0) likewise for theta.  theta_values merges counts per function by max."""
+    mpmath = pytest.importorskip("mpmath")
+    for p, q in UNREDUCED_CHARS:
+        for mu, tol, dps in ((1.2, 1e-15, 15), (0.85 + 0.1j, 1e-15, 15), ("1.03", 1e-35, 40)):
+            with mpmath.workdps(dps):
+                mu = mpmath.mpc(mu, "0.02") if isinstance(mu, str) else mu
+                ((th, dq),) = _theta_eval_raw(p, (q,), mu, ((1, 1),), tol)
+                assert _theta_eval_raw(p, (q,), mu, ((0, 1),), tol) == [([], [dq[0]])]
+                assert _theta_eval_raw(p, (q,), mu, ((1, 0),), tol) == [([th[0]], [])]
+                merged = theta_values([((p, q), (0, 1)), ((p, q), (1, 0))], mu, tol)
+                assert merged == {(p, q): ([th[0]], [dq[0]])}
+
+
+_NON_DEGENERATE = st.tuples(
+    st.builds(F, st.integers(0, 23), st.integers(1, 12)), st.builds(F, st.integers(0, 23), st.integers(1, 12))
+).filter(lambda pq: not TwoParamPoint(*pq).is_degenerate())
+
+
+@given(_NON_DEGENERATE, st.integers(0, 2), st.booleans(), st.floats(0.9, 1.6), st.floats(-0.4, 0.4))
+@settings(max_examples=60, deadline=None)
+def test_float_40_digit_and_exact_backends_agree(pq, n, dq, mu_re, mu_im):
+    """The float walk, the 40-digit walk and the exact series at trunc 8 agree within
+    test_series_matches_eval's bound."""
+    mpmath = pytest.importorskip("mpmath")
+    p, q = pq
+    mu = complex(mu_re, mu_im)
+    v = _value(p, q, n, dq, mu, 1e-15)
+    with mpmath.workdps(40):
+        v40 = complex(_value(p, q, n, dq, mpmath.mpc(mu), 1e-35))
+    exact = _series(p, q, n, dq, 8).evaluate_mu(mu)
+    for w in (v40, exact):
+        assert abs(w - v) < 1e-12 * (1 + abs(v))
 
 
 def _theta_series_shifted(p: Fraction, q: Fraction, trunc: int):
@@ -252,7 +348,7 @@ def test_lattice_sum_length_is_bounded():
     few dozen terms at 40-digit tolerance."""
     for mu in (1e-300, 5e-324):
         with pytest.raises(ValueError, match=rf"mu = \({mu!r}\+0j\) needs about \S+ terms"):
-            theta_jet(*THETA3, mu, 0, 1e-10)
+            theta_values([(THETA3, (1, 0))], mu, 1e-10)
     for seed in range(10):
         for mu in sample_mu(10, seed):
             for image in (mu, 1 / mu, mu - 1j):
