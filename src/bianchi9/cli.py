@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, modular, seeley
-from .instanton import TwoParamPoint, frame_two_param_jet, frames_two_param_jet
+from .instanton import TwoParamPoint, frame_two_param_jet
 from .modular import ExceptionalOrbitError, IdentificationError
 from .seeley import CoeffIndex, CoeffResult
 from .seeley_terms import A0_CHECKSUM, A2_CHECKSUM, A4_CHECKSUM
@@ -266,10 +266,7 @@ def cmd_check(args) -> None:
     index = CoeffIndex(args.order // 2)
     mu = args.mu_re
     with _domain_errors():
-        frames = frames_two_param_jet(orb.points, mu, 1e-14)
-        direct = 0j
-        for pt in orb.points:
-            direct += complex(seeley.coefficient(frames[pt], index).representation.comps[0])
+        direct = sum(map(complex, modular.orbit_values(orb.points, index, mu, 1e-14).values()), 0j)
     series = _orbit_sum_cached(args, orb, index, store=False).representation
     with _domain_errors():
         exact = series.evaluate_mu(mu)

@@ -4,9 +4,10 @@ The generators act on (p,q) in [0,1)^2 as S: (p,q) -> (-q,p) and
 T: (p,q) -> (p, q+p+1/2), both mod 1.  Orbit sums of the heat-trace
 coefficients are weight-2 modular functions; with poles only at the cusp or
 at the elliptic points they land, after clearing denominators by a monomial
-in Delta, E4, E6, in a one-dimensional space of classical forms.  All
-identification arithmetic is exact: zeta values are expanded as rational
-multiples of powers of pi via Bernoulli numbers.
+in Delta, E4, E6, in a one-dimensional space of classical forms, which the
+table _DIM1 names by weight and cusp order.  All identification arithmetic
+is exact: zeta values are expanded as rational multiples of powers of pi via
+Bernoulli numbers.  ``orbit_values`` gives an orbit's numeric values at one mu.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import mul
 
 from .instanton import TwoParamPoint, frames_two_param_jet
 from .seeley import coefficient
@@ -177,19 +179,9 @@ class IdentificationError(ValueError):
     """No identification found within the bounded multiplier search."""
 
 
-# one-dimensional spaces: weight -> basis description
-_EIS_DIM1 = {4: ("E4",), 6: ("E6",), 8: ("E4", "E4"), 10: ("E4", "E6"), 14: ("E4", "E4", "E6")}
-_CUSP_DIM1 = {12: (), 16: ("E4",), 18: ("E6",), 20: ("E4", "E4"), 22: ("E4", "E6"), 26: ("E4", "E4", "E6")}
-
-
-def _basis_series(weight: int, cusp: bool, trunc: int) -> PuiseuxSeries | None:
-    table = _CUSP_DIM1 if cusp else _EIS_DIM1
-    if weight not in table:
-        return None
-    s = classical_series("Delta", trunc) if cusp else PuiseuxSeries(1, {0: Fraction(1)}, trunc)
-    for kind in table[weight]:
-        s = s * classical_series(kind, trunc)
-    return s
+# one-dimensional spaces: (weight, cusp) -> (i, j), the space spanned by Delta^[cusp] E4^i E6^j
+_DIM1 = {(4, False): (1, 0), (6, False): (0, 1), (8, False): (2, 0), (10, False): (1, 1), (14, False): (2, 1),
+         (12, True): (0, 0), (16, True): (1, 0), (18, True): (0, 1), (20, True): (2, 0), (22, True): (1, 1), (26, True): (2, 1)}
 
 
 def _series_match(t: PuiseuxSeries, basis: PuiseuxSeries):
@@ -215,14 +207,20 @@ def identify(result, orb: Orbit) -> IdentificationResult:
     The input must be the rational integer-exponent series produced by
     orbit_sum.  Searches multipliers Delta^a E4^b E6^c with a<=2, b<=4, c<=2
     (smallest total weight first) for one that lands the product in a
-    one-dimensional space, then reports the exact constant with its pi/Lambda
-    grade in the absolutely-normalized (G-series) convention where possible.
+    one-dimensional space of _DIM1, then reports the exact constant with its
+    pi/Lambda grade in the absolutely-normalized (G-series) convention where
+    possible.  E4 and E6 are units at the cusp, so the product has valuation
+    v + a (v the series'): a candidate with a pole at the cusp, or with no
+    space of its weight and cusp order, is passed over before any product.
+    Delta, E4 and E6 are built once, to length trunc - v + 1.
     """
     if is_exceptional(orb):
         raise ExceptionalOrbitError("identification excludes this orbit")
     series: PuiseuxSeries = result.representation
     series.as_q_expansion()  # raises if not rational / integer-grid
-    trunc = series.trunc
+    v = series.valuation  # the horizon if there are no terms
+    length = series.trunc - v + 1
+    delta, e4, e6 = (classical_series(kind, length) for kind in ("Delta", "E4", "E6"))
     candidates = sorted(
         ((a, b, c) for a in range(3) for b in range(5) for c in range(3)),
         key=lambda m: 12 * m[0] + 4 * m[1] + 6 * m[2],
@@ -230,17 +228,13 @@ def identify(result, orb: Orbit) -> IdentificationResult:
     grade = series.grade
     for a, b, c in candidates:
         weight = 2 + 12 * a + 4 * b + 6 * c
-        t = series
-        for kind, e in (("Delta", a), ("E4", b), ("E6", c)):
-            for _ in range(e):
-                t = t * classical_series(kind, trunc - series.valuation + 1)
-        if t.valuation is None or t.valuation < 0:
+        valuation = v + a * series.exp_den  # in the series' 1/exp_den units
+        cusp = valuation >= 1
+        if valuation < 0 or (weight, cusp) not in _DIM1:
             continue
-        cusp = t.valuation >= 1
-        basis = _basis_series(weight, cusp, trunc - series.valuation + 1)
-        if basis is None:
-            continue
-        r = _series_match(t, basis)
+        i, j = _DIM1[weight, cusp]
+        t = reduce(mul, [series] + [delta] * a + [e4] * b + [e6] * c)
+        r = _series_match(t, reduce(mul, [delta] * cusp + [e4] * i + [e6] * j))
         if r is None:
             continue
         # convert to the G-normalized named targets where they apply
@@ -275,6 +269,12 @@ def sample_mu(samples: int, seed: int = 0) -> list[complex]:
     return [complex(rng.uniform(0.7, 2.0), rng.uniform(-0.3, 0.3)) for _ in range(samples)]
 
 
+def orbit_values(points, index, mu, tol: float) -> dict:
+    """{point: value of the coefficient at mu}, in the order of points, from one batch of frames."""
+    frames = frames_two_param_jet(points, mu, tol)
+    return {pt: coefficient(frames[pt], index).representation[0] for pt in points}
+
+
 def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9, seed: int = 0) -> dict:
     """Residuals of the weight-2 transformation laws across the whole orbit.
 
@@ -291,17 +291,13 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
     if samples < 1:
         raise ValueError("samples must be at least 1")
 
-    def values(mu) -> dict:
-        frames = frames_two_param_jet(orb.points, mu, tol=1e-35)
-        return {pt: coefficient(frame, index).representation[0] for pt, frame in frames.items()}
-
     worst = {"T": 0.0, "S": 0.0}
     # the a4 rows cancel heavily (one row reaches 2e6 times the value on the
     # 8- and 24-point orbits), so evaluate at 40 digits; float64 samples pick mu
     with mpmath.workdps(40):
         mus = [mpmath.mpc(m) for m in sample_mu(samples, seed)]
         for mu in mus:
-            at_mu, at_t, at_s = values(mu), values(mu - 1j), values(1 / mu)
+            at_mu, at_t, at_s = (orbit_values(orb.points, index, m, tol=1e-35) for m in (mu, mu - 1j, 1 / mu))
             for pt in orb.points:
                 lhs = at_t[pt]
                 rhs = at_mu[act_T(pt)]

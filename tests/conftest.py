@@ -40,3 +40,9 @@ def orbit_sums(orbit_third, orbit_sixth):
             res = orbit_sum(orb, CoeffIndex(n))
             out[name, 2 * n] = (res, time.perf_counter() - t0)
     return out
+
+
+@pytest.fixture(scope="session")
+def quarter_sums(orbit_quarter):
+    """{order: exact orbit-sum series} of the 12-point orbit at the default truncation."""
+    return {2 * n: orbit_sum(orbit_quarter, CoeffIndex(n)) for n in (0, 1, 2)}

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bianchi9 import cli, seeley
 from bianchi9.series import Grade, PuiseuxSeries
-from bianchi9.theta import theta_values
+from bianchi9.theta import theta_series, theta_values
 from test_series import _series
 
 
@@ -86,6 +86,13 @@ def test_theta_with_large_denominators_reads_only_the_roots_it_sums(capsys, p, q
     mu = complex(1.1, 0.3)
     direct = sum(cmath.exp(-math.pi * (m + pf) ** 2 * mu + 2j * math.pi * (m + pf) * qf) for m in range(-12, 13))
     assert doc["value"] == pytest.approx([direct.real, direct.imag], abs=1e-13)
+
+
+@pytest.mark.parametrize("dq", [False, True])
+def test_theta_series_mu_derivative(capsys, dq):
+    extra = ["--dq"] if dq else []
+    doc = _run(capsys, "theta", "--p", "1/3", "--q", "1/5", "--series", "--n", "1", "--trunc", "4", *extra)
+    assert doc == {"series": theta_series(Fraction(1, 3), Fraction(1, 5), 4)[dq].mu_derivative().to_json()}
 
 
 def test_theta_invalid_order(capsys):
@@ -203,6 +210,34 @@ def test_unwritable_cache_keeps_the_result(tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
+def test_cache_write_failure_leaves_no_temporary_file(tmp_path, monkeypatch, capsys, caplog):
+    """An entry that cannot be moved into place: cache_write removes its temporary
+    file and re-raises, and coeff warns and still prints the sum, exit 0."""
+    request = ["coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "1"]
+    cli.main(["--cache-dir", str(tmp_path / "fresh")] + request)
+    want = capsys.readouterr().out
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cache = tmp_path / "cache"
+    with pytest.raises(OSError, match="cannot replace"):
+        cli.cache_write(cache / "entry.json", {"order": 0})
+    assert list(cache.iterdir()) == []
+    cli.main(["--cache-dir", str(cache)] + request)
+    assert capsys.readouterr().out == want
+    assert list(cache.iterdir()) == []
+    assert "cache write to" in caplog.text and "cannot replace" in caplog.text
+
+
+def test_identify_failure_exit_code(capsys, caplog):
+    """No multiplier of the search identifies the 72-point orbit's sum at trunc 3."""
+    assert _exit_code("identify", "--p", "0", "--q", "1/5", "--order", "0", "--trunc", "3") == 4
+    assert capsys.readouterr().out == ""
+    assert "no identification" in caplog.text
+
+
 def test_identify_requires_depth():
     assert _exit_code("identify", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "2") == 2
 
@@ -230,6 +265,11 @@ def test_check_crossval(capsys):
         capsys, "check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"
     )
     assert doc["pass"] and doc["relative_residual"] < 1e-6
+
+
+def test_check_transforms(capsys):
+    doc = _run(capsys, "check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "1")
+    assert doc["pass"] is True and doc["max_residual"] <= doc["tol"]
 
 
 def test_check_crossval_refuses_complex_mu(capsys):

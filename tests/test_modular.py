@@ -8,6 +8,7 @@ from bianchi9 import modular
 from bianchi9.instanton import DEGENERATE
 from bianchi9.modular import (
     ExceptionalOrbitError,
+    IdentificationError,
     OrbitPoint,
     act_S,
     act_T,
@@ -19,8 +20,9 @@ from bianchi9.modular import (
     valence_budget,
     zeta_over_pi_power,
 )
-from bianchi9.seeley import CoeffIndex
-from bianchi9.series import Grade
+from bianchi9.seeley import CoeffIndex, CoeffResult, orbit_sum
+from bianchi9.series import Grade, PuiseuxSeries
+from identify_oracle import identify_search
 
 F = Fraction
 
@@ -172,6 +174,73 @@ def test_identify_json_shape(orbit_sixth, orbit_sums):
     assert doc["multiplier"] == {"delta": 0, "e4": 4, "e6": 0}
     assert doc["constant"] == "-114688/3375"
     assert len(doc["orbit"]) == 8
+
+
+def _outcome(find, res, orb, order):
+    """The identification's JSON, or the type of the exception it raises."""
+    try:
+        return find(res, orb).to_json(order)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_identify_matches_the_search_oracle_on_orbit_sums(orbit_sums, quarter_sums, orbit_third, orbit_sixth, orbit_quarter):
+    """The 24-, 8- and 12-point sums at orders 0/2/4 and the 72-point order-0 sum at trunc 3,
+    which no multiplier of the search identifies."""
+    named = (("third", orbit_third), ("sixth", orbit_sixth))
+    cases = [(orbit_sums[name, order][0], orb, order) for name, orb in named for order in (0, 2, 4)]
+    cases += [(quarter_sums[order], orbit_quarter, order) for order in (0, 2, 4)]
+    orb72 = modular.orbit(F(0), F(1, 5))
+    assert orb72.n == 72
+    cases.append((orbit_sum(orb72, CoeffIndex(0), 3), orb72, 0))
+    for res, orb, order in cases:
+        assert _outcome(identify, res, orb, order) == _outcome(identify_search, res, orb, order)
+    assert _outcome(identify, *cases[-1]) is IdentificationError
+
+
+def _synthetic(name: str) -> PuiseuxSeries:
+    e4, e6, delta = (classical_series(kind, 8) for kind in ("E4", "E6", "Delta"))
+    if name == "no terms":
+        return PuiseuxSeries(1, {}, 5)
+    if name == "Delta/(E4 E6)":
+        return delta * (e4 * e6).invert()
+    if name == "E4^2 E6/Delta on the 1/2 grid":  # a pole at the cusp, in half units
+        return (e4**2 * e6 * delta.invert()).rescale(2)
+    return e4**2 * e6.invert()
+
+
+@pytest.mark.parametrize("name", ["E4^2/E6", "E4^2 E6/Delta on the 1/2 grid", "Delta/(E4 E6)", "no terms"])
+def test_identify_matches_the_search_oracle_on_synthetic_series(orbit_sixth, name):
+    res = CoeffResult(CoeffIndex(0), _synthetic(name))
+    got = _outcome(identify, res, orbit_sixth, 0)
+    assert got == _outcome(identify_search, res, orbit_sixth, 0)
+    if name == "E4^2 E6/Delta on the 1/2 grid":
+        assert (got["target"], got["multiplier"]) == ("G14/Delta", {"delta": 1, "e4": 0, "e6": 0})
+    if name == "E4^2/E6":
+        assert (got["target"], got["multiplier"], got["constant"]) == ("weight 8 Eisenstein (dim 1)", {"delta": 0, "e4": 0, "e6": 1}, "1")
+    if name == "Delta/(E4 E6)":
+        assert (got["target"], got["multiplier"], got["constant"]) == ("weight 12 cusp (dim 1)", {"delta": 0, "e4": 1, "e6": 1}, "1")
+    if name == "no terms":
+        assert got is IdentificationError
+
+
+def test_identify_builds_each_classical_form_once(monkeypatch, orbit_sums, orbit_third):
+    """identify's own calls, not those Delta makes to build itself from E4 and E6."""
+    calls, depth = [], [0]
+    build = modular.classical_series
+
+    def counted(kind, trunc):
+        if not depth[0]:
+            calls.append(kind)
+        depth[0] += 1
+        try:
+            return build(kind, trunc)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(modular, "classical_series", counted)
+    identify(orbit_sums["third", 0][0], orbit_third)
+    assert sorted(calls) == ["Delta", "E4", "E6"]
 
 
 def test_sample_mu_deterministic_and_in_range():

@@ -301,9 +301,9 @@ def test_homogeneous_orbit_coefficients_are_constant_multiples(orbit_sixth, orbi
             assert rest.is_zero() and rest.trunc_frac() >= 6
 
 
-def test_homogeneous_orbit_identify_constants(orbit_sums, orbit_sixth, orbit_quarter):
+def test_homogeneous_orbit_identify_constants(orbit_sums, quarter_sums, orbit_sixth, orbit_quarter):
     """The order-2 and order-4 constants are c_n 4^n times the order-0 constant."""
-    quarter = {n: orbit_sum(orbit_quarter, CoeffIndex(n), 6) for n in range(3)}
+    quarter = {n: quarter_sums[2 * n] for n in range(3)}
     cases = (
         ("sixth", orbit_sixth, {n: orbit_sums["sixth", 2 * n][0] for n in range(3)}, "Delta*G6/G4^4", F(-114688, 3375)),
         ("quarter", orbit_quarter, quarter, "G14/Delta", F(-18243225, 8)),

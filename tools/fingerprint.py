@@ -84,6 +84,11 @@ CLI_REQUESTS = [
     # criterion 3's constants: G14/Delta and Delta G6/G4^4
     ["identify", "--p", "1/6", "--q", "5/6", "--order", "4", "--trunc", "6"],
     ["identify", "--p", "0", "--q", "1/3", "--order", "4", "--trunc", "6"],
+    # no identification of the 72-point orbit (exit 4); G14/Delta for the 12-point
+    # orbit, and Delta*G6/G4^4 for the 8-point orbit at trunc 12
+    ["identify", "--p", "0", "--q", "1/5", "--order", "0", "--trunc", "3"],
+    ["identify", "--p", "0", "--q", "1/4", "--order", "2", "--trunc", "6"],
+    ["identify", "--p", "1/6", "--q", "5/6", "--order", "2", "--trunc", "12"],
 ]
 
 
