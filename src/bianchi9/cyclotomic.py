@@ -160,23 +160,16 @@ class Cyclotomic:
         return a.embed(m), b.embed(m)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
         a, b = self._common(self, other)
         den = math.lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         return Cyclotomic.from_int_coeffs(a.order, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Cyclotomic.from_int_coeffs(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -192,8 +185,6 @@ class Cyclotomic:
                         prod[j + k] += x * y
         return Cyclotomic.from_int_coeffs(a.order, prod, a.den * b.den)
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "Cyclotomic":
         """1/x = rest / N(x), rest the product of the other Galois conjugates and N(x) = x rest."""
         if self.is_zero():
@@ -206,10 +197,8 @@ class Cyclotomic:
         return rest / (self * rest).as_rational()
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        a, b = self._common(self, other)
-        return a * b.inverse()
+        """Division by a nonzero rational; a field element divides through ``inverse``."""
+        return self * (1 / Fraction(other))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -49,7 +49,7 @@ class SField:
     """
 
     __slots__ = ("value", "grad")
-    __array_ufunc__ = None  # ``matrix * field`` defers to ``field.__rmul__``
+    __array_ufunc__ = None  # numpy defers, so ``matrix * field`` raises TypeError: write ``field * matrix``
 
     def __init__(self, value, grad=(0, 0, 0, 0)):
         self.value = value
@@ -62,8 +62,6 @@ class SField:
         o = self._coerce(other)
         return SField(self.value + o.value, [a + b for a, b in zip(self.grad, o.grad)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SField(-self.value, [-g for g in self.grad])
 
@@ -74,8 +72,6 @@ class SField:
             self.value * other.value,
             [self.value * g2 + g1 * other.value for g1, g2 in zip(self.grad, other.grad)],
         )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -156,9 +152,6 @@ def _sigma_D(x, frame: InstantonFrame):
 
 def _sigma_Dtilde(x, frame: InstantonFrame):
     """The symbol of Dtilde at x, and what ``_sigma_D`` returned for D."""
-    Fv = complex(frame.F_[0])
-    if Fv == 0 or (Fv.real <= 0 and abs(Fv.imag) < 1e-14 * abs(Fv.real)):
-        raise ValueError("F on the branch cut of the principal square root")
     d = _sigma_D(x, frame)
     base, rW, (_, _, F, dF), _ = d
     sF = F.sqrt()

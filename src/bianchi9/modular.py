@@ -65,7 +65,8 @@ def orbit(p, q) -> Orbit:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    pts = tuple(sorted(seen))
+    # every point lies on the 1/n grid in [0, 1)^2, so integer grid keys give the lexicographic order
+    pts = tuple(sorted(seen, key=lambda pt: (pt.p.numerator * (n // pt.p.denominator), pt.q.numerator * (n // pt.q.denominator))))
     n0 = sum(1 for pt in pts if pt.p == 0)
     return Orbit(pts, len(pts), n0)
 

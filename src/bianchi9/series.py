@@ -103,13 +103,7 @@ class PuiseuxSeries:
         return a.rescale(d), b.rescale(d)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = PuiseuxSeries.constant(other, self.grade)
         if self.grade != other.grade:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
             raise ValueError(f"grade mismatch in addition: {self.grade} vs {other.grade}")
         a, b = self._aligned(self, other)
         terms = dict(a.terms)
@@ -125,8 +119,6 @@ class PuiseuxSeries:
         else:
             t = min(a.trunc, b.trunc)
         return PuiseuxSeries(a.exp_den, terms, t, a.grade)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return PuiseuxSeries(self.exp_den, {e: -c for e, c in self.terms.items()}, self.trunc, self.grade)
@@ -149,8 +141,6 @@ class PuiseuxSeries:
             return self.scale(other)
         return series_mul(self, other)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if n == 0:
             return PuiseuxSeries.constant(1)
@@ -165,8 +155,6 @@ class PuiseuxSeries:
         return series_invert(self)
 
     def __truediv__(self, other):
-        if isinstance(other, Cyclotomic):
-            return self.scale(other.inverse())
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(1, other))
         return self * other.invert()

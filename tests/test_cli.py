@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -260,6 +261,18 @@ def test_check_dirac_at_complex_mu_and_p_zero(capsys):
     assert doc["pass"] and doc["max_residual"] <= doc["tol"]
 
 
+def test_check_dirac_where_F_is_real_and_negative(capsys):
+    cli.main(["check", "dirac", "--p", "1/6", "--q", "1/2"])  # returns: exit 0
+    assert '"pass":true' in capsys.readouterr().out
+
+
+def test_check_dirac_at_zero_F_exits_3(monkeypatch):
+    """sqrt(F) = 0 has no inverse: the ZeroDivisionError is a domain error."""
+    real = cli.frame_two_param_jet
+    monkeypatch.setattr(cli, "frame_two_param_jet", lambda *a: dataclasses.replace(real(*a), F_=(0j, 0j, 0j)))
+    assert _exit_code("check", "dirac", "--p", "1/6", "--q", "5/6") == 3
+
+
 def test_check_crossval(capsys):
     doc = _run(
         capsys, "check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"
@@ -286,7 +299,8 @@ def test_check_crossval_refuses_complex_mu(capsys):
         (("theta", "--p", "0", "--q", "0", "--series", "--trunc", "-3"), 2),
         (("check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "-3"), 2),
         (("check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3", "--mu-re", "-1"), 3),
-        (("check", "dirac", "--p", "1/6", "--q", "1/2"), 3),  # F on the branch cut
+        # refused on the 1/200006 grid before any orbit is enumerated
+        (("coeff", "--p", "1/100003", "--q", "0", "--order", "0", "--trunc", "3"), 3),
         (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "0"), 2),
         (("check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "-3"), 2),
         # non-finite floats are refused by the parser

@@ -191,16 +191,18 @@ _SWEEP_MU = (1.0, 1.05, 1.1, 1.05 + 0.001j, 1.05 + 0.05j, 0.9 - 0.2j)
 @pytest.mark.parametrize("pt", _SWEEP_POINTS, ids=lambda pt: f"{pt.p},{pt.q}")
 def test_crosscheck_sweeps_both_orbits(pt, mu):
     """Every orbit point passes at every mu, complex ones and p = 0 included,
-    except where F is real and negative: at real mu, q in {0, 1/2} and p not in
-    {0, 1/2}, where the branch-cut guard refuses."""
+    and so do those where F is real and negative (real mu, q in {0, 1/2}, p not
+    in {0, 1/2}): the check takes one root of F and uses it throughout."""
     fr = frame_two_param_jet(pt, mu, 1e-14)
-    x = (mu, 0.9, 1.3, 0.4)
-    if mu.imag == 0 and pt.q in (0, F(1, 2)) and pt.p not in (0, F(1, 2)):
-        with pytest.raises(ValueError, match="branch cut"):
-            dtilde_sq_crosscheck(x, fr, tol=1e-10)
-    else:
-        report = dtilde_sq_crosscheck(x, fr, tol=1e-10)
-        assert report["pass"], report
+    report = dtilde_sq_crosscheck((mu, 0.9, 1.3, 0.4), fr, tol=1e-10)
+    assert report["pass"], report
+
+
+def test_crosscheck_refuses_zero_F(frame):
+    """sqrt(F) = 0 has no inverse: a ZeroDivisionError, which the CLI turns into exit 3."""
+    fr = dataclasses.replace(frame, F_=(0j,) + frame.F_[1:])
+    with pytest.raises(ZeroDivisionError):
+        dtilde_sq_crosscheck((1.05, 1.2, 0.7, 2.1), fr)
 
 
 def test_frame_fields_derive_w_derivatives_from_values():

@@ -77,6 +77,7 @@ CLI_REQUESTS = [
     ["check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re", "1.05"],
     ["check", "dirac", "--p", "0", "--q", "1/3", "--mu-re", "1.05", "--mu-im", "0.001"],
     ["check", "dirac", "--p", "1/6", "--q", "1/2"],
+    ["check", "dirac", "--p", "5/6", "--q", "1/2", "--mu-re", "1.1"],
     ["check", "dirac", "--p", "1/2", "--q", "1/2"],
     # the second run is a cache hit: JSON -> integer form -> JSON
     ["coeff", "--p", "1/6", "--q", "5/6", "--order", "4", "--trunc", "6"],
