@@ -79,10 +79,10 @@ def _positive_float(text: str) -> float:
 
 @contextmanager
 def _domain_errors():
-    """Turn a ValueError or ZeroDivisionError of the numeric layer into the domain-error exit code."""
+    """Turn a ValueError or ArithmeticError (a zero division, an overflow) of the numeric layer into the domain-error exit code."""
     try:
         yield
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         log.error("%s", exc)
         raise SystemExit(EXIT_DOMAIN) from exc
 

@@ -32,43 +32,36 @@ class Orbit:
     points: tuple[TwoParamPoint, ...]  # sorted lexicographically
     n: int
     n0: int
+    S: tuple[TwoParamPoint, ...]  # S[i] is the image of points[i] under S
+    T: tuple[TwoParamPoint, ...]  # T[i] is the image of points[i] under T
 
 
 class ExceptionalOrbitError(ValueError):
     """Raised for the two orbits excluded from valence bookkeeping."""
 
 
-def act_S(pt: TwoParamPoint) -> TwoParamPoint:
-    return TwoParamPoint(-pt.q, pt.p)
-
-
-def act_T(pt: TwoParamPoint) -> TwoParamPoint:
-    return TwoParamPoint(pt.p, pt.q + pt.p + Fraction(1, 2))
-
-
 MAX_ORBIT_POINTS = 100_000  # an orbit lies on the 1/N grid, N = lcm(2, dp, dq): at most N^2 points
 
 
 def orbit(p, q) -> Orbit:
-    """Breadth-first closure of (p,q) under act_S and act_T; refused when N^2 > MAX_ORBIT_POINTS."""
+    """Closure of (p,q) on the integer pairs (a, b) = N (p, q), N = lcm(2, dp, dq), under
+    S(a, b) = (-b mod N, a) and T(a, b) = (a, (a + b + N/2) mod N); refused when N^2 > MAX_ORBIT_POINTS.
+    """
     start = TwoParamPoint(p, q)
     n = math.lcm(2, start.p.denominator, start.q.denominator)
     if n * n > MAX_ORBIT_POINTS:
         raise ValueError(f"orbit of ({p}, {q}) lies on the 1/{n} grid of up to {n * n} points, above MAX_ORBIT_POINTS = {MAX_ORBIT_POINTS}")
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for img in (act_S(pt), act_T(pt)):
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    # every point lies on the 1/n grid in [0, 1)^2, so integer grid keys give the lexicographic order
-    pts = tuple(sorted(seen, key=lambda pt: (pt.p.numerator * (n // pt.p.denominator), pt.q.numerator * (n // pt.q.denominator))))
-    n0 = sum(1 for pt in pts if pt.p == 0)
-    return Orbit(pts, len(pts), n0)
+    images, todo = {}, [(int(start.p * n), int(start.q * n))]
+    while todo:
+        a, b = todo.pop()
+        if (a, b) not in images:
+            images[a, b] = ((-b) % n, a), (a, (a + b + n // 2) % n)
+            todo += images[a, b]
+    pairs = sorted(images)  # the lexicographic order of the points
+    grid = [Fraction(i, n) for i in range(n)]
+    pts = {(a, b): TwoParamPoint(grid[a], grid[b]) for a, b in pairs}
+    S, T = (tuple(pts[images[ab][g]] for ab in pairs) for g in (0, 1))
+    return Orbit(tuple(pts.values()), len(pairs), sum(1 for a, _ in pairs if a == 0), S, T)
 
 
 def is_exceptional(orb: Orbit) -> bool:
@@ -282,10 +275,10 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
     For each orbit point and each generator:
       T: a[p,q](i mu + 1) = a[T(p,q)](i mu)    (argument mu - i)
       S: a[p,q](i/mu)     = -mu^2 a[S(p,q)](i mu)
-    evaluated on numeric frames at seeded sample mu; both right-hand sides read the one
-    value a[pt](i mu) of each orbit point.  Each sample builds the whole orbit's frames
-    in three batches, at mu, mu - i and 1/mu, each walking the lattice once per
-    characteristic p.  Returns per-generator maxima.
+    evaluated on numeric frames at seeded sample mu, with T(p,q) and S(p,q) read from
+    orb.T and orb.S; both right-hand sides read the one value a[pt](i mu) of each orbit
+    point.  Each sample builds the whole orbit's frames in three batches, at mu, mu - i
+    and 1/mu, each walking the lattice once per characteristic p.  Returns per-generator maxima.
     """
     import mpmath
 
@@ -299,12 +292,12 @@ def vv_modularity_report(orb: Orbit, index, samples: int = 5, tol: float = 1e-9,
         mus = [mpmath.mpc(m) for m in sample_mu(samples, seed)]
         for mu in mus:
             at_mu, at_t, at_s = (orbit_values(orb.points, index, m, tol=1e-35) for m in (mu, mu - 1j, 1 / mu))
-            for pt in orb.points:
+            for pt, s, t in zip(orb.points, orb.S, orb.T):
                 lhs = at_t[pt]
-                rhs = at_mu[act_T(pt)]
+                rhs = at_mu[t]
                 worst["T"] = max(worst["T"], float(abs(lhs - rhs) / (1 + abs(rhs))))
                 lhs = at_s[pt]
-                rhs = -(mu**2) * at_mu[act_S(pt)]
+                rhs = -(mu**2) * at_mu[s]
                 worst["S"] = max(worst["S"], float(abs(lhs - rhs) / (1 + abs(rhs))))
     return {
         "order": index.order,

@@ -334,6 +334,8 @@ def test_check_crossval_refuses_complex_mu(capsys):
         (("check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3", "--mu-re", "1e-300"), 3),
         # an orbit on the 1/200006 grid: up to 4e10 points, above MAX_ORBIT_POINTS
         (("orbit", "--p", "1/100003", "--q", "0"), 3),
+        # a mu so deep in the cusp that the check's complex arithmetic overflows
+        (("check", "dirac", "--p", "0", "--q", "1/3", "--mu-re", "60"), 3),
     ],
 )
 def test_bad_input_exit_codes(argv, code):
@@ -341,7 +343,8 @@ def test_bad_input_exit_codes(argv, code):
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-CLI_REFS = json.loads((PERFBENCH / "refs.json").read_text())["cli"]
+REFS = json.loads((PERFBENCH / "refs.json").read_text())
+CLI_REFS = REFS["cli"]
 
 
 def _benchmark_cli_requests() -> dict:
@@ -360,6 +363,12 @@ def test_cli_stdout_matches_benchmark_reference(tmp_path, capsys, key):
     """The stdout bytes the benchmark stores for each CLI request, from an empty cache."""
     cli.main(["--cache-dir", str(tmp_path)] + _benchmark_cli_requests()[key])
     assert capsys.readouterr().out == CLI_REFS[key]
+
+
+@pytest.mark.parametrize(("name", "order", "key"), [("third", 0, "o24:a0:t6"), ("third", 2, "o24:a2:t6"), ("third", 4, "o24:a4:t6"), ("sixth", 4, "o8:a4:t6")])
+def test_orbit_sum_matches_benchmark_reference(orbit_sums, name, order, key):
+    """The session's trunc-6 orbit sums are the series the benchmark stores, terms and horizon, as to_json gives them."""
+    assert orbit_sums[name, order][0].representation.to_json() == REFS["sums"][key]
 
 
 def test_cli_import_leaves_numpy_unloaded():

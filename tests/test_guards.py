@@ -40,7 +40,7 @@ def _other_grade_plus_zero():
         # a basis with no known term matches nothing
         (lambda: _series_match(classical_series("E4", 3), PuiseuxSeries(1, {}, 3)), None),
         (lambda: identify(None, orbit(F(1, 2), F(1, 2))), ExceptionalOrbitError),
-        (lambda: valence_budget(Orbit((), 5, 1)), AssertionError),
+        (lambda: valence_budget(Orbit((), 5, 1, (), ())), AssertionError),
         # a grade mismatch raises even when one side is zero
         (_zero_plus_other_grade, ValueError),
         (_other_grade_plus_zero, ValueError),

@@ -10,8 +10,6 @@ from bianchi9.modular import (
     ExceptionalOrbitError,
     IdentificationError,
     OrbitPoint,
-    act_S,
-    act_T,
     bernoulli,
     classical_series,
     eisenstein_constant,
@@ -23,17 +21,37 @@ from bianchi9.modular import (
 from bianchi9.seeley import CoeffIndex, CoeffResult, orbit_sum
 from bianchi9.series import Grade, PuiseuxSeries
 from identify_oracle import identify_search
+from orbit_oracle import act_S, act_T, closure
 
 F = Fraction
 
 
 def test_generator_relations():
-    pts = [OrbitPoint(F(1, 6), F(5, 6)), OrbitPoint(F(0), F(1, 3)), OrbitPoint(F(2, 7), F(3, 7))]
-    for pt in pts:
-        x = pt
-        for _ in range(4):
-            x = act_S(x)
-        assert x == pt  # S has order 2 in PSL2(Z), 4 on characteristics
+    """On the stored images S^2 is (p, q) -> (-p, -q) and S^4 the identity: S has order 2
+    in PSL2(Z), 4 on characteristics."""
+    for p, q in ((F(1, 6), F(5, 6)), (F(0), F(1, 3)), (F(2, 7), F(3, 7))):
+        orb = modular.orbit(p, q)
+        s = dict(zip(orb.points, orb.S))
+        for pt in orb.points:
+            assert s[s[pt]] == OrbitPoint(-pt.p, -pt.q)
+            assert s[s[s[s[pt]]]] == pt
+
+
+_SMALL = sorted({F(a, d) for d in range(1, 7) for a in range(d)})
+
+
+def test_orbit_is_the_closure_under_the_paper_generators():
+    """For every seed with denominators <= 6: the Fraction closure under act_S and act_T,
+    sorted, with its n and n0, and each point's images under act_S and act_T."""
+    want = {}  # (p, q) -> (points, n, n0, S, T) of its orbit, from the oracle
+    for p in _SMALL:
+        for q in _SMALL:
+            if (p, q) not in want:
+                pts = tuple(sorted(closure(p, q)))
+                fields = (pts, len(pts), sum(1 for pt in pts if pt.p == 0), tuple(map(act_S, pts)), tuple(map(act_T, pts)))
+                want.update(dict.fromkeys(((pt.p, pt.q) for pt in pts), fields))
+            orb = modular.orbit(p, q)
+            assert (orb.points, orb.n, orb.n0, orb.S, orb.T) == want[p, q]
 
 
 def test_orbit_sizes_and_fixed_points(orbit_third, orbit_sixth):

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from orbit_oracle import act_T
 from seeley_oracle import (
     A2_ORACLE_TERMS,
     JetFrame,
@@ -28,7 +29,7 @@ from bianchi9.instanton import (
     frame_two_param_series,
 )
 from bianchi9.jets import Jet
-from bianchi9.modular import act_T, bernoulli, identify
+from bianchi9.modular import bernoulli, identify
 from bianchi9.seeley import CoeffIndex, a0, a2, a4, coefficient, orbit_sum
 from bianchi9.seeley_terms import (
     A0_CHECKSUM,
@@ -288,17 +289,20 @@ def test_sphere_heat_coefficients():
     assert [_sphere_c(n) for n in (2, 3, 4, 5)] == [F(11, 960), F(31, 80640), F(41, 1290240), F(31, 8110080)]
 
 
-@pytest.mark.parametrize("name", sorted(_HOMOGENEOUS_C2))
-def test_homogeneous_orbit_coefficients_are_constant_multiples(orbit_sixth, orbit_quarter, name):
+@pytest.mark.parametrize(
+    ("name", "trunc"),
+    [pytest.param(name, trunc, id=name if trunc == 6 else f"{name}-trunc{trunc}") for trunc in (6, 12) for name in sorted(_HOMOGENEOUS_C2)],
+)
+def test_homogeneous_orbit_coefficients_are_constant_multiples(orbit_sixth, orbit_quarter, name, trunc):
     """On S^4 and CP^2 every local invariant is constant: a2 = -(k/4) a0 and
     a4 = c2 k^2 a0 at every point, with multiples taken from the geometry,
     not from the term tables."""
     c2 = _HOMOGENEOUS_C2[name]
     for pt in {"sixth": orbit_sixth, "quarter": orbit_quarter}[name].points:
-        fr = frame_two_param_series(pt, 6)
+        fr = frame_two_param_series(pt, trunc)
         x0, x2, x4 = (coefficient(fr, CoeffIndex(n)).representation for n in range(3))
         for rest in (x2 + fr.k * x0 * F(1, 4), x4 - fr.k * fr.k * x0 * c2):
-            assert rest.is_zero() and rest.trunc_frac() >= 6
+            assert rest.is_zero() and rest.trunc_frac() >= trunc
 
 
 def test_homogeneous_orbit_identify_constants(orbit_sums, quarter_sums, orbit_sixth, orbit_quarter):

@@ -61,6 +61,10 @@ CLI_REQUESTS = [
     ["orbit", "--p", "0", "--q", "1/3"],
     ["orbit", "--p", "1/2", "--q", "1/2"],
     ["orbit", "--p", "x/3", "--q", "0"],
+    # the enumeration bytes of three larger orbits: 576, 144 and 11,520 points
+    ["orbit", "--p", "1/3", "--q", "1/5"],
+    ["orbit", "--p", "2/7", "--q", "3/7"],
+    ["orbit", "--p", "1/11", "--q", "1/12"],
     ["theta", "--p", "1/2", "--q", "0", "--series", "--trunc", "4"],
     ["theta", "--p", "4/3", "--q", "6/5", "--n", "2", "--dq", "--mu-re", "1.2", "--mu-im", "0.1"],
     ["theta", "--p", "4/3", "--q", "6/5", "--series", "--n", "3", "--dq", "--trunc", "4"],
