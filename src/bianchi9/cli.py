@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: theta, orbit, coeff, identify, check.  All results go to stdout
-as a single JSON document; logs go to stderr.  Rationals are "num/den"
-strings end to end.  Exit codes: 2 invalid parameters (argparse's own
-code: every option is validated by its type or choices, and ``main``
-refuses a complex mu for ``check crossval``), 3 domain errors,
-4 identification failure, 5 exceptional orbit.
+as a single JSON document; logs go to stderr.  Rationals are strings as
+``str(Fraction)`` writes them, "num/den" or "num" when den = 1; series and
+identify's orbit points always write "num/den".  Exit codes: 2 invalid
+parameters (argparse's own code: every option is validated by its type or
+choices, and ``main`` refuses a complex mu for ``check crossval``), 3 domain
+errors, 4 identification failure, 5 exceptional orbit.
 """
 
 from __future__ import annotations
@@ -97,10 +98,6 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _fmt(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}" if r.denominator != 1 else str(r.numerator)
-
-
 # -- cache ------------------------------------------------------------
 
 
@@ -113,9 +110,9 @@ def cache_dir(args) -> Path:
     return Path.home() / ".cache" / "bianchi9"
 
 
-def cache_key(family: str, p: Fraction, q: Fraction, order: int, trunc: int) -> str:
-    """Hash of the inputs, the package version and the term-table checksums."""
-    inputs = [family, _fmt(p), _fmt(q), order, trunc, NOME_TAG]
+def cache_key(p: Fraction, q: Fraction, order: int, trunc: int) -> str:
+    """Hash of the orbit-sum inputs, the package version and the term-table checksums."""
+    inputs = ["two-param-orbit-sum", str(p), str(q), order, trunc, NOME_TAG]
     blob = json.dumps(inputs + [__version__, A0_CHECKSUM, A2_CHECKSUM, A4_CHECKSUM], separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -180,8 +177,8 @@ def cmd_orbit(args) -> None:
         {
             "n": orb.n,
             "n0": orb.n0,
-            "budget": _fmt(modular.valence_budget(orb)),
-            "points": [[_fmt(pt.p), _fmt(pt.q)] for pt in orb.points],
+            "budget": str(modular.valence_budget(orb)),
+            "points": [[str(pt.p), str(pt.q)] for pt in orb.points],
         }
     )
 
@@ -207,7 +204,7 @@ def _orbit_sum_cached(args, orb, index: CoeffIndex, store: bool) -> CoeffResult:
     ``perfbench`` relies on this when it corrupts that entry.
     """
     pt = orb.points[0]
-    key = cache_key("two-param-orbit-sum", pt.p, pt.q, index.order, args.trunc)
+    key = cache_key(pt.p, pt.q, index.order, args.trunc)
     path = cache_dir(args) / f"{key}.json"
     series = _cached_series(path, index.order)
     if series is not None:

@@ -160,9 +160,7 @@ class IdentificationResult:
             "orbit": [[f"{pt.p.numerator}/{pt.p.denominator}", f"{pt.q.numerator}/{pt.q.denominator}"] for pt in self.orbit.points],
             "order": order,
             "multiplier": {"delta": a, "e4": b, "e6": c},
-            "constant": f"{self.constant.numerator}/{self.constant.denominator}"
-            if self.constant.denominator != 1
-            else f"{self.constant.numerator}",
+            "constant": str(self.constant),
             "pi_exp": self.grade.pi_exp,
             "lambda_exp": self.grade.lambda_exp,
             "target": self.target,
@@ -176,6 +174,10 @@ class IdentificationError(ValueError):
 # one-dimensional spaces: (weight, cusp) -> (i, j), the space spanned by Delta^[cusp] E4^i E6^j
 _DIM1 = {(4, False): (1, 0), (6, False): (0, 1), (8, False): (2, 0), (10, False): (1, 1), (14, False): (2, 1),
          (12, True): (0, 0), (16, True): (1, 0), (18, True): (0, 1), (20, True): (2, 0), (22, True): (1, 1), (26, True): (2, 1)}
+
+# the paper's two targets, in the G-normalized convention: multiplier -> (name, factor on r, pi exponent)
+_NAMED = {(1, 0, 0): ("G14/Delta", 1 / eisenstein_constant(14), -14),
+          (0, 4, 0): ("Delta*G6/G4^4", eisenstein_constant(4) ** 4 / eisenstein_constant(6), 10)}
 
 
 def _series_match(t: PuiseuxSeries, basis: PuiseuxSeries):
@@ -202,10 +204,11 @@ def identify(result, orb: Orbit) -> IdentificationResult:
     orbit_sum.  Searches multipliers Delta^a E4^b E6^c with a<=2, b<=4, c<=2
     (smallest total weight first) for one that lands the product in a
     one-dimensional space of _DIM1, then reports the exact constant with its
-    pi/Lambda grade in the absolutely-normalized (G-series) convention where
-    possible.  E4 and E6 are units at the cusp, so the product has valuation
-    v + a (v the series'): a candidate with a pole at the cusp, or with no
-    space of its weight and cusp order, is passed over before any product.
+    pi/Lambda grade; the paper's two targets, looked up in _NAMED by
+    multiplier, in the absolutely-normalized (G-series) convention.  E4 and
+    E6 are units at the cusp, so the product has valuation v + a (v the
+    series'): a candidate with a pole at the cusp, or with no space of its
+    weight and cusp order, is passed over before any product.
     Delta, E4 and E6 are built once, to length trunc - v + 1.
     """
     if is_exceptional(orb):
@@ -231,25 +234,9 @@ def identify(result, orb: Orbit) -> IdentificationResult:
         r = _series_match(t, reduce(mul, [delta] * cusp + [e4] * i + [e6] * j))
         if r is None:
             continue
-        # convert to the G-normalized named targets where they apply
-        if (a, b, c) == (1, 0, 0) and weight == 14 and not cusp:
-            g14 = eisenstein_constant(14)
-            return IdentificationResult(
-                (a, b, c),
-                "G14/Delta",
-                r / g14,
-                grade + Grade(pi_exp=-14),
-                orb,
-            )
-        if (a, b, c) == (0, 4, 0) and weight == 18 and cusp:
-            g4, g6 = eisenstein_constant(4), eisenstein_constant(6)
-            return IdentificationResult(
-                (a, b, c),
-                "Delta*G6/G4^4",
-                r * g4**4 / g6,
-                grade + Grade(pi_exp=10),
-                orb,
-            )
+        if (a, b, c) in _NAMED:
+            target, factor, dpi = _NAMED[a, b, c]
+            return IdentificationResult((a, b, c), target, r * factor, grade + Grade(pi_exp=dpi), orb)
         space = f"weight {weight} {'cusp' if cusp else 'Eisenstein'} (dim 1)"
         return IdentificationResult((a, b, c), space, r, grade, orb)
     raise IdentificationError("no identification within the bounded multiplier search")

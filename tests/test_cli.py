@@ -54,6 +54,18 @@ def test_theta_reduces_characteristics_mod_1(capsys, extra):
     assert outs[0].endswith("\n") and outs[1:] == outs[:1] * 2
 
 
+def test_negative_option_values_follow_an_equals_sign(capsys):
+    """argparse reads -2/3 and -1e-3 as option names, so a negative value is written --p=-2/3."""
+    assert _exit_code("theta", "--p", "-2/3", "--q", "1/5") == 2
+    outs = []
+    for p, q in (("--p=-2/3", "--q=-4/5"), ("--p=1/3", "--q=1/5")):
+        cli.main(["theta", p, q, "--n", "2", "--mu-re", "1.2", "--mu-im", "0.1"])
+        outs.append(capsys.readouterr().out)
+    assert outs[0].endswith("\n") and outs[0] == outs[1]
+    cli.main(["check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-im=-1e-3"])  # returns: exit 0
+    assert '"pass":true' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mu_im", ("1e300", "18.3"))
 def test_theta_reduces_mu_im_mod_its_period(capsys, mu_im):
     """At p = 1/3 the lattice sum has period 2 * 3^2 = 18 in Im mu."""
@@ -176,10 +188,12 @@ def test_cache_dir_env_fallback(tmp_path, monkeypatch, capsys):
 def test_cache_key_depends_on_inputs():
     from fractions import Fraction
 
-    base = cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 0, 3)
-    assert base != cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 2, 3)
-    assert base != cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 0, 4)
-    assert base == cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 0, 3)
+    base = cli.cache_key(Fraction(1, 6), Fraction(5, 6), 0, 3)
+    # the key of entries already on disk: a change that moves it on purpose updates this literal
+    assert base == "4a7d91391778583cf39b09a284915f232e5228b8b35adb2caff52c4e0c5152b6"
+    assert base != cli.cache_key(Fraction(1, 6), Fraction(5, 6), 2, 3)
+    assert base != cli.cache_key(Fraction(1, 6), Fraction(5, 6), 0, 4)
+    assert base == cli.cache_key(Fraction(1, 6), Fraction(5, 6), 0, 3)
 
 
 def test_corrupt_cache_recomputed(tmp_path, capsys):
@@ -401,9 +415,9 @@ def test_orbit_alias_point_hits_cache(tmp_path, monkeypatch, capsys):
 def test_cache_key_depends_on_tables(monkeypatch):
     from fractions import Fraction
 
-    base = cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 0, 3)
+    base = cli.cache_key(Fraction(1, 6), Fraction(5, 6), 0, 3)
     monkeypatch.setattr(cli, "A4_CHECKSUM", "0" * 64)
-    assert base != cli.cache_key("f", Fraction(1, 6), Fraction(5, 6), 0, 3)
+    assert base != cli.cache_key(Fraction(1, 6), Fraction(5, 6), 0, 3)
 
 
 def test_identify_and_crossval_read_cache(tmp_path, monkeypatch, capsys):

@@ -10,6 +10,7 @@ from bianchi9.modular import (
     ExceptionalOrbitError,
     IdentificationError,
     OrbitPoint,
+    _series_match,
     bernoulli,
     classical_series,
     eisenstein_constant,
@@ -137,6 +138,15 @@ def test_classical_series_goldens():
     assert e6 == {0: 1, 1: -504, 2: -16632}
     with pytest.raises(ValueError):
         classical_series("E5", 3)
+
+
+def test_series_match_reads_every_coefficient_below_the_horizon():
+    """A series that agrees with E4 at the valuation but not at q^3 is no multiple of it."""
+    e4 = classical_series("E4", 6)
+    terms = e4.as_q_expansion()
+    terms[3] += 1
+    assert _series_match(e4 * 5, e4) == 5
+    assert _series_match(PuiseuxSeries(1, terms, 6), e4) is None
 
 
 def _delta_product(trunc: int) -> dict:

@@ -84,6 +84,11 @@ def test_render_parse_round_trip():
         assert parse_terms(render_terms(rows)) == rows
 
 
+def test_parse_terms_names_an_unknown_variable():
+    with pytest.raises(ValueError, match="unknown variable 'x1'"):
+        parse_terms("+1 w1 x1^2 F")
+
+
 def test_tables_are_canonical():
     """Each text is its canonical render: every row lists its variables in
     VARIABLES order, and the rows are sorted by their exponents read in that order."""

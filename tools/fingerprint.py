@@ -14,7 +14,10 @@ the float64 and 40-digit values of a0/a2/a4
 at four points with the value frames there (w, the F tower (F, F', F'')
 and A, each under its own key), the same for the one-parameter family at
 two q0, and the stdout bytes and exit codes of a fixed list of CLI requests
-run in order on one cache (a repeated request is keyed with " (repeat)").
+run in order on one cache (a repeated request is keyed with " (repeat)"),
+with the sorted names of the cache files they leave under "cli cache
+entries": a changed cache key is a miss that prints the same bytes, so only
+the names show it.
 Run it on two trees and compare the outputs to show that a change moves no
 value.  It imports the package from the ``src/`` beside it.  On a 2-core
 x86-64 VM the run takes about 6 s, 2 s of it the 576-point sum (16 frames);
@@ -175,6 +178,7 @@ def cli_requests() -> dict:
             key = "cli " + " ".join(argv)
             key += " (repeat)" if key in out else ""
             out[key] = f"exit {code} stdout {sha(buf.getvalue())}"
+        out["cli cache entries"] = sorted(path.name for path in Path(cache).iterdir())
     return out
 
 
