@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: theta, orbit, coeff, identify, check.  All results go to stdout
-as a single JSON document; logs go to stderr.  Rationals are strings as
-``str(Fraction)`` writes them, "num/den" or "num" when den = 1; series and
-identify's orbit points always write "num/den".  Exit codes: 2 invalid
+as a single JSON document; diagnostics go to stderr as ``LEVEL:bianchi9:message``
+lines, DEBUG ones only under -v.  Rationals are strings as ``str(Fraction)``
+writes them, "num/den" or "num" when den = 1; series and identify's orbit
+points always write "num/den".  Exit codes: 2 invalid
 parameters (argparse's own code: every option is validated by its type or
 choices, and ``main`` refuses a complex mu for ``check crossval``), 3 domain
 errors, 4 identification failure, 5 exceptional orbit.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
 import os
 import sys
@@ -30,8 +30,6 @@ from .seeley import CoeffIndex, CoeffResult
 from .seeley_terms import A0_CHECKSUM, A2_CHECKSUM, A4_CHECKSUM
 from .series import PuiseuxSeries
 from .theta import theta_series, theta_values
-
-log = logging.getLogger("bianchi9")
 
 # tag for the nome convention baked into every cached series; changing the
 # convention must invalidate old cache entries
@@ -78,13 +76,18 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _log(level: str, message: str) -> None:
+    """One ``LEVEL:bianchi9:message`` line on the stderr of the moment."""
+    sys.stderr.write(f"{level}:bianchi9:{message}\n")
+
+
 @contextmanager
 def _domain_errors():
     """Turn a ValueError or ArithmeticError (a zero division, an overflow) of the numeric layer into the domain-error exit code."""
     try:
         yield
     except (ValueError, ArithmeticError) as exc:
-        log.error("%s", exc)
+        _log("ERROR", str(exc))
         raise SystemExit(EXIT_DOMAIN) from exc
 
 
@@ -93,7 +96,7 @@ def _emit(doc: dict) -> None:
     try:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
-        log.error("result holds a non-finite number: %s", exc)
+        _log("ERROR", f"result holds a non-finite number: {exc}")
         raise SystemExit(EXIT_DOMAIN) from exc
     sys.stdout.write(text + "\n")
 
@@ -165,9 +168,10 @@ def _orbit_or_exit(args) -> modular.Orbit:
     try:
         budget = modular.valence_budget(orb)
     except ExceptionalOrbitError as exc:
-        log.error("%s", exc)
+        _log("ERROR", str(exc))
         raise SystemExit(EXIT_EXCEPTIONAL) from exc
-    log.debug("orbit n=%d n0=%d budget=%s", orb.n, orb.n0, budget)
+    if args.verbose:
+        _log("DEBUG", f"orbit n={orb.n} n0={orb.n0} budget={budget}")
     return orb
 
 
@@ -208,15 +212,15 @@ def _orbit_sum_cached(args, orb, index: CoeffIndex, store: bool) -> CoeffResult:
     path = cache_dir(args) / f"{key}.json"
     series = _cached_series(path, index.order)
     if series is not None:
-        log.info("cache hit %s", path)
+        _log("INFO", f"cache hit {path}")
         return CoeffResult(index, series)
-    log.info("cache miss; computing orbit sum (order %d, trunc %d)", index.order, args.trunc)
+    _log("INFO", f"cache miss; computing orbit sum (order {index.order}, trunc {args.trunc})")
     result = seeley.orbit_sum(orb, index, args.trunc)
     if store:
         try:
             cache_write(path, result.to_json())
         except OSError as exc:  # the cache only saves time: keep the result
-            log.warning("cache write to %s failed: %s", path, exc)
+            _log("WARNING", f"cache write to {path} failed: {exc}")
     return result
 
 
@@ -232,7 +236,7 @@ def cmd_identify(args) -> None:
     try:
         ident = modular.identify(result, orb)
     except IdentificationError as exc:
-        log.error("%s", exc)
+        _log("ERROR", str(exc))
         raise SystemExit(EXIT_IDENTIFY) from exc
     _emit(ident.to_json(index.order))
 
@@ -246,8 +250,6 @@ def cmd_check(args) -> None:
         _emit(report)
         return
     if args.subject == "dirac":
-        from .dirac import dtilde_sq_crosscheck  # imports numpy, which only this check needs
-
         pt = TwoParamPoint(args.p, args.q)
         mu = complex(args.mu_re, args.mu_im)
         import random
@@ -255,7 +257,10 @@ def cmd_check(args) -> None:
         rng = random.Random(args.seed)
         x = (mu, 0.3 + 2.2 * rng.random(), 6.28 * rng.random(), 6.28 * rng.random())
         with _domain_errors():
-            doc = dtilde_sq_crosscheck(x, frame_two_param_jet(pt, mu, 1e-14), tol=args.tol)
+            frame = frame_two_param_jet(pt, mu, 1e-14)  # refuses a bad mu or point before numpy loads
+            from .dirac import dtilde_sq_crosscheck  # imports numpy, which only this check needs
+
+            doc = dtilde_sq_crosscheck(x, frame, tol=args.tol)
         _emit(doc)
         return
     # subject == "crossval": exact orbit-sum series vs jet evaluation at mu
@@ -339,9 +344,6 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.command == "check" and args.subject == "crossval" and args.mu_im:
         parser.error("argument --mu-im: check crossval compares at a real mu; leave it at 0")
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.DEBUG if args.verbose else logging.INFO
-    )
     args.func(args)
 
 

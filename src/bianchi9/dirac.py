@@ -23,7 +23,7 @@ depend on the branches, only on using one branch throughout.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,16 +86,14 @@ class SField:
         return SField(s, [g / (2 * s) for g in self.grad])
 
 
-@dataclass
-class Symbol1:
+class Symbol1(NamedTuple):
     """sigma = i sum_k a[k] xi_k + b for a first-order operator."""
 
     a: list  # four matrix SFields (coefficients of d/dx_k)
     b: SField  # matrix SField
 
 
-@dataclass
-class SymbolQuadratic:
+class SymbolQuadratic(NamedTuple):
     """sigma = sum p2[j][k] xi_j xi_k + sum p1[k] xi_k + p0, complex matrices."""
 
     p2: np.ndarray  # shape (4, 4, 4, 4): [j, k] -> matrix

@@ -27,8 +27,9 @@ ODE with k = 0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic
 from .jets import Jet
@@ -45,35 +46,33 @@ DEGENERATE = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class TwoParamPoint:
-    """A parameter pair (p, q), reduced mod 1; ordered lexicographically."""
+class TwoParamPoint(namedtuple("TwoParamPoint", "p q")):
+    """A parameter pair (p, q) of Fractions, reduced mod 1; ordered lexicographically.
+    ``TwoParamPoint._make((p, q))`` skips the reduction, for Fractions already in [0, 1)."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p) % 1)
-        object.__setattr__(self, "q", Fraction(self.q) % 1)
+    def __new__(cls, p, q):
+        return super().__new__(cls, Fraction(p) % 1, Fraction(q) % 1)
 
     def is_degenerate(self) -> bool:
-        return (self.p, self.q) in DEGENERATE
+        return self in DEGENERATE
 
 
-@dataclass(frozen=True)
-class OneParamPoint:
-    q0: complex  # rational or complex, nonzero
-    C: float = 1.0
+class OneParamPoint(namedtuple("OneParamPoint", "q0 C")):
+    """q0 rational or complex, nonzero; C positive."""
 
-    def __post_init__(self):
-        if complex(self.q0) == 0:
+    __slots__ = ()
+
+    def __new__(cls, q0, C=1.0):
+        if complex(q0) == 0:
             raise ValueError("q0 must be nonzero")
-        if float(self.C) <= 0:
+        if float(C) <= 0:
             raise ValueError("C must be positive")
+        return super().__new__(cls, q0, C)
 
 
-@dataclass(frozen=True)
-class InstantonFrame:
+class InstantonFrame(NamedTuple):
     """w_j, the A_j, F with its mu-derivatives to DEPTH, and k = 4 pi^2 Lambda.
 
     Both modes have one shape: w and A are 3-tuples, F_ is the tower

@@ -13,11 +13,11 @@ Bernoulli numbers.  ``orbit_values`` gives an orbit's numeric values at one mu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .instanton import TwoParamPoint, frames_two_param_jet
 from .seeley import coefficient
@@ -27,8 +27,7 @@ from .series import Grade, PuiseuxSeries
 OrbitPoint = TwoParamPoint  # an orbit point is an instanton parameter point
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     points: tuple[TwoParamPoint, ...]  # sorted lexicographically
     n: int
     n0: int
@@ -59,7 +58,7 @@ def orbit(p, q) -> Orbit:
             todo += images[a, b]
     pairs = sorted(images)  # the lexicographic order of the points
     grid = [Fraction(i, n) for i in range(n)]
-    pts = {(a, b): TwoParamPoint(grid[a], grid[b]) for a, b in pairs}
+    pts = {(a, b): TwoParamPoint._make((grid[a], grid[b])) for a, b in pairs}  # reduced already
     S, T = (tuple(pts[images[ab][g]] for ab in pairs) for g in (0, 1))
     return Orbit(tuple(pts.values()), len(pairs), sum(1 for a, _ in pairs if a == 0), S, T)
 
@@ -146,8 +145,7 @@ def classical_series(kind: str, trunc: int) -> PuiseuxSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
+class IdentificationResult(NamedTuple):
     multiplier: tuple[int, int, int]  # exponents of Delta, E4, E6
     target: str
     constant: Fraction

@@ -22,9 +22,9 @@ from it by a walk that lands only on points of the list.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instanton import InstantonFrame, TwoParamPoint, frame_two_param_series
 from .jets import Jet
@@ -33,15 +33,15 @@ from .seeley_terms import A0_TERMS, A2_TERMS, A4_TERMS, VARIABLES
 from .theta import cyclotomic_order
 
 
-@dataclass(frozen=True)
-class CoeffIndex:
+class CoeffIndex(namedtuple("CoeffIndex", "n")):
     """Which coefficient: n in {0,1,2} meaning a0, a2, a4."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n not in (0, 1, 2):
+    def __new__(cls, n):
+        if n not in (0, 1, 2):
             raise ValueError("only a0, a2, a4 have closed forms; n must be 0, 1 or 2")
+        return super().__new__(cls, n)
 
     @property
     def order(self) -> int:
@@ -52,8 +52,7 @@ class CoeffIndex:
         return Grade(2 * self.n - 3, self.n - 2)
 
 
-@dataclass(frozen=True)
-class CoeffResult:
+class CoeffResult(NamedTuple):
     index: CoeffIndex
     representation: object  # PuiseuxSeries, or an order-0 Jet holding a numeric frame's value
 

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, euler_phi
 
 
-@dataclass(frozen=True)
-class Grade:
-    """Exponents of the overall pi^a * Lambda^b prefactor."""
+class Grade(NamedTuple):
+    """Exponents of the overall pi^a * Lambda^b prefactor; ``+`` adds them componentwise."""
 
     pi_exp: int = 0
     lambda_exp: int = 0

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 import os
@@ -18,6 +17,15 @@ from bianchi9 import cli, seeley
 from bianchi9.series import Grade, PuiseuxSeries
 from bianchi9.theta import theta_series, theta_values
 from test_series import _series
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src/`` first on its path; text output captured."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 def _run(capsys, *argv) -> dict:
@@ -123,9 +131,10 @@ def test_theta_tol_near_the_float_minimum(capsys, tol):
     assert capsys.readouterr().out == want
 
 
-def test_orbit_cap_names_grid_and_cap(caplog):
+def test_orbit_cap_names_grid_and_cap(capsys):
     assert _exit_code("orbit", "--p", "1/100003", "--q", "0") == 3
-    assert "1/200006 grid" in caplog.text and "MAX_ORBIT_POINTS = 100000" in caplog.text
+    err = capsys.readouterr().err
+    assert "1/200006 grid" in err and "MAX_ORBIT_POINTS = 100000" in err
 
 
 def test_theta_domain_error():
@@ -214,10 +223,7 @@ def test_unwritable_cache_keeps_the_result(tmp_path, capsys):
     want = capsys.readouterr().out
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    argv = [sys.executable, "-m", "bianchi9.cli", "--cache-dir", str(blocker)] + request
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    proc = _python("-m", "bianchi9.cli", "--cache-dir", str(blocker), *request)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want
     assert "Traceback" not in proc.stderr
@@ -225,7 +231,7 @@ def test_unwritable_cache_keeps_the_result(tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
-def test_cache_write_failure_leaves_no_temporary_file(tmp_path, monkeypatch, capsys, caplog):
+def test_cache_write_failure_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
     """An entry that cannot be moved into place: cache_write removes its temporary
     file and re-raises, and coeff warns and still prints the sum, exit 0."""
     request = ["coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "1"]
@@ -241,16 +247,18 @@ def test_cache_write_failure_leaves_no_temporary_file(tmp_path, monkeypatch, cap
         cli.cache_write(cache / "entry.json", {"order": 0})
     assert list(cache.iterdir()) == []
     cli.main(["--cache-dir", str(cache)] + request)
-    assert capsys.readouterr().out == want
+    out, err = capsys.readouterr()
+    assert out == want
     assert list(cache.iterdir()) == []
-    assert "cache write to" in caplog.text and "cannot replace" in caplog.text
+    assert "cache write to" in err and "cannot replace" in err
 
 
-def test_identify_failure_exit_code(capsys, caplog):
+def test_identify_failure_exit_code(capsys):
     """No multiplier of the search identifies the 72-point orbit's sum at trunc 3."""
     assert _exit_code("identify", "--p", "0", "--q", "1/5", "--order", "0", "--trunc", "3") == 4
-    assert capsys.readouterr().out == ""
-    assert "no identification" in caplog.text
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no identification" in err
 
 
 def test_identify_requires_depth():
@@ -283,7 +291,7 @@ def test_check_dirac_where_F_is_real_and_negative(capsys):
 def test_check_dirac_at_zero_F_exits_3(monkeypatch):
     """sqrt(F) = 0 has no inverse: the ZeroDivisionError is a domain error."""
     real = cli.frame_two_param_jet
-    monkeypatch.setattr(cli, "frame_two_param_jet", lambda *a: dataclasses.replace(real(*a), F_=(0j, 0j, 0j)))
+    monkeypatch.setattr(cli, "frame_two_param_jet", lambda *a: real(*a)._replace(F_=(0j, 0j, 0j)))
     assert _exit_code("check", "dirac", "--p", "1/6", "--q", "5/6") == 3
 
 
@@ -386,13 +394,43 @@ def test_orbit_sum_matches_benchmark_reference(orbit_sums, name, order, key):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """Only ``check dirac`` needs numpy, so importing the CLI must not load it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import bianchi9.cli, sys; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    """Only ``check dirac`` needs numpy, and no request needs mpmath, dataclasses or logging
+    at start-up, so importing the CLI loads none of them."""
+    code = "import bianchi9.cli, sys; print([m for m in ('numpy', 'mpmath', 'dataclasses', 'logging') if m in sys.modules])"
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+def test_check_dirac_domain_error_leaves_numpy_unloaded():
+    """check dirac builds its frame first: a mu the frame refuses exits 3, stdout empty, before numpy loads."""
+    code = (
+        "import sys\n"
+        "from bianchi9 import cli\n"
+        "try:\n"
+        "    cli.main(['check', 'dirac', '--p', '1/6', '--q', '5/6', '--mu-re=-1.0'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules)\n"
+    )
+    proc = _python("-c", code)
+    assert (proc.stdout, proc.stderr) == ("3 False\n", "ERROR:bianchi9:Re(mu) must be positive\n")
+
+
+def test_stderr_lines(tmp_path):
+    """The stderr bytes of a cache miss and hit, of -v's orbit line and of a domain error:
+    one ``LEVEL:bianchi9:message`` line each."""
+    cli_run = lambda *argv: _python("-m", "bianchi9.cli", "--cache-dir", str(tmp_path), *argv)  # noqa: E731
+    request = ["coeff", "--p", "1/6", "--q", "5/6", "--order", "0", "--trunc", "3"]
+    miss, hit = cli_run(*request), cli_run(*request)
+    (entry,) = tmp_path.glob("*.json")
+    assert (miss.returncode, miss.stderr) == (0, "INFO:bianchi9:cache miss; computing orbit sum (order 0, trunc 3)\n")
+    assert (hit.returncode, hit.stderr) == (0, f"INFO:bianchi9:cache hit {entry}\n")
+    assert hit.stdout == miss.stdout
+    verbose = cli_run("-v", "orbit", "--p", "1/6", "--q", "5/6")
+    assert (verbose.returncode, verbose.stderr) == (0, "DEBUG:bianchi9:orbit n=8 n0=0 budget=2/3\n")
+    assert cli_run("orbit", "--p", "1/6", "--q", "5/6").stderr == ""
+    bad = cli_run("check", "dirac", "--p", "1/2", "--q", "1/2")
+    assert (bad.returncode, bad.stdout, bad.stderr) == (3, "", "ERROR:bianchi9:degenerate parameter point (1/2, 1/2)\n")
 
 
 def _forbid_recompute(monkeypatch):

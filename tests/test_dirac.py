@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -142,7 +141,7 @@ def test_p2_mu_component(frame):
 
 
 def test_conformal_factor_one_degenerates(frame):
-    fr1 = dataclasses.replace(frame, F_=FLAT_F)
+    fr1 = frame._replace(F_=FLAT_F)
     base = _sigma_D((1.05, 1.1, 0.3, 2.0), fr1)[0]
     tilde = _sigma_Dtilde((1.05, 1.1, 0.3, 2.0), fr1)[0]
     for k in range(4):
@@ -152,7 +151,7 @@ def test_conformal_factor_one_degenerates(frame):
 
 def test_conformal_scaling_of_p2(frame):
     x = (1.05, 1.3, 0.9, 0.4)
-    scaled = dataclasses.replace(frame, F_=tuple(4 * f for f in frame.F_))
+    scaled = frame._replace(F_=tuple(4 * f for f in frame.F_))
     p2_base = compose_square(_sigma_Dtilde(x, frame)[0]).p2
     p2_scaled = compose_square(_sigma_Dtilde(x, scaled)[0]).p2
     assert np.abs(p2_scaled - p2_base / 4).max() < 1e-12 * np.abs(p2_base).max()
@@ -200,7 +199,7 @@ def test_crosscheck_sweeps_both_orbits(pt, mu):
 
 def test_crosscheck_refuses_zero_F(frame):
     """sqrt(F) = 0 has no inverse: a ZeroDivisionError, which the CLI turns into exit 3."""
-    fr = dataclasses.replace(frame, F_=(0j,) + frame.F_[1:])
+    fr = frame._replace(F_=(0j,) + frame.F_[1:])
     with pytest.raises(ZeroDivisionError):
         dtilde_sq_crosscheck((1.05, 1.2, 0.7, 2.1), fr)
 

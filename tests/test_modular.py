@@ -53,6 +53,7 @@ def test_orbit_is_the_closure_under_the_paper_generators():
                 want.update(dict.fromkeys(((pt.p, pt.q) for pt in pts), fields))
             orb = modular.orbit(p, q)
             assert (orb.points, orb.n, orb.n0, orb.S, orb.T) == want[p, q]
+            assert {type(pt) for pt in orb.points + orb.S + orb.T} == {OrbitPoint}  # a plain pair compares equal too
 
 
 def test_orbit_sizes_and_fixed_points(orbit_third, orbit_sixth):

@@ -86,6 +86,8 @@ CLI_REQUESTS = [
     ["check", "dirac", "--p", "1/6", "--q", "1/2"],
     ["check", "dirac", "--p", "5/6", "--q", "1/2", "--mu-re", "1.1"],
     ["check", "dirac", "--p", "1/2", "--q", "1/2"],
+    # refused by the frame (Re mu <= 0): exit 3, empty stdout
+    ["check", "dirac", "--p", "1/6", "--q", "5/6", "--mu-re=-1.0"],
     # the second run is a cache hit: JSON -> integer form -> JSON
     ["coeff", "--p", "1/6", "--q", "5/6", "--order", "4", "--trunc", "6"],
     ["coeff", "--p", "1/6", "--q", "5/6", "--order", "4", "--trunc", "6"],
