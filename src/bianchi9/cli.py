@@ -29,7 +29,7 @@ from .modular import ExceptionalOrbitError, IdentificationError
 from .seeley import CoeffIndex, CoeffResult
 from .seeley_terms import A0_CHECKSUM, A2_CHECKSUM, A4_CHECKSUM
 from .series import PuiseuxSeries
-from .theta import theta_series, theta_values
+from .theta import cyclotomic_order, theta_series, theta_values
 
 # tag for the nome convention baked into every cached series; changing the
 # convention must invalidate old cache entries
@@ -148,6 +148,10 @@ def cmd_theta(args) -> None:
     # reduced mod 1: the printed value and series belong to [p mod 1, q mod 1]
     p, q = args.p % 1, args.q % 1
     if args.series:
+        n = cyclotomic_order(p, q)  # on the 1/N grid of an orbit, n divides N^2
+        if n > modular.MAX_ORBIT_POINTS:
+            _log("ERROR", f"theta series of ({p}, {q}) needs roots of unity of order N = {n}, above MAX_ORBIT_POINTS = {modular.MAX_ORBIT_POINTS}")
+            raise SystemExit(EXIT_DOMAIN)
         series = theta_series(p, q, args.trunc)[args.dq]
         for _ in range(args.n):
             series = series.mu_derivative()

@@ -114,14 +114,6 @@ class Cyclotomic:
         """zeta_order^k, reduced."""
         return cls.from_int_coeffs(order, [0] * (k % order) + [1], 1)
 
-    @classmethod
-    def from_turns(cls, turns: Fraction, order: int) -> "Cyclotomic":
-        """e^{2 pi i turns} for rational turns with denominator dividing order."""
-        turns = Fraction(turns)
-        if order % turns.denominator != 0:
-            raise ValueError(f"denominator of {turns} does not divide order {order}")
-        return cls.root(order, int(turns * order))
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -119,7 +119,8 @@ def frame_two_param_series(pt: TwoParamPoint, trunc: int) -> InstantonFrame:
     tpq, dtpq = theta_series(p, q, work)
     inv_tpq = tpq.invert()
     n = cyclotomic_order(p, q)
-    phase = Cyclotomic.from_turns((Fraction(1, 4) - p / 2) % 1, n) / 2  # i / (2 e^{i pi p})
+    # i / (2 e^{i pi p}) with p = a/b is zeta_n^{n/4 - a n/(2b)} / 2
+    phase = Cyclotomic.root(n, n // 4 - p.numerator * (n // (2 * p.denominator))) / 2
     # q + 1/2 may pass 1; theta_series then carries the phase e^{2 pi i p} itself
     w1 = (th3 * th4 * theta_series(p, q + half, work)[1] * inv_tpq).scale(-phase)
     w2 = (th2 * th4 * theta_series(p + half, q + half, work)[1] * inv_tpq).scale(phase)

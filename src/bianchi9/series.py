@@ -170,10 +170,10 @@ class PuiseuxSeries:
         """
         terms = {}
         for e, c in self.terms.items():
-            r = Fraction(n * e, self.exp_den)
-            order = math.lcm(c.order, r.denominator)
+            ne = n * e  # r = ne / exp_den, the phase zeta_M^{ne M / exp_den}
+            order = math.lcm(c.order, self.exp_den // math.gcd(ne, self.exp_den))
             c = c.embed(order)
-            terms[e] = Cyclotomic.from_int_coeffs(order, [0] * int(r * order % order) + list(c.nums), c.den)
+            terms[e] = Cyclotomic.from_int_coeffs(order, [0] * (ne * order // self.exp_den % order) + list(c.nums), c.den)
         return PuiseuxSeries(self.exp_den, terms, self.trunc, self.grade)
 
     def mu_derivative(self) -> "PuiseuxSeries":

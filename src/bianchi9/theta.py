@@ -16,7 +16,10 @@ carries the quasi-periodicity phase e^{2 pi i p} inside the lattice sum.  Two re
   unity, as in Deconinck et al., Math. Comp. 73 (2004).  A sum longer than MAX_LATTICE_TERMS
   terms (Re mu near 0) is refused with a ValueError.
 
-Characteristics are plain (p, q) pairs of Fractions.
+Characteristics are plain (p, q) pairs of Fractions.  Both walks index lattice row m by
+the integer k = m b + a for p = a/b (m + p = k/b), and with q = c/d the row's phase
+e^{2 pi i k c/(b d)} by the integer k c mod b d: the exact walk reads it as zeta_N^{k c N/(b d)},
+N = cyclotomic_order(p, q), the numeric walk as ``_unit_root(k c mod b d, b d)``.
 
 One rule picks the numeric arithmetic, ``arithmetic(mu)``: a Python number
 means machine floats, an mpmath number means mpmath at its working precision.
@@ -49,30 +52,26 @@ def cyclotomic_order(p: Fraction, q: Fraction) -> int:
 
 
 def theta_series(p: Fraction, q: Fraction, trunc: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    """Exact nome series of theta[p,q](i mu) and d_q theta[p,q](i mu), the latter of grade pi^1."""
+    """Exact nome series of theta[p,q](i mu) and d_q theta[p,q](i mu), the latter of grade pi^1.
+
+    With p = a/b and q = c/d, row k = m b + a (m + p = k/b) sits at Q^{k^2/(2 b^2)} with phase
+    zeta_N^{k c N/(b d)}, N = cyclotomic_order(p, q); d_q brings 2 i k/b, a further N/4 in the
+    exponent and the factor 2k/b.  The rows are the k = a mod b with k^2 < 2 b^2 trunc, in increasing order.
+    """
+    a, b, c, d = p.numerator, p.denominator, q.numerator, q.denominator
     order = cyclotomic_order(p, q)
-    dp = p.denominator
-    exp_den = 2 * dp * dp
+    step, quarter = c * (order // (b * d)), order // 4
+    exp_den = 2 * b * b
     theta: dict[int, Cyclotomic] = {}
     dq: dict[int, Cyclotomic] = {}
     zero, horizon = Cyclotomic.zero(order), trunc * exp_den
-    # (m+p)^2/2 < trunc  <=>  |m+p| < sqrt(2 trunc)
-    bound = math.isqrt(2 * trunc * dp * dp)  # floor(dp*sqrt(2T))
-    m_lo = math.floor(-Fraction(bound + 1, dp) - p)
-    m_hi = math.ceil(Fraction(bound + 1, dp) - p)
-    for m in range(m_lo, m_hi + 1):
-        mp = m + p  # m + p as a Fraction
-        # exponent (m+p)^2/2 in units of 1/(2 dp^2) is (dp*(m+p))^2
-        k = int(mp * dp)
+    top = math.isqrt(horizon - 1) if horizon > 0 else -1  # the largest |k| with k^2 < horizon
+    for k in range(-top + (a + top) % b, top + 1, b):
         e = k * k
-        if e >= horizon:
-            continue
-        turns = mp * q
-        theta[e] = theta.get(e, zero) + Cyclotomic.from_turns(turns % 1, order)
-        if mp:
-            # d_q brings 2 i (m+p): the i is a quarter turn, the pi lives in the grade
-            coeff = Cyclotomic.from_turns((turns + Fraction(1, 4)) % 1, order) * (2 * mp)
-            dq[e] = dq.get(e, zero) + coeff
+        theta[e] = theta.get(e, zero) + Cyclotomic.root(order, k * step)
+        if k:
+            # d_q brings 2 i (m+p) = 2 i k/b: the i is a quarter turn, the pi lives in the grade
+            dq[e] = dq.get(e, zero) + Cyclotomic.root(order, k * step + quarter) * Fraction(2 * k, b)
     return tuple(PuiseuxSeries(exp_den, t, horizon, Grade(pi_exp=n)) for n, t in enumerate((theta, dq)))
 
 

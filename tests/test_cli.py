@@ -22,10 +22,10 @@ from test_series import _series
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _python(*args) -> subprocess.CompletedProcess:
+def _python(*args, timeout: float = 120) -> subprocess.CompletedProcess:
     """A fresh interpreter with ``src/`` first on its path; text output captured."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def _run(capsys, *argv) -> dict:
@@ -139,6 +139,16 @@ def test_orbit_cap_names_grid_and_cap(capsys):
 
 def test_theta_domain_error():
     assert _exit_code("theta", "--p", "0", "--q", "0", "--mu-re", "-1.0") == 3
+
+
+def test_theta_series_order_cap():
+    """A series whose roots of unity have order N above MAX_ORBIT_POINTS is refused before
+    any cyclotomic arithmetic: exit 3 within seconds, empty stdout, one ERROR line naming N."""
+    for argv, n in ((("--p", "1e-30", "--q", "0", "--trunc", "2"), 2 * 10**30), (("--p", "1/1000", "--q", "1/999", "--trunc", "1"), 1998000)):
+        proc = _python("-m", "bianchi9.cli", "theta", "--series", *argv, timeout=30)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("ERROR:bianchi9:")
+        assert f"order N = {n}, above MAX_ORBIT_POINTS = 100000" in proc.stderr
 
 
 def test_invalid_rational(capsys):

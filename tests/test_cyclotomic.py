@@ -16,8 +16,8 @@ F = Fraction
 
 
 def test_roots_of_unity_basics():
-    i = Cyclotomic.from_turns(F(1, 4), 4)
-    assert i * i == F(-1)
+    i = Cyclotomic.root(4, 1)
+    assert i * i == F(-1) and Cyclotomic.root(4, 2) == F(-1)
     z8 = Cyclotomic.root(8, 1)
     acc = Cyclotomic.one(8)
     for _ in range(8):
@@ -42,16 +42,9 @@ def test_primitive_root_sums_vanish():
         assert acc.is_zero()
 
 
-def test_from_turns():
-    assert Cyclotomic.from_turns(F(1, 4), 12) == Cyclotomic.root(12, 3)
-    assert Cyclotomic.from_turns(F(1, 2), 4) == F(-1)
-    with pytest.raises(ValueError):
-        Cyclotomic.from_turns(F(1, 5), 12)
-
-
 def test_equal_across_orders_and_unhashable():
     """i at order 4 is zeta_8^2 at order 8; with no hash, no dict or set can split equal keys."""
-    i4, i8 = Cyclotomic.from_turns(F(1, 4), 4), Cyclotomic.root(8, 2)
+    i4, i8 = Cyclotomic.root(4, 1), Cyclotomic.root(8, 2)
     assert i4 == i8 and Cyclotomic.from_rational(F(2), 4) == Cyclotomic.from_rational(F(2), 12)
     with pytest.raises(TypeError):
         hash(i4)
@@ -107,7 +100,7 @@ def test_rational_detection():
 
 
 def test_numeric_embedding():
-    z = Cyclotomic.from_turns(F(1, 8), 8)
+    z = Cyclotomic.root(8, 1)
     assert abs(complex(z) - cmath.exp(2j * cmath.pi / 8)) < 1e-12
 
 

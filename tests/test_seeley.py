@@ -265,15 +265,16 @@ def test_t_twist_is_the_series_at_t_image(twist_series):
 
 
 def test_shift_mu_is_the_product_with_the_root_of_unity(twist_series):
-    """Each term of shift_mu(n), n = +-1, is c * e^{2 pi i n r} as a full Cyclotomic product, in the same field."""
+    """Each term of shift_mu(n), n = 1, -1, 2, -3, is c * e^{2 pi i n r} as a full Cyclotomic product, in the same field."""
     for at in twist_series:
         for s in at.values():
-            for n in (1, -1):
+            for n in (1, -1, 2, -3):
                 shifted = s.shift_mu(n)
                 assert shifted.terms.keys() == s.terms.keys()
                 for e, c in s.terms.items():
                     r = F(n * e, s.exp_den)
-                    want = c * Cyclotomic.from_turns(r, math.lcm(c.order, r.denominator))
+                    order = math.lcm(c.order, r.denominator)
+                    want = c * Cyclotomic.root(order, int(r * order))
                     got = shifted.terms[e]
                     assert got == want and (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
 

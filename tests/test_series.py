@@ -84,7 +84,7 @@ def test_evaluate_matches_horner_by_hand():
 def test_json_round_trip():
     a = PuiseuxSeries(
         8,
-        {1: Cyclotomic.from_turns(F(1, 12), 12), 9: F(-5, 3)},
+        {1: Cyclotomic.root(12, 1), 9: F(-5, 3)},
         24,
         Grade(1, -2),
     )

@@ -254,7 +254,8 @@ def _theta_series_shifted(p: Fraction, q: Fraction, trunc: int):
     q_shift = math.floor(q)
     pair = theta_series(p_red, q - q_shift, trunc)
     if q_shift:
-        phase = Cyclotomic.from_turns((p_red * q_shift) % 1, cyclotomic_order(p_red, q - q_shift))
+        order = cyclotomic_order(p_red, q - q_shift)
+        phase = Cyclotomic.root(order, int(p_red * q_shift * order))
         pair = tuple(s.scale(phase) for s in pair)
     return pair
 
@@ -295,7 +296,7 @@ def _in_sum_series(p: Fraction, q: Fraction, n: int, q_deriv: bool, trunc: int) 
         if q_deriv:
             turns += F(1, 4)
             factor *= 2 * mp
-        coeff = Cyclotomic.from_turns(turns % 1, order) * factor
+        coeff = Cyclotomic.root(order, int(turns * order)) * factor
         if not coeff.is_zero():
             terms[e] = terms.get(e, Cyclotomic.zero(order)) + coeff
     return PuiseuxSeries(exp_den, terms, trunc * exp_den, Grade(pi_exp=n + (1 if q_deriv else 0)))
@@ -311,15 +312,17 @@ def test_mu_derivative_is_the_in_sum_factor():
                     s = s.mu_derivative()
 
 
-def test_theta_series_halves_match_one_walk_each():
-    """Both halves of the one walk equal a walk per function (the in-sum oracle at n = 0)."""
+@pytest.mark.parametrize("trunc", [0, 1, 4])
+def test_theta_series_halves_match_one_walk_each(trunc):
+    """Both halves of the one walk equal a walk per function (the in-sum oracle at n = 0),
+    at trunc 0 (no row), at trunc 1 (the rows |k| < b sqrt 2 next to 0) and at trunc 4."""
     values = sorted({F(a, b) for b in range(1, 7) for a in range(2 * b)})
     for p in values:
         for q in values:
             for qq in (q, q + F(1, 2)):
-                theta, dq = theta_series(p, qq, 4)
-                assert theta.to_json() == _in_sum_series(p, qq, 0, False, 4).to_json(), (p, qq)
-                assert dq.to_json() == _in_sum_series(p, qq, 0, True, 4).to_json(), (p, qq)
+                theta, dq = theta_series(p, qq, trunc)
+                assert theta.to_json() == _in_sum_series(p, qq, 0, False, trunc).to_json(), (p, qq)
+                assert dq.to_json() == _in_sum_series(p, qq, 0, True, trunc).to_json(), (p, qq)
 
 
 _CHARACTERISTIC = st.builds(F, st.integers(0, 23), st.integers(1, 12))
@@ -373,7 +376,7 @@ def c_const(j: int, n: int) -> Cyclotomic:
 
 def test_c_const_small_cases():
     assert c_const(0, 0) == Cyclotomic.one()
-    assert c_const(0, 1) == -Cyclotomic.from_turns(F(1, 4), 4)
+    assert c_const(0, 1) == -Cyclotomic.root(4, 1)
     assert c_const(0, 2) == Cyclotomic.from_rational(F(-1))
     # C(1|2) = (-i)^2 2!/(2 * 0! * 2) = -1/2
     assert c_const(1, 2) == Cyclotomic.from_rational(F(-1, 2))

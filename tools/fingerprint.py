@@ -74,6 +74,9 @@ CLI_REQUESTS = [
     ["theta", "--p", "4/3", "--q", "6/5", "--n", "2", "--mu-re", "1.2", "--mu-im", "0.1"],
     ["theta", "--p", "4/3", "--q", "6/5", "--series", "--n", "2", "--trunc", "4"],
     ["theta", "--p", "0", "--q", "0", "--n", "7"],
+    # a series in Q(zeta_308) (b d = 77), and an unreduced input with an empty horizon
+    ["theta", "--p", "3/7", "--q", "5/11", "--series", "--n", "1", "--trunc", "5"],
+    ["theta", "--p", "3/2", "--q", "7/4", "--series", "--trunc", "0"],
     ["check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"],
     ["check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "2", "--trunc", "3", "--mu-re", "1.1"],
     ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "1"],
