@@ -2,9 +2,11 @@
 
 Elements are polynomials in zeta_N reduced modulo the N-th cyclotomic
 polynomial, stored as integer numerators over one common denominator, the
-form the series product kernel packs.  This is the coefficient field for
-every exact nome series in the package: it holds the phases e^{2 pi i (m+p) q}
-and e^{i pi p} exactly.
+form the series product kernel packs.  ``cyclotomic_poly`` builds Phi_N,
+and with it phi(N), as a Moebius product over the squarefree divisors of N;
+``_mod_phi`` is the one reduction modulo it.  This is the coefficient field
+for every exact nome series in the package: it holds the phases
+e^{2 pi i (m+p) q} and e^{i pi p} exactly.
 """
 
 from __future__ import annotations
@@ -16,39 +18,45 @@ from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if math.gcd(k, n) == 1:
-            count += 1
-    return count
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the N-th cyclotomic polynomial."""
-    # divide x^n - 1 by Phi_d for each proper divisor d of n
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            rem, poly = _divmod_phi(poly, d)
-            assert not any(rem)
+    """Coefficients (low to high) of the N-th cyclotomic polynomial, of degree phi(N).
+
+    Phi_N = +-prod over squarefree s | N of (1 - x^(N/s))^mu(s), the sign
+    negative only at N = 1 (von zur Gathen & Gerhard, Modern Computer Algebra,
+    section 14).  The prime factors of N give phi(N), and each factor is one
+    pass over the power series truncated past degree phi(N): a product by
+    1 - x^d from the top down, a quotient by it from the bottom up.
+    """
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, math.isqrt(p) + 1))]
+    phi = n * math.prod(p - 1 for p in primes) // math.prod(primes)
+    poly = [1 if primes else -1] + [0] * phi
+    for mask in range(1 << len(primes)):
+        d = n // math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        if mask.bit_count() % 2:
+            for i in range(d, phi + 1):
+                poly[i] += poly[i - d]
+        else:
+            for i in range(phi, d - 1, -1):
+                poly[i] -= poly[i - d]
     return tuple(poly)
+
+
+def euler_phi(n: int) -> int:
+    """phi(N), the degree of Phi_N."""
+    return len(cyclotomic_poly(n)) - 1
 
 
 @lru_cache(maxsize=None)
 def _phi_low_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """phi(N) and the nonzero (j, coefficient of x^j) of Phi_N below its leading term."""
-    phi = euler_phi(n)
-    return phi, tuple((j, c) for j, c in enumerate(cyclotomic_poly(n)[:phi]) if c)
+    poly = cyclotomic_poly(n)
+    return len(poly) - 1, tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
 
 
-def _divmod_phi(a, n: int) -> tuple[list, list]:
-    """Divide the polynomial a (low to high) by Phi_N.
+def _mod_phi(a, n: int) -> list:
+    """The remainder of the polynomial a (low to high) modulo Phi_N, padded to phi(N) with zeros.
 
     Eliminates from the top with x^phi = -(low part of Phi_N), which is monic.
-    Returns the remainder padded to phi(N) with zeros and the quotient:
-    the coefficient left at degree phi + k is the quotient's coefficient of x^k.
     """
     phi, low = _phi_low_terms(n)
     a = list(a)
@@ -58,7 +66,7 @@ def _divmod_phi(a, n: int) -> tuple[list, list]:
             base = d - phi
             for j, m in low:
                 a[base + j] -= c * m
-    return a[:phi] + [0] * (phi - len(a)), a[phi:]
+    return a[:phi] + [0] * (phi - len(a))
 
 
 class Cyclotomic:
@@ -83,7 +91,7 @@ class Cyclotomic:
     @classmethod
     def from_int_coeffs(cls, order: int, coeffs: list[int], den: int) -> "Cyclotomic":
         """Integer power-basis coefficients of any length over a common denominator den > 0."""
-        nums = _divmod_phi(coeffs, order)[0]
+        nums = _mod_phi(coeffs, order)
         g = math.gcd(den, *nums)
         obj = object.__new__(cls)
         obj.order, obj.nums, obj.den = order, tuple(x // g for x in nums) if g > 1 else tuple(nums), den // g
@@ -168,8 +176,7 @@ class Cyclotomic:
             r = Fraction(other)
             return Cyclotomic.from_int_coeffs(self.order, [x * r.numerator for x in self.nums], self.den * r.denominator)
         a, b = self._common(self, other)
-        phi = euler_phi(a.order)
-        prod = [0] * (2 * phi - 1)
+        prod = [0] * (2 * len(a.nums) - 1)
         for j, x in enumerate(a.nums):
             if x:
                 for k, y in enumerate(b.nums):

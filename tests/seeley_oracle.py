@@ -23,7 +23,9 @@ of the three forms P_i with C^2 sqrt(g) = 4 (P1^2 + P2^2 + P3^2) / (w1 w2 w3)^5
 polynomials and agree on every frame; the tests hold the 64 to the 201-row
 oracle on series and jets.  ``oracle_environment`` gives the derivative
 variables the oracles read, and ``eval_rows`` sums the rows of any table on
-a frame one at a time.
+a frame one at a time.  ``render_terms`` writes rows back in the canonical
+text form and ``table_checksum`` is the sha256 of that text, so a table's
+rows and its library checksum can be held to each other.
 
 The library's numeric frames hold plain values at mu: w_j and A_j, and F
 with its derivatives to ``DEPTH``.  ``jet_frame_two_param`` and
@@ -37,6 +39,7 @@ coefficient's jet of order ``frame.order - DEPTH``.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +55,25 @@ ORACLE_VARIABLES = (
     + [f"w{j}d{k}" for j in (1, 2, 3) for k in (1, 2, 3, 4)]
     + [f"Fd{k}" for k in (1, 2, 3, 4)]
 )
+
+
+def render_terms(rows) -> str:
+    """The canonical text of a table's rows: the form of the texts in ``bianchi9.seeley_terms``."""
+    lines = []
+    for coeff, mono in rows:
+        sign = "+" if coeff > 0 else "-"
+        c = abs(coeff)
+        cs = f"{c.numerator}" if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        toks = [f"{sign}{cs}"]
+        for var, ex in mono.items():
+            toks.append(var if ex == 1 else f"{var}^{ex}")
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+def table_checksum(rows) -> str:
+    return hashlib.sha256(render_terms(rows).encode()).hexdigest()
+
 
 A2_ORACLE_TEXT = """
 -1/3 F w1^2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -149,6 +150,15 @@ def test_theta_series_order_cap():
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("ERROR:bianchi9:")
         assert f"order N = {n}, above MAX_ORBIT_POINTS = 100000" in proc.stderr
+
+
+def test_theta_series_large_prime_order():
+    """Order 99,956 = 4 * 24,989 is under the cap and has a large prime factor: Phi_N
+    takes one pass per factor, so the request ends within seconds, and it prints the
+    bytes that a Phi_N built by the division tower gives."""
+    proc = _python("-m", "bianchi9.cli", "theta", "--p", "1/24989", "--q", "1/2", "--series", "--trunc", "2", timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == "07e5b3ad0b234c38f8d22ad3b9a60addc6021d4d08de1dec32738126ed08695b"
 
 
 def test_invalid_rational(capsys):

@@ -4,12 +4,13 @@ import cmath
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchi9.cyclotomic import Cyclotomic, _divmod_phi, cyclotomic_poly, euler_phi
+from bianchi9.cyclotomic import Cyclotomic, _mod_phi, cyclotomic_poly, euler_phi
 from bianchi9.series import PuiseuxSeries
 
 F = Fraction
@@ -216,9 +217,9 @@ def _long_int_lists(draw):
 @settings(max_examples=150, deadline=None)
 def test_reduce_matches_row_oracle(args):
     order, ints = args
-    assert _divmod_phi(ints, order)[0] == _row_reduce(order, ints, 0)
+    assert _mod_phi(ints, order) == _row_reduce(order, ints, 0)
     fracs = [F(c, 7) for c in ints]
-    assert _divmod_phi(fracs, order)[0] == _row_reduce(order, fracs, F(0))
+    assert _mod_phi(fracs, order) == _row_reduce(order, fracs, F(0))
 
 
 @st.composite
@@ -254,6 +255,35 @@ def test_cyclotomic_polys_factor_x_n_minus_1():
                 prod = _poly_mul(prod, cyclotomic_poly(d))
         assert prod == [-1] + [0] * (n - 1) + [1], n
         assert len(cyclotomic_poly(n)) - 1 == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
+
+
+def _exact_quotient(a, b) -> list:
+    """a / b by long division, for a monic b that divides a."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1]
+        if c:
+            for j, m in enumerate(b):
+                a[k + j] -= c * m
+    assert not any(a)
+    return q
+
+
+@lru_cache(maxsize=None)
+def _division_cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Phi_N as x^n - 1 divided by Phi_d for each proper divisor d, each Phi_d built the same way."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _exact_quotient(poly, _division_cyclotomic_poly(d))
+    return tuple(poly)
+
+
+def test_product_formula_matches_division_oracle():
+    """Phi_N from the Moebius product equals the division tower for N <= 300 and at
+    1994 and 3988, whose large prime factor 997 makes Phi_N = Phi_997(-x) and Phi_997(-x^2)."""
+    for n in [*range(1, 301), 1994, 3988]:
+        assert cyclotomic_poly(n) == _division_cyclotomic_poly(n), n
 
 
 # -- oracle: the Fraction-tuple arithmetic the integer form replaced, each

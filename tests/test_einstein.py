@@ -29,6 +29,7 @@ from seeley_oracle import (
     jet_frame_two_param,
     oracle_environment,
     reduce_table,
+    table_checksum,
     table_jet,
     weyl_forms,
     weyl_table,
@@ -43,7 +44,7 @@ from bianchi9.instanton import (
 )
 from bianchi9.jets import Jet
 from bianchi9.seeley import _term_environment, a0, a2, a4
-from bianchi9.seeley_terms import A2_TERMS, A4_TERMS, table_checksum
+from bianchi9.seeley_terms import A2_TERMS, A4_TERMS
 
 F = Fraction
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))

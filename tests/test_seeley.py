@@ -16,6 +16,8 @@ from seeley_oracle import (
     jet_frame_one_param,
     jet_frame_two_param,
     oracle_environment,
+    render_terms,
+    table_checksum,
     value_frame,
 )
 
@@ -43,8 +45,6 @@ from bianchi9.seeley_terms import (
     A4_TEXT,
     VARIABLES,
     parse_terms,
-    render_terms,
-    table_checksum,
 )
 from bianchi9.series import Grade
 from bianchi9.theta import cyclotomic_order

@@ -77,6 +77,8 @@ CLI_REQUESTS = [
     # a series in Q(zeta_308) (b d = 77), and an unreduced input with an empty horizon
     ["theta", "--p", "3/7", "--q", "5/11", "--series", "--n", "1", "--trunc", "5"],
     ["theta", "--p", "3/2", "--q", "7/4", "--series", "--trunc", "0"],
+    # a series in Q(zeta_23988), 23,988 = 12 * 1999: an order with a large prime factor
+    ["theta", "--p", "2/1999", "--q", "1/3", "--series", "--trunc", "1"],
     ["check", "crossval", "--p", "0", "--q", "1/3", "--order", "0", "--trunc", "6"],
     ["check", "crossval", "--p", "1/6", "--q", "5/6", "--order", "2", "--trunc", "3", "--mu-re", "1.1"],
     ["check", "transforms", "--p", "1/6", "--q", "5/6", "--order", "0", "--samples", "1"],
